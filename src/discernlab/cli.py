@@ -3,29 +3,56 @@
 Exit codes:
     0  verdict weakly_discerning
     1  verdict violated or inconclusive
-    2  usage / configuration error
+    2  usage / configuration error, including inputs the certifiers
+       reject (an empty sector, fewer than two particles, spin 0 for
+       relation T, a mixed rank out of range)
     3  resource limit (dimension or degree cap) exceeded
     4  input error (missing or corrupt report file)
+    5  internal error: any other exception; its traceback goes to stderr
+
+One guard in ``main`` maps every exception to one of these codes, so a
+crash never reads as the verdict "violated".  The whole configuration
+is checked before any work: value types, ranges, a finite positive
+--tol, an existing output directory, and --sector full for relation C,
+whose wavefunctions are not symmetry-restricted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+import traceback
+from dataclasses import dataclass, fields
 
 from .discern import VERDICT_PASS, certify_weak_discernibility
-from .errors import DegreeCapError, DimensionCapError
+from .errors import (
+    ArityError,
+    ConfigError,
+    DegenerateSpinError,
+    DegreeCapError,
+    DimensionCapError,
+    DomainError,
+    EmptySectorError,
+    RankError,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INPUT = 4
+EXIT_INTERNAL = 5
+
+# errors caused by what the user asked for: exit 2, like a bad flag
+_INPUT_ERRORS = (ConfigError, EmptySectorError, ArityError,
+                 DegenerateSpinError, DomainError, RankError)
+# RunConfig annotation -> accepted types (bool is rejected separately)
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 @dataclass
@@ -44,37 +71,38 @@ class RunConfig:
     format: str = "json"
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.relation not in ("C", "T"):
-            raise ValueError(f"unknown relation {self.relation!r}")
+            raise ConfigError(f"unknown relation {self.relation!r}")
         if self.n_particles < 2:
-            raise ValueError("need --particles >= 2")
+            raise ConfigError("need --particles >= 2")
+        if self.two_s < 0:
+            raise ConfigError("need --two-s >= 0")
         if self.relation == "T" and self.two_s < 1:
-            raise ValueError("relation T needs --two-s >= 1")
+            raise ConfigError("relation T needs --two-s >= 1")
         for name in ("n_pure_samples", "n_mixed_samples", "mixed_rank",
                      "max_degree"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise ConfigError(f"{name} must be nonnegative")
+        if self.relation == "T" and self.n_mixed_samples > 0 \
+                and self.mixed_rank < 1:
+            raise ConfigError("mixed samples need --mixed-rank >= 1")
         if self.sector not in ("full", "bose", "fermi"):
-            raise ValueError(f"unknown sector {self.sector!r}")
+            raise ConfigError(f"unknown sector {self.sector!r}")
+        if self.relation == "C" and self.sector != "full":
+            raise ConfigError("relation C accepts only --sector full")
         if self.format not in ("json", "markdown"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
-# flag destinations that map onto RunConfig fields
-_FLAG_FIELDS = {
-    "relation": "relation",
-    "particles": "n_particles",
-    "two_s": "two_s",
-    "sector": "sector",
-    "pure_samples": "n_pure_samples",
-    "mixed_samples": "n_mixed_samples",
-    "mixed_rank": "mixed_rank",
-    "max_degree": "max_degree",
-    "seed": "seed",
-    "tol": "tol",
-    "out": "out",
-    "format": "format",
-}
+            raise ConfigError(f"unknown format {self.format!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(
+                f"--tol must be finite and positive, got {self.tol}")
+        out_dir = os.path.dirname(os.path.abspath(self.out))
+        if not os.path.isdir(out_dir):
+            raise ConfigError(f"output directory {out_dir!r} does not exist")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,11 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a certification")
     verify.add_argument("--config", help="JSON config file; flags override it")
     verify.add_argument("--relation", choices=["C", "T"])
-    verify.add_argument("--particles", type=int)
+    verify.add_argument("--particles", type=int, dest="n_particles")
     verify.add_argument("--two-s", type=int, dest="two_s")
     verify.add_argument("--sector", choices=["full", "bose", "fermi"])
-    verify.add_argument("--pure-samples", type=int, dest="pure_samples")
-    verify.add_argument("--mixed-samples", type=int, dest="mixed_samples")
+    verify.add_argument("--pure-samples", type=int, dest="n_pure_samples")
+    verify.add_argument("--mixed-samples", type=int, dest="n_mixed_samples")
     verify.add_argument("--mixed-rank", type=int, dest="mixed_rank")
     verify.add_argument("--max-degree", type=int, dest="max_degree")
     verify.add_argument("--seed", type=int)
@@ -108,17 +136,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    names = [f.name for f in fields(cfg)]
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config!r}: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a JSON object")
         for key, value in data.items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in names:
+                raise ConfigError(f"unknown config key {key!r}")
             setattr(cfg, key, value)
-    for flag, field_name in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, field_name, value)
+    # flag destinations are the RunConfig field names
+    for name in names:
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     cfg.validate()
     return cfg
 
@@ -222,18 +256,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.command == "render":
-        return run_render(args.path, args.format)
     try:
-        cfg = load_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        if args.command == "render":
+            return run_render(args.path, args.format)
+        return run_verify(load_config(args))
+    except _INPUT_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return run_verify(cfg)
     except (DimensionCapError, DegreeCapError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

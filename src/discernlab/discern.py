@@ -7,21 +7,24 @@ Both are reflexive and fail between distinct particles, which is the
 weak-discernibility pattern: the complement is irreflexive and
 symmetric on distinct pairs.
 
-Each universally quantified relation is decided two ways: exactly, on
-the defining operator (scalar-identity / spectral check for T, monomial
-basis check for C), and empirically, by seeded state sampling that
-produces witness states.  Reports record both routes.
+One engine, ``certify_relation``, checks that pattern for either
+relation.  Each universally quantified relation is decided two ways:
+exactly, on the defining operator (scalar-identity / spectral check for
+T, monomial basis check for C), and empirically, by seeded state
+sampling that produces witness states.  Reports record both routes.
+The per-sample decisions ``decide_T`` and ``decide_C`` are the ones the
+public predicates ``relation_T_holds`` and ``relation_C_holds`` run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArityError, DegenerateSpinError, ShapeError
+from .errors import ArityError, DegenerateSpinError, EmptySectorError, ShapeError
 from .matrix_core import (
     MixedState,
     Operator,
@@ -34,7 +37,9 @@ from .multiparticle import (
     ParticleSystem,
     Permutation,
     permutation_unitary,
-    sector_projector,
+    random_mixed_state,
+    random_pure_state,
+    sector_dimension,
 )
 from .schwartz import (
     MINUS_I,
@@ -52,6 +57,9 @@ ALL_STATES = "all"
 VERDICT_PASS = "weakly_discerning"
 VERDICT_FAIL = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+#: a relation decided on one sample: (holds, failure branch or None)
+Decision = tuple[bool, Optional[str]]
 
 
 def eigenproperty(a: Operator, state, tol: float = TOL_ABS) -> Optional[complex]:
@@ -81,6 +89,22 @@ def eigenproperty(a: Operator, state, tol: float = TOL_ABS) -> Optional[complex]
     raise ShapeError(f"unsupported state type {type(state)!r}")
 
 
+def decide_T(k: Operator, state, target: float, tol: float) -> Decision:
+    """Relation T on one state, for the pair operator k: (holds, branch).
+
+    T holds when the state possesses a value of k within
+    tol * max(1, target) of the target.  On failure the branch says why:
+    "absent" when the state has no eigenproperty (the converse
+    possession principle), otherwise "value=..." with the possessed value.
+    """
+    v = eigenproperty(k, state, tol)
+    if v is None:
+        return False, "absent"
+    if abs(v - target) <= tol * max(1.0, target):
+        return True, None
+    return False, f"value={v.real:.6g}"
+
+
 def relation_T_holds(a: int, b: int, state, label: SpinLabel,
                      system: ParticleSystem, tol: float = 1e-8) -> bool:
     """The total-spin relation at the target value 4 s(s+1) hbar^2.
@@ -96,10 +120,20 @@ def relation_T_holds(a: int, b: int, state, label: SpinLabel,
     target = float(4 * label.casimir_value())
     if state == ALL_STATES:
         return is_scalar_identity(k, target, tol)
-    value = eigenproperty(k, state, tol)
-    if value is None:
-        return False
-    return abs(value - target) <= tol * max(1.0, target)
+    return decide_T(k, state, target, tol)[0]
+
+
+def decide_C(a: int, b: int, wf: SpinorWavefunction,
+             target: SpinorWavefunction) -> Decision:
+    """Relation C on one wavefunction: (holds, branch).
+
+    target is -i wf, passed in so that a caller deciding many pairs on
+    one wavefunction computes it once.  Exact, zero tolerance.
+    """
+    comm = commutator_PQ_apply(wf, a, b)
+    if comm == target:
+        return True, None
+    return False, "commutator_zero" if comm.is_zero() else "commutator_other"
 
 
 def relation_C_holds(a: int, b: int, psi) -> bool:
@@ -111,10 +145,7 @@ def relation_C_holds(a: int, b: int, psi) -> bool:
     """
     if isinstance(psi, SpinorWavefunction):
         psi = [psi]
-    for wf in psi:
-        if commutator_PQ_apply(wf, a, b) != wf.scale(MINUS_I):
-            return False
-    return True
+    return all(decide_C(a, b, wf, wf.scale(MINUS_I))[0] for wf in psi)
 
 
 def ccr_identity_on_monomials(n_particles: int, max_degree: int,
@@ -173,55 +204,68 @@ class DiscernibilityReport:
     pairs: list = field(default_factory=list)
     permutation_invariant: bool = False
     spectrum: list = field(default_factory=list)
-    symmetric_holds: bool = False
     verdict: str = VERDICT_INCONCLUSIVE
 
     def compute_verdict(self) -> str:
         reflexive_ok = all(p["reflexive"] for p in self.pairs if p["a"] == p["b"])
         off_diag = [p for p in self.pairs if p["a"] != p["b"]]
         off_ok = bool(off_diag) and all(p["off_diagonal_fails"] for p in off_diag)
-        if reflexive_ok and off_ok and self.symmetric_holds \
-                and self.permutation_invariant:
+        if reflexive_ok and off_ok and self.permutation_invariant:
             self.verdict = VERDICT_PASS
         else:
             self.verdict = VERDICT_FAIL
         return self.verdict
 
     def to_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "mode": self.mode,
-            "n_particles": self.n_particles,
-            "two_s": self.two_s,
-            "sector": self.sector,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "pairs": self.pairs,
-            "permutation_invariant": self.permutation_invariant,
-            "spectrum": self.spectrum,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
-def _sample_pure(proj: np.ndarray, dim: int, rng) -> PureState:
-    for _ in range(16):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v = proj @ v
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return PureState(v / norm)
-    raise ShapeError("sector projection kept returning zero")
+def certify_relation(
+        report: DiscernibilityReport, samples: list,
+        operator_route: Callable[[int, int], bool],
+        pair_check: Callable[[int, int], Callable[[object], Decision]],
+        invariant: Callable[[Permutation], bool]) -> DiscernibilityReport:
+    """Check one relation for the weak-discernibility pattern; fill report.
 
+    The relation is given by three callables:
 
-def _sample_mixed(proj: np.ndarray, dim: int, rank: int, rng) -> MixedState:
-    weights = rng.random(rank) + 1e-6
-    weights /= weights.sum()
-    w = np.zeros((dim, dim), dtype=complex)
-    for wk in weights:
-        psi = _sample_pure(proj, dim, rng).amplitudes
-        w += wk * np.outer(psi, psi.conj())
-    return MixedState((w + w.conj().T) / 2)
+    * operator_route(a, b): for a == b, whether the operator route proves
+      the relation on every state; for a != b, whether it proves that
+      the relation fails on every state;
+    * pair_check(a, b): the per-sample decision for the pair, a function
+      from one sample to (holds, failure branch);
+    * invariant(pi): whether the relation is invariant under pi.
+
+    samples are (name, sample) pairs.  A diagonal pair is reflexive when
+    both routes say the relation holds; an off-diagonal pair fails when
+    the operator route proves it and no sample satisfies the relation.
+    Its witness is the first sample on which the relation fails.
+    """
+    n = report.n_particles
+    names = [name for name, _ in samples]
+    states = [sample for _, sample in samples]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            proved = operator_route(a, b)
+            check = pair_check(a, b)
+            outcomes = [check(sample) for sample in states]
+            pair = {"a": a, "b": b, "reflexive": None,
+                    "off_diagonal_fails": None, "witness": None}
+            if a == b:
+                pair["reflexive"] = bool(
+                    proved and all(holds for holds, _ in outcomes))
+            else:
+                pair["off_diagonal_fails"] = bool(
+                    proved and not any(holds for holds, _ in outcomes))
+                pair["witness"] = next(
+                    (f"{name}:{branch}"
+                     for name, (holds, branch) in zip(names, outcomes)
+                     if not holds), None)
+            report.pairs.append(pair)
+    report.permutation_invariant = all(
+        invariant(pi) for pi in Permutation.all(n))
+    report.compute_verdict()
+    return report
 
 
 def certify_T(n_particles: int, two_s: int, sector: str = "full",
@@ -235,18 +279,19 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
         raise DegenerateSpinError("relation T is undefined for spin 0")
     label = SpinLabel(two_s)
     system = ParticleSystem(n_particles, label.dim, sector)
+    sdim = sector_dimension(system)
+    if sdim < 1:
+        raise EmptySectorError(
+            f"the {sector} sector of {n_particles} particles with "
+            f"2s={two_s} is empty")
     target = float(4 * label.casimir_value())
     # largest eigenvalue off-diagonal: S(S+1) at S = 2s, exactly 2s(2s+1)
     max_allowed = float(two_s * (two_s + 1))
-
-    proj = sector_projector(system).entries
-    rng = np.random.default_rng(np.random.SeedSequence([seed, two_s, n_particles]))
-    sdim = round(np.trace(proj).real)
-    rank = min(mixed_rank, max(sdim, 1))
+    rank = min(mixed_rank, sdim)
 
     report = DiscernibilityReport(
         relation="T",
-        mode="pure_sampling" if n_mixed_samples == 0 else "mixed_sampling",
+        mode="mixed_sampling",
         n_particles=n_particles,
         two_s=two_s,
         sector=sector,
@@ -256,74 +301,36 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
         tolerances={"tol": tol, "tol_abs": TOL_ABS},
     )
 
-    operators = {}
-    for a in range(1, n_particles + 1):
-        for b in range(1, n_particles + 1):
-            operators[(a, b)] = pair_total_spin_squared(label, a, b, system)
+    operators = {(a, b): pair_total_spin_squared(label, a, b, system)
+                 for a in range(1, n_particles + 1)
+                 for b in range(1, n_particles + 1)}
+    rng = np.random.default_rng(np.random.SeedSequence([seed, two_s, n_particles]))
+    samples = [(f"pure[{i}]", random_pure_state(system, rng))
+               for i in range(n_pure_samples)]
+    samples += [(f"mixed[{i}]", random_mixed_state(system, rank, rng))
+                for i in range(n_mixed_samples)]
 
-    pure_samples = [_sample_pure(proj, system.total_dim, rng)
-                    for _ in range(n_pure_samples)]
-    mixed_samples = [_sample_mixed(proj, system.total_dim, rank, rng)
-                     for _ in range(n_mixed_samples)]
+    def operator_route(a: int, b: int) -> bool:
+        k = operators[(a, b)]
+        if a == b:
+            return is_scalar_identity(k, target, tol)
+        # not a scalar, and spectrally bounded away from the target
+        top = eigenvalue_levels(k)[-1][0]
+        return not is_scalar_identity(k, target, tol) \
+            and top <= max_allowed + tol and top < target - tol
 
-    fails = {}
-    for a in range(1, n_particles + 1):
-        for b in range(1, n_particles + 1):
-            k = operators[(a, b)]
-            if a == b:
-                ok = is_scalar_identity(k, target, tol)
-                for st in pure_samples + mixed_samples:
-                    v = eigenproperty(k, st, tol)
-                    ok = ok and v is not None and abs(v - target) <= tol * target
-                report.pairs.append({
-                    "a": a, "b": b, "reflexive": bool(ok),
-                    "off_diagonal_fails": None, "witness": None,
-                })
-                continue
-            # operator route: not a scalar, and spectrally bounded away
-            not_scalar = not is_scalar_identity(k, target, tol)
-            levels = eigenvalue_levels(k)
-            spectral = levels[-1][0] <= max_allowed + tol and \
-                levels[-1][0] < target - tol
-            witness = None
-            sampled_fail = True
-            for idx, st in enumerate(pure_samples):
-                v = eigenproperty(k, st, tol)
-                holds = v is not None and abs(v - target) <= tol * target
-                if holds:
-                    sampled_fail = False
-                elif witness is None:
-                    branch = "absent" if v is None else f"value={v.real:.6g}"
-                    witness = f"pure[{idx}]:{branch}"
-            for idx, st in enumerate(mixed_samples):
-                v = eigenproperty(k, st, tol)
-                holds = v is not None and abs(v - target) <= tol * target
-                if holds:
-                    sampled_fail = False
-                elif witness is None:
-                    branch = "absent" if v is None else f"value={v.real:.6g}"
-                    witness = f"mixed[{idx}]:{branch}"
-            fail = not_scalar and spectral and sampled_fail
-            fails[(a, b)] = fail
-            report.pairs.append({
-                "a": a, "b": b, "reflexive": None,
-                "off_diagonal_fails": bool(fail), "witness": witness,
-            })
+    def pair_check(a: int, b: int):
+        k = operators[(a, b)]
+        return lambda state: decide_T(k, state, target, tol)
 
-    # symmetry by the logic-theorem route: not-R(a,b) and not-R(b,a)
-    report.symmetric_holds = all(
-        fails[(a, b)] and fails[(b, a)]
-        for a in range(1, n_particles + 1)
-        for b in range(a + 1, n_particles + 1))
+    def family(a: int, b: int) -> Operator:
+        return operators[(a, b)]
 
-    report.permutation_invariant = all(
-        permutation_invariance_check(
-            lambda a, b: operators[(a, b)], pi, system, tol)
-        for pi in Permutation.all(n_particles))
-
+    certify_relation(
+        report, samples, operator_route, pair_check,
+        lambda pi: permutation_invariance_check(family, pi, system, tol))
     report.spectrum = [[lam, mult]
                        for lam, mult in eigenvalue_levels(operators[(1, 2)])]
-    report.compute_verdict()
     return report
 
 
@@ -342,63 +349,31 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         seed=seed,
         tolerances={"tol": 0.0},
     )
-    samples = [random_wavefunction(n_particles, max_degree, two_s, seed + k)
-               for k in range(n_samples)]
+    wavefunctions = [random_wavefunction(n_particles, max_degree, two_s, seed + k)
+                     for k in range(n_samples)]
     if two_s == 0:
         # the bosonic direct-product case phi(q_1)...phi(q_N)
-        samples.append(symmetric_product_state(
+        wavefunctions.append(symmetric_product_state(
             {0: QComplex(Fraction(1)), 1: QComplex(Fraction(1, 2))},
             n_particles))
+    # -i psi once per wavefunction, not once per pair
+    samples = [(f"wavefunction[{i}]", (wf, wf.scale(MINUS_I)))
+               for i, wf in enumerate(wavefunctions)]
+    check_samples = wavefunctions[:3]
+    slots = range(1, n_particles + 1)
 
-    targets = [wf.scale(MINUS_I) for wf in samples]
-    fails = {}
-    for a in range(1, n_particles + 1):
-        for b in range(1, n_particles + 1):
-            identity_ok = ccr_identity_on_monomials(n_particles, max_degree, a, b)
-            if a == b:
-                ok = identity_ok and all(
-                    commutator_PQ_apply(wf, a, a) == tgt
-                    for wf, tgt in zip(samples, targets))
-                report.pairs.append({
-                    "a": a, "b": b, "reflexive": bool(ok),
-                    "off_diagonal_fails": None, "witness": None,
-                })
-                continue
-            witness = None
-            fail = identity_ok  # identity proves [P_a,Q_b] = 0 != -i
-            for idx, (wf, tgt) in enumerate(zip(samples, targets)):
-                comm = commutator_PQ_apply(wf, a, b)
-                if comm != tgt:
-                    if witness is None:
-                        witness = f"wavefunction[{idx}]:commutator_zero"
-                else:
-                    fail = False
-            fails[(a, b)] = fail
-            report.pairs.append({
-                "a": a, "b": b, "reflexive": None,
-                "off_diagonal_fails": bool(fail), "witness": witness,
-            })
+    def invariant(pi: Permutation) -> bool:
+        """Symbolic invariance via slot relabeling on a few samples."""
+        return all(
+            commutator_PQ_apply(wf, a, b).permute_slots(pi.mapping)
+            == commutator_PQ_apply(wf.permute_slots(pi.mapping), pi(a), pi(b))
+            for a in slots for b in slots for wf in check_samples)
 
-    report.symmetric_holds = all(
-        fails[(a, b)] and fails[(b, a)]
-        for a in range(1, n_particles + 1)
-        for b in range(a + 1, n_particles + 1))
-
-    # permutation invariance, symbolically via slot relabeling
-    check_samples = samples[: min(len(samples), 3)]
-    invariant = True
-    for pi in Permutation.all(n_particles):
-        for a in range(1, n_particles + 1):
-            for b in range(1, n_particles + 1):
-                for wf in check_samples:
-                    lhs = commutator_PQ_apply(wf, a, b).permute_slots(pi.mapping)
-                    rhs = commutator_PQ_apply(
-                        wf.permute_slots(pi.mapping), pi(a), pi(b))
-                    if lhs != rhs:
-                        invariant = False
-    report.permutation_invariant = invariant
-    report.compute_verdict()
-    return report
+    return certify_relation(
+        report, samples,
+        # the identity proves [P_a,Q_a] = -i and [P_a,Q_b] = 0 != -i
+        lambda a, b: ccr_identity_on_monomials(n_particles, max_degree, a, b),
+        lambda a, b: lambda sample: decide_C(a, b, *sample), invariant)
 
 
 def certify_weak_discernibility(relation: str, **config) -> DiscernibilityReport:

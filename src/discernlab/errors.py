@@ -51,3 +51,11 @@ class DegenerateSpinError(DiscernlabError):
 
 class ArityError(DiscernlabError):
     """Fewer than two particles: nothing to discern."""
+
+
+class UnitError(DiscernlabError):
+    """Operands carry different powers of hbar."""
+
+
+class ConfigError(DiscernlabError):
+    """A run configuration is malformed or out of range."""

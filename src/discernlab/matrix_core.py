@@ -6,7 +6,8 @@ built from: tensor products, commutators, Hermitian eigensystems and
 scalar-identity tests.
 
 hbar is 1 internally.  Eigenvalue claims elsewhere are stated in units
-of hbar or hbar^2 and carry their unit exponent as plain metadata.
+of hbar or hbar^2 and carry their unit exponent as metadata, which
+sums and differences check.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError, HermiticityError, ShapeError
+from .errors import DimensionCapError, HermiticityError, ShapeError, UnitError
 
 TOL_ABS = 1e-10
-TOL_REL = 1e-9
 #: eigenvalues closer than this (relative to the operator norm) are one level
 LEVEL_TOL_REL = 1e-7
 
@@ -67,14 +67,19 @@ class Operator:
         return Operator(self.entries @ other.entries,
                         self.hbar_power + other.hbar_power)
 
-    def __add__(self, other: "Operator") -> "Operator":
+    def _check_summand(self, other: "Operator"):
         if self.dim != other.dim:
             raise ShapeError(f"dim mismatch {self.dim} vs {other.dim}")
+        if self.hbar_power != other.hbar_power:
+            raise UnitError(f"cannot add hbar^{self.hbar_power} "
+                            f"and hbar^{other.hbar_power}")
+
+    def __add__(self, other: "Operator") -> "Operator":
+        self._check_summand(other)
         return Operator(self.entries + other.entries, self.hbar_power)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise ShapeError(f"dim mismatch {self.dim} vs {other.dim}")
+        self._check_summand(other)
         return Operator(self.entries - other.entries, self.hbar_power)
 
     def __mul__(self, c: complex) -> "Operator":
@@ -85,20 +90,9 @@ class Operator:
     def max_norm(self) -> float:
         return float(np.abs(self.entries).max()) if self.dim else 0.0
 
-    def dump(self) -> str:
-        """Debug text format: one row per line, entries as re+imi pairs."""
-        rows = []
-        for row in self.entries:
-            rows.append(" ".join(f"{z.real:+.17g}{z.imag:+.17g}i" for z in row))
-        return "\n".join(rows)
-
 
 def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=complex))
-
-
-def zero(dim: int, hbar_power: int = 0) -> Operator:
-    return Operator(np.zeros((dim, dim), dtype=complex), hbar_power)
 
 
 @dataclass(frozen=True)
@@ -118,9 +112,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def projector(self) -> Operator:
-        return Operator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -204,22 +195,3 @@ def is_scalar_identity(a: Operator, c: complex, tol: float = TOL_ABS) -> bool:
         raise ValueError("tol must be positive")
     diff = a.entries - c * np.eye(a.dim)
     return float(np.abs(diff).max()) <= tol
-
-
-def apply(a: Operator, x):
-    """A.x: matrix-vector for pure states, left multiplication A.W for mixed.
-
-    The pure-state result is returned as a raw vector (it is generally
-    not normalized); the mixed-state result as an Operator.
-    """
-    if isinstance(x, PureState):
-        if a.dim != x.dim:
-            raise ShapeError(f"dim mismatch {a.dim} vs {x.dim}")
-        return a.entries @ x.amplitudes
-    if isinstance(x, MixedState):
-        if a.dim != x.dim:
-            raise ShapeError(f"dim mismatch {a.dim} vs {x.dim}")
-        return Operator(a.entries @ x.entries, a.hbar_power)
-    if a.dim != np.shape(x)[0]:
-        raise ShapeError(f"dim mismatch {a.dim} vs {np.shape(x)[0]}")
-    return a.entries @ np.asarray(x, dtype=complex)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from .errors import (
 from .matrix_core import MixedState, Operator, PureState, dimension_cap, identity, kron
 
 SECTORS = ("full", "bose", "fermi")
+#: symmetrizer parity of each symmetry-restricted sector
+_PARITY = {"bose": "+", "fermi": "-"}
 
 MAX_PROJECTION_RETRIES = 16
 
@@ -53,6 +57,11 @@ class ParticleSystem:
     @property
     def total_dim(self) -> int:
         return self.single_dim ** self.n_particles
+
+    @cached_property
+    def projector(self) -> Operator:
+        """The sector projector, built once per system."""
+        return sector_projector(self)
 
 
 @dataclass(frozen=True)
@@ -153,34 +162,40 @@ def symmetrizer(system: ParticleSystem, parity: str) -> Operator:
 
 
 def sector_projector(system: ParticleSystem) -> Operator:
-    if system.sector == "bose":
-        return symmetrizer(system, "+")
-    if system.sector == "fermi":
-        return symmetrizer(system, "-")
-    return identity(system.total_dim)
+    if system.sector == "full":
+        return identity(system.total_dim)
+    return symmetrizer(system, _PARITY[system.sector])
 
 
-def sector_dimension(system: ParticleSystem, parity: str) -> int:
+def sector_dimension(system: ParticleSystem,
+                     parity: Optional[str] = None) -> int:
     """dim of the symmetric (+) or antisymmetric (-) subspace.
 
-    Equals trace(Pi) and the stars-and-bars / subset counts
-    C(d+N-1, N) for + and C(d, N) for -.
+    Closed forms: the stars-and-bars count C(d+N-1, N) for + and the
+    subset count C(d, N) for -.  With no parity, the dimension of the
+    system's own sector.
     """
-    tr = np.trace(symmetrizer(system, parity).entries).real
-    return round(tr)
+    d, n = system.single_dim, system.n_particles
+    if parity is None:
+        if system.sector == "full":
+            return system.total_dim
+        parity = _PARITY[system.sector]
+    if parity == "+":
+        return math.comb(d + n - 1, n)
+    if parity == "-":
+        return math.comb(d, n)
+    raise ValueError("parity must be '+' or '-'")
 
 
-def _sector_dim(system: ParticleSystem) -> int:
-    if system.sector == "full":
-        return system.total_dim
-    return sector_dimension(system, "+" if system.sector == "bose" else "-")
+def random_pure_state(system: ParticleSystem, seed) -> PureState:
+    """Haar-uniform ray inside the system's sector.
 
-
-def random_pure_state(system: ParticleSystem, seed: int) -> PureState:
-    """Haar-uniform ray inside the system's sector, deterministic per seed."""
-    if _sector_dim(system) < 1:
+    seed is an int or a numpy Generator.  A Generator is drawn from in
+    place, so successive calls on one generator give successive samples.
+    """
+    if sector_dimension(system) < 1:
         raise EmptySectorError(f"{system.sector} sector of {system} is empty")
-    proj = sector_projector(system).entries
+    proj = system.projector.entries
     rng = np.random.default_rng(seed)
     for _ in range(MAX_PROJECTION_RETRIES):
         v = rng.standard_normal(system.total_dim) + 1j * rng.standard_normal(
@@ -192,18 +207,22 @@ def random_pure_state(system: ParticleSystem, seed: int) -> PureState:
     raise SamplingError("projection returned zero norm repeatedly")
 
 
-def random_mixed_state(system: ParticleSystem, rank: int, seed: int) -> MixedState:
-    """Convex mixture of rank sector-confined pure projectors."""
-    sdim = _sector_dim(system)
+def random_mixed_state(system: ParticleSystem, rank: int, seed) -> MixedState:
+    """Convex mixture of rank sector-confined pure projectors.
+
+    seed is an int or a numpy Generator.  The weights are drawn first,
+    then the rank pure components, all from the one generator.
+    """
+    sdim = sector_dimension(system)
     if not 1 <= rank <= sdim:
         raise RankError(f"rank {rank} not in 1..{sdim} for {system.sector} sector")
     rng = np.random.default_rng(seed)
     weights = rng.random(rank) + 1e-6
     weights /= weights.sum()
     w = np.zeros((system.total_dim, system.total_dim), dtype=complex)
-    for k in range(rank):
-        psi = random_pure_state(system, int(rng.integers(0, 2**63 - 1)))
-        w += weights[k] * np.outer(psi.amplitudes, psi.amplitudes.conj())
+    for wk in weights:
+        psi = random_pure_state(system, rng).amplitudes
+        w += wk * np.outer(psi, psi.conj())
     # symmetrize away float round-off before the invariant check
     w = (w + w.conj().T) / 2
     return MixedState(w)

@@ -412,37 +412,3 @@ def symmetric_product_state(phi_coeffs: dict[int, QComplex], n_particles: int,
         prod = nxt
     poly = GaussianPolyWavefunction(n_particles, prod, degree_cap)
     return SpinorWavefunction(n_particles, 0, (poly,))
-
-
-def serialize(psi: SpinorWavefunction) -> str:
-    """Structured text: one line per (component, monomial) coefficient."""
-    lines = [f"spinor n={psi.n_particles} two_s={psi.two_s}"]
-    for k, comp in enumerate(psi.components):
-        for mono in sorted(comp.coeffs):
-            c = comp.coeffs[mono]
-            exps = ",".join(str(e) for e in mono)
-            lines.append(
-                f"{k} {exps} {c.re.numerator}/{c.re.denominator} "
-                f"{c.im.numerator}/{c.im.denominator}")
-    return "\n".join(lines) + "\n"
-
-
-def deserialize(text: str) -> SpinorWavefunction:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
-    if header[0] != "spinor":
-        raise ShapeError("not a spinor serialization")
-    n = int(header[1].split("=")[1])
-    two_s = int(header[2].split("=")[1])
-    n_components = (two_s + 1) ** n
-    comps = [dict() for _ in range(n_components)]
-    for ln in lines[1:]:
-        k_str, exps, re_str, im_str = ln.split()
-        mono = tuple(int(e) for e in exps.split(","))
-        re_n, re_d = re_str.split("/")
-        im_n, im_d = im_str.split("/")
-        comps[int(k_str)][mono] = QComplex(
-            Fraction(int(re_n), int(re_d)), Fraction(int(im_n), int(im_d)))
-    return SpinorWavefunction(
-        n, two_s,
-        tuple(GaussianPolyWavefunction(n, c) for c in comps))

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+from discernlab import cli
 from discernlab.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -102,6 +106,46 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run(["verify", "--config", str(cfg)]) == EXIT_USAGE
+
+
+class TestRejectedBeforeWork:
+    @pytest.mark.parametrize("config,flags", [
+        ([1, 2], []),
+        ({"n_particles": "3"}, []),
+        ({"n_particles": 2.5}, []),
+        ({"two_s": True}, []),
+        (None, ["--tol", "-1"]),
+        (None, ["--tol", "nan"]),
+        (None, ["--tol", "inf"]),
+        (None, ["--mixed-rank", "0"]),
+        (None, ["--out", "{tmp}/missing/r.json"]),
+        (None, ["--relation", "C", "--sector", "bose"]),
+        (None, ["--particles", "3", "--two-s", "1", "--sector", "fermi"]),
+    ], ids=["non-object-config", "string-int", "float-int", "bool-int",
+            "negative-tol", "nan-tol", "inf-tol", "zero-mixed-rank",
+            "missing-out-dir", "C-with-sector", "empty-fermi-sector"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, config, flags):
+        argv = ["verify", "--out", str(tmp_path / "r.json")]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        argv += [f.format(tmp=tmp_path) for f in flags]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_internal_error_exits_5_with_traceback(tmp_path, capsys, monkeypatch):
+    def broken(relation, **config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "certify_weak_discernibility", broken)
+    code = run(["verify", "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 class TestRender:

@@ -3,20 +3,39 @@ import pytest
 
 from discernlab.discern import (
     ALL_STATES,
+    DiscernibilityReport,
     ccr_identity_on_monomials,
     certify_C,
+    certify_relation,
     certify_T,
     certify_weak_discernibility,
+    decide_T,
     eigenproperty,
     permutation_invariance_check,
     relation_C_holds,
     relation_T_holds,
 )
 from discernlab.errors import ArityError, DegenerateSpinError
-from discernlab.matrix_core import MixedState, PureState, identity
-from discernlab.multiparticle import ParticleSystem, Permutation, random_pure_state
+from discernlab.matrix_core import (
+    MixedState,
+    Operator,
+    PureState,
+    identity,
+    is_scalar_identity,
+)
+from discernlab.multiparticle import (
+    ParticleSystem,
+    Permutation,
+    embed_at_slot,
+    random_pure_state,
+)
 from discernlab.schwartz import random_wavefunction
-from discernlab.spin import SpinLabel, coupled_basis, pair_total_spin_squared
+from discernlab.spin import (
+    SpinLabel,
+    casimir,
+    coupled_basis,
+    pair_total_spin_squared,
+)
 
 
 def singlet():
@@ -146,7 +165,8 @@ class TestCertify:
                            n_mixed_samples=10, mixed_rank=2, seed=0)
         assert report.verdict == "weakly_discerning"
         assert report.permutation_invariant
-        assert report.symmetric_holds
+        assert all(p["off_diagonal_fails"] for p in report.pairs
+                   if p["a"] != p["b"])
         # spectrum frozen from the 4x4 oracle
         assert [tuple(x) for x in report.spectrum] == [(0.0, 1), (2.0, 3)]
 
@@ -190,3 +210,60 @@ class TestCertify:
         assert len(diag) == 3 and all(p["reflexive"] for p in diag)
         assert len(off) == 6 and all(p["off_diagonal_fails"] for p in off)
         assert all(p["witness"] for p in off)
+
+
+class TestNegativeControls:
+    """Relations that must not certify, run through the engine.
+
+    A relation that holds between distinct particles, or one that is not
+    permutation invariant, must come out violated; otherwise the verdict
+    would be vacuous (Huggett & Norton, BJPS 65, 2014).
+    """
+
+    label = SpinLabel(1)
+    system = ParticleSystem(3, 2)
+    tol = 1e-8
+
+    def certify(self, family, target):
+        def operator_route(a, b):
+            scalar = is_scalar_identity(family(a, b), target, self.tol)
+            return scalar if a == b else not scalar
+
+        report = DiscernibilityReport(
+            relation="control", mode="mixed_sampling", n_particles=3,
+            two_s=1, sector="full", samples={}, seed=0, tolerances={})
+        samples = [(f"pure[{k}]", random_pure_state(self.system, k))
+                   for k in range(5)]
+        return certify_relation(
+            report, samples, operator_route,
+            lambda a, b: lambda st: decide_T(family(a, b), st, target,
+                                             self.tol),
+            lambda pi: permutation_invariance_check(
+                family, pi, self.system, self.tol))
+
+    def test_monadic_relation_holds_off_diagonal(self):
+        # S_a^2 + S_b^2 = 2 s(s+1) hbar^2 for every pair, a == b or not
+        c = casimir(self.label)
+        report = self.certify(
+            lambda a, b: embed_at_slot(c, a, self.system)
+            + embed_at_slot(c, b, self.system),
+            float(2 * self.label.casimir_value()))
+        assert report.verdict == "violated"
+        assert report.permutation_invariant
+        off = [p for p in report.pairs if p["a"] != p["b"]]
+        assert off and not any(p["off_diagonal_fails"] for p in off)
+
+    def test_label_dependent_relation_is_not_invariant(self):
+        # T with the off-diagonal value shifted by the first label: the
+        # weak-discernibility pattern holds, but only through the labels
+        def family(a, b):
+            k = pair_total_spin_squared(self.label, a, b, self.system)
+            shift = 0 if a == b else a - 1
+            return k - Operator(shift * np.eye(k.dim), hbar_power=2)
+
+        report = self.certify(family, float(4 * self.label.casimir_value()))
+        assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
+        assert all(p["off_diagonal_fails"] for p in report.pairs
+                   if p["a"] != p["b"])
+        assert not report.permutation_invariant
+        assert report.verdict == "violated"

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from discernlab.errors import HermiticityError, ShapeError
+from discernlab.errors import HermiticityError, ShapeError, UnitError
 from discernlab.matrix_core import (
     MixedState,
     Operator,
     PureState,
-    apply,
     commutator,
     eigenvalue_levels,
     hermitian_eigensystem,
@@ -172,25 +171,6 @@ class TestIsScalarIdentity:
             is_scalar_identity(identity(2), 1.0, 0.0)
 
 
-class TestApply:
-    def test_identity_on_state(self):
-        psi = PureState([1, 0])
-        assert np.array_equal(apply(identity(2), psi), psi.amplitudes)
-
-    def test_bit_flip(self):
-        assert np.array_equal(apply(SIGMA_X, PureState([1, 0])),
-                              np.array([0, 1], dtype=complex))
-
-    def test_left_multiplication_on_mixed(self):
-        w = MixedState(np.diag([0.5, 0.5]))
-        out = apply(SIGMA_Z, w)
-        assert np.array_equal(out.entries, SIGMA_Z.entries @ w.entries)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            apply(identity(3), PureState([1, 0]))
-
-
 class TestStateInvariants:
     def test_pure_state_rejects_unnormalized(self):
         with pytest.raises(ShapeError):
@@ -204,7 +184,11 @@ class TestStateInvariants:
         with pytest.raises(HermiticityError):
             MixedState([[0.5, 1], [0, 0.5]])
 
-    def test_operator_dump_roundtrips_entries(self):
-        text = SIGMA_Y.dump()
-        assert len(text.splitlines()) == 2
-        assert "-1i" in text.replace(" ", "") or "-1i" in text
+
+class TestUnits:
+    def test_sum_and_difference_need_equal_hbar_power(self):
+        s = Operator(SIGMA_Z.entries, hbar_power=1)
+        assert (s + s).hbar_power == 1
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(UnitError):
+                op(s, s @ s)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -154,10 +152,11 @@ class TestSectorDimension:
     def test_matches_binomials(self, n, d, parity, expected):
         got = sector_dimension(ParticleSystem(n, d), parity)
         assert got == expected
-        if parity == "+":
-            assert got == math.comb(d + n - 1, n)
-        else:
-            assert got == math.comb(d, n)
+        # the trace of the N!-term symmetrizer is the oracle
+        proj = symmetrizer(ParticleSystem(n, d), parity).entries
+        assert got == round(np.trace(proj).real)
+        sector = "bose" if parity == "+" else "fermi"
+        assert sector_dimension(ParticleSystem(n, d, sector)) == expected
 
 
 class TestRandomStates:
@@ -196,3 +195,13 @@ class TestRandomStates:
     def test_mixed_rank_error(self):
         with pytest.raises(RankError):
             random_mixed_state(ParticleSystem(2, 2, "fermi"), rank=2, seed=1)
+
+    def test_mixed_draws_weights_then_components_from_one_stream(self):
+        system = ParticleSystem(2, 3, "bose")
+        w = random_mixed_state(system, 2, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        weights = rng.random(2) + 1e-6
+        weights /= weights.sum()
+        psis = [random_pure_state(system, rng).amplitudes for _ in range(2)]
+        want = sum(wk * np.outer(p, p.conj()) for wk, p in zip(weights, psis))
+        assert np.abs(w.entries - want).max() <= 1e-15

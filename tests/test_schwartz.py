@@ -13,14 +13,11 @@ from discernlab.schwartz import (
     apply_P,
     apply_Q,
     commutator_PQ_apply,
-    deserialize,
     gaussian,
     gaussian_moment,
     inner_product,
     random_wavefunction,
-    serialize,
     symmetric_product_state,
-    zero_wavefunction,
 )
 
 
@@ -192,19 +189,3 @@ class TestSpinorStructure:
         swapped = psi.permute_slots((2, 1, 3))
         assert swapped != psi
         assert swapped.permute_slots((2, 1, 3)) == psi
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        for seed in (0, 1, 2):
-            psi = random_wavefunction(2, 6, 1, seed)
-            assert deserialize(serialize(psi)) == psi
-
-    def test_zero_components_roundtrip(self):
-        psi = SpinorWavefunction(
-            1, 1, (gaussian(1), zero_wavefunction(1)))
-        assert deserialize(serialize(psi)) == psi
-
-    def test_stable_text(self):
-        psi = random_wavefunction(2, 4, 0, 3)
-        assert serialize(psi) == serialize(deserialize(serialize(psi)))
