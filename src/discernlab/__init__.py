@@ -37,12 +37,10 @@ from .spin import (
     spin_operators,
 )
 from .schwartz import (
-    GaussianPolyWavefunction,
     SpinorWavefunction,
     apply_P,
     apply_Q,
     commutator_PQ_apply,
-    inner_product,
     random_wavefunction,
 )
 from .discern import (

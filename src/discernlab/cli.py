@@ -13,8 +13,11 @@ Exit codes:
 One guard in ``main`` maps every exception to one of these codes, so a
 crash never reads as the verdict "violated".  The whole configuration
 is checked before any work: value types, ranges, a finite positive
---tol, an existing output directory, and --sector full for relation C,
-whose wavefunctions are not symmetry-restricted.
+--tol, an existing output directory, a positive DISCERNLAB_DIM_CAP, at
+least one sample, and no setting the chosen relation would ignore
+(--max-degree for T; --sector, --tol, --mixed-samples and --mixed-rank
+for C, whose exact route has no tolerance, no mixed states and no
+symmetry sectors).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .errors import (
     EmptySectorError,
     RankError,
 )
+from .matrix_core import dimension_cap
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -53,6 +57,11 @@ _INPUT_ERRORS = (ConfigError, EmptySectorError, ArityError,
                  DegenerateSpinError, DomainError, RankError)
 # RunConfig annotation -> accepted types (bool is rejected separately)
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
+# per relation, the RunConfig fields it does not use -> their flags
+_UNUSED = {"T": {"max_degree": "--max-degree"},
+           "C": {"sector": "--sector", "tol": "--tol",
+                 "n_mixed_samples": "--mixed-samples",
+                 "mixed_rank": "--mixed-rank"}}
 
 
 @dataclass
@@ -93,8 +102,18 @@ class RunConfig:
             raise ConfigError("mixed samples need --mixed-rank >= 1")
         if self.sector not in ("full", "bose", "fermi"):
             raise ConfigError(f"unknown sector {self.sector!r}")
-        if self.relation == "C" and self.sector != "full":
-            raise ConfigError("relation C accepts only --sector full")
+        for f in fields(self):
+            flag = _UNUSED[self.relation].get(f.name)
+            if flag and getattr(self, f.name) != f.default:
+                raise ConfigError(
+                    f"relation {self.relation} does not use {flag}; "
+                    f"leave it at its default {f.default!r}")
+        if self.relation == "T" \
+                and self.n_pure_samples + self.n_mixed_samples == 0:
+            raise ConfigError("relation T needs at least one pure or "
+                              "mixed sample")
+        if self.relation == "C" and self.n_pure_samples < 1:
+            raise ConfigError("relation C needs --pure-samples >= 1")
         if self.format not in ("json", "markdown"):
             raise ConfigError(f"unknown format {self.format!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -103,6 +122,7 @@ class RunConfig:
         out_dir = os.path.dirname(os.path.abspath(self.out))
         if not os.path.isdir(out_dir):
             raise ConfigError(f"output directory {out_dir!r} does not exist")
+        dimension_cap()  # raises on a malformed DISCERNLAB_DIM_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,7 +239,7 @@ def run_verify(cfg: RunConfig) -> int:
             "C",
             n_particles=cfg.n_particles,
             two_s=cfg.two_s,
-            n_samples=max(cfg.n_pure_samples, 1),
+            n_samples=cfg.n_pure_samples,
             max_degree=cfg.max_degree,
             seed=cfg.seed,
         )

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError, HermiticityError, ShapeError, UnitError
+from .errors import (
+    ConfigError,
+    DimensionCapError,
+    HermiticityError,
+    ShapeError,
+    UnitError,
+)
 
 TOL_ABS = 1e-10
 #: eigenvalues closer than this (relative to the operator norm) are one level
@@ -28,7 +34,17 @@ DEFAULT_DIM_CAP = 4096
 
 def dimension_cap() -> int:
     """Configured tensor-product dimension cap (env DISCERNLAB_DIM_CAP)."""
-    return int(os.environ.get("DISCERNLAB_DIM_CAP", DEFAULT_DIM_CAP))
+    raw = os.environ.get("DISCERNLAB_DIM_CAP")
+    if raw is None:
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(
+            f"DISCERNLAB_DIM_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,15 @@ class TestVerifyC:
                     "--pure-samples", "10", "--seed", "5", "--out", str(out)])
         assert code == EXIT_OK
 
+    def test_flags_at_their_defaults_accepted(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run(["verify", "--relation", "C", "--particles", "2",
+                    "--pure-samples", "2", "--sector", "full",
+                    "--tol", "1e-8", "--mixed-samples", "20",
+                    "--mixed-rank", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["samples"]["wavefunctions"] == 2
+
     def test_arity_usage_error(self, tmp_path):
         code = run(["verify", "--relation", "C", "--particles", "1",
                     "--out", str(tmp_path / "r.json")])
@@ -121,9 +130,21 @@ class TestRejectedBeforeWork:
         (None, ["--out", "{tmp}/missing/r.json"]),
         (None, ["--relation", "C", "--sector", "bose"]),
         (None, ["--particles", "3", "--two-s", "1", "--sector", "fermi"]),
+        (None, ["--pure-samples", "0", "--mixed-samples", "0"]),
+        (None, ["--relation", "C", "--pure-samples", "0"]),
+        (None, ["--relation", "C", "--tol", "1e-6"]),
+        ({"relation": "C", "tol": 1e-6}, []),
+        (None, ["--relation", "C", "--mixed-samples", "5"]),
+        (None, ["--relation", "C", "--mixed-rank", "1"]),
+        (None, ["--relation", "T", "--max-degree", "8"]),
+        ({"max_degree": 8}, []),
     ], ids=["non-object-config", "string-int", "float-int", "bool-int",
             "negative-tol", "nan-tol", "inf-tol", "zero-mixed-rank",
-            "missing-out-dir", "C-with-sector", "empty-fermi-sector"])
+            "missing-out-dir", "C-with-sector", "empty-fermi-sector",
+            "T-without-samples", "C-without-wavefunctions", "C-with-tol",
+            "C-with-tol-in-config", "C-with-mixed-samples",
+            "C-with-mixed-rank", "T-with-max-degree",
+            "T-with-max-degree-in-config"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, flags):
         argv = ["verify", "--out", str(tmp_path / "r.json")]
         if config is not None:
@@ -135,6 +156,19 @@ class TestRejectedBeforeWork:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("relation", ["T", "C"])
+    @pytest.mark.parametrize("cap", ["abc", "0", "-4", "2.5"])
+    def test_malformed_dim_cap(self, tmp_path, capsys, monkeypatch,
+                               relation, cap):
+        monkeypatch.setenv("DISCERNLAB_DIM_CAP", cap)
+        out = tmp_path / "r.json"
+        assert run(["verify", "--relation", relation,
+                    "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "DISCERNLAB_DIM_CAP" in err
+        assert not out.exists()
 
 
 def test_internal_error_exits_5_with_traceback(tmp_path, capsys, monkeypatch):

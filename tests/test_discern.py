@@ -66,6 +66,25 @@ class TestEigenproperty:
         k = pair_total_spin_squared(SpinLabel(1), 1, 2, ParticleSystem(2, 2))
         assert abs(eigenproperty(k, w, 1e-8)) < 1e-10
 
+    def test_pure_state_and_its_projector_agree(self):
+        # a tol between the max-entry and the Frobenius residual of the
+        # projector: one norm gives one decision for both forms
+        psi = random_pure_state(ParticleSystem(2, 2), seed=4)
+        amps = psi.amplitudes
+        w = MixedState(np.outer(amps, amps.conj()))
+        k = pair_total_spin_squared(SpinLabel(1), 1, 2, ParticleSystem(2, 2))
+        v = amps.conj() @ k.entries @ amps
+        residual = k.entries @ w.entries - v * w.entries
+        max_entry = float(np.abs(residual).max())
+        frobenius = float(np.linalg.norm(residual))
+        assert max_entry < frobenius
+        tol = (max_entry + frobenius) / 2
+        assert eigenproperty(k, psi, tol) is None
+        assert eigenproperty(k, w, tol) is None
+        tol = 1.01 * frobenius
+        assert np.isclose(eigenproperty(k, psi, tol), v)
+        assert np.isclose(eigenproperty(k, w, tol), v)
+
     def test_single_valued(self):
         # calling twice never yields two distinct values for one pair
         k = pair_total_spin_squared(SpinLabel(1), 1, 2, ParticleSystem(2, 2))

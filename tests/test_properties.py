@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from discernlab.matrix_core import Operator, commutator, hermitian_eigensystem
 from discernlab.schwartz import (
     MINUS_I,
-    GaussianPolyWavefunction,
     QComplex,
+    SpinorWavefunction,
     commutator_PQ_apply,
 )
 
@@ -36,8 +36,9 @@ def rational_polys(draw, n_particles=2, max_degree=6):
         num_re = draw(st.integers(-9, 9))
         num_im = draw(st.integers(-9, 9))
         den = draw(st.integers(1, 9))
-        coeffs[mono] = QComplex(Fraction(num_re, den), Fraction(num_im, den))
-    return GaussianPolyWavefunction(n_particles, coeffs)
+        coeffs[tuple((0, e) for e in mono)] = QComplex(
+            Fraction(num_re, den), Fraction(num_im, den))
+    return SpinorWavefunction(n_particles, 0, coeffs)
 
 
 @given(square_matrices(), square_matrices())
@@ -69,7 +70,7 @@ def test_exact_ccr_on_random_polys(psi):
 @given(rational_polys(n_particles=3, max_degree=4))
 @settings(max_examples=50, deadline=None)
 def test_degree_growth_bounded(psi):
-    before = max((max(m) for m in psi.coeffs), default=0)
+    before = max((e for term in psi.terms for _, e in term), default=0)
     out = commutator_PQ_apply(psi, 1, 2)
-    after = max((max(m) for m in out.coeffs), default=0)
+    after = max((e for term in out.terms for _, e in term), default=0)
     assert after <= before + 2

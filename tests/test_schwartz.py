@@ -1,21 +1,22 @@
-import math
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from discernlab.errors import DegreeCapError, IndexRangeError, ShapeError
+from discernlab.multiparticle import (
+    ParticleSystem,
+    Permutation,
+    permutation_unitary,
+)
 from discernlab.schwartz import (
     MINUS_I,
-    GaussianPolyWavefunction,
     QComplex,
     SpinorWavefunction,
     apply_P,
     apply_Q,
     commutator_PQ_apply,
-    gaussian,
-    gaussian_moment,
-    inner_product,
     random_wavefunction,
     symmetric_product_state,
 )
@@ -25,9 +26,20 @@ def qc(re, im=0):
     return QComplex(Fraction(re), Fraction(im))
 
 
-def poly(n, coeffs):
-    return GaussianPolyWavefunction(n, {m: qc(*c) if isinstance(c, tuple)
-                                        else qc(c) for m, c in coeffs.items()})
+def poly(n, coeffs, **kw):
+    """Spin-0 wavefunction from {exponent tuple: coefficient}."""
+    return SpinorWavefunction(
+        n, 0, {tuple((0, e) for e in mono):
+               qc(*c) if isinstance(c, tuple) else qc(c)
+               for mono, c in coeffs.items()}, **kw)
+
+
+def gaussian(n):
+    return poly(n, {(0,) * n: 1})
+
+
+def exponents(psi):
+    return [tuple(e for _, e in term) for term in psi.terms]
 
 
 class TestQComplex:
@@ -35,7 +47,6 @@ class TestQComplex:
         a, b = qc(1, 2), qc(3, -1)
         assert a * b == qc(5, 5)
         assert a + b == qc(4, 1)
-        assert a.conj() == qc(1, -2)
         assert a.mul_minus_i() == a * MINUS_I
 
     def test_exactness(self):
@@ -58,7 +69,7 @@ class TestApplyP:
         # product p(q1) * q2^3: acting on slot 1 leaves the q2 factor alone
         psi = poly(2, {(2, 3): 1})
         got = apply_P(psi, 1)
-        for mono in got.coeffs:
+        for mono in exponents(got):
             assert mono[1] == 3
 
     def test_slot_out_of_range(self):
@@ -81,9 +92,9 @@ class TestApplyQ:
         assert ab == ba
 
     def test_degree_cap(self):
-        capped = GaussianPolyWavefunction(1, {(2,): qc(1)}, degree_cap=2)
+        capped = poly(1, {(2,): 1}, degree_cap=2)
         with pytest.raises(DegreeCapError):
-            capped.times_q(1)
+            apply_Q(capped, 1)
 
 
 class TestCommutator:
@@ -110,67 +121,25 @@ class TestCommutator:
         psi = poly(1, {(4,): 1})
         for op in (apply_P, apply_Q):
             out = op(psi, 1)
-            assert max(m[0] for m in out.coeffs) <= 5
-
-
-class TestInnerProduct:
-    def test_gaussian_norm(self):
-        assert np.isclose(inner_product(gaussian(1), gaussian(1)),
-                          math.sqrt(math.pi))
-
-    def test_odd_moment_vanishes(self):
-        assert inner_product(poly(1, {(1,): 1}), gaussian(1)) == 0.0
-
-    def test_moment_values(self):
-        assert gaussian_moment(0) == math.sqrt(math.pi)
-        assert np.isclose(gaussian_moment(2), math.sqrt(math.pi) / 2)
-        assert np.isclose(gaussian_moment(4), 3 * math.sqrt(math.pi) / 4)
-        # quadrature oracle
-        q = np.linspace(-12, 12, 200001)
-        for n in range(0, 9):
-            num = np.trapezoid(q ** n * np.exp(-q * q), q)
-            assert abs(gaussian_moment(n) - num) < 1e-8
-
-    def test_conjugate_symmetry(self):
-        for seed in range(5):
-            a = random_wavefunction(2, 4, 0, seed).components[0]
-            b = random_wavefunction(2, 4, 0, 100 + seed).components[0]
-            assert np.isclose(inner_product(a, b),
-                              np.conjugate(inner_product(b, a)))
-
-    def test_momentum_symmetric(self):
-        # <P psi | phi> = <psi | P phi> on this domain
-        for seed in range(5):
-            a = random_wavefunction(1, 5, 0, seed)
-            b = random_wavefunction(1, 5, 0, 50 + seed)
-            lhs = inner_product(apply_P(a, 1), b)
-            rhs = inner_product(a, apply_P(b, 1))
-            assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
-    def test_spinor_sums_components(self):
-        a = random_wavefunction(1, 3, 1, 0)
-        total = sum((inner_product(c, c) for c in a.components), start=0j)
-        assert np.isclose(inner_product(a, a), total)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            inner_product(gaussian(1), gaussian(2))
+            assert max(m[0] for m in exponents(out)) <= 5
 
 
 class TestRandomWavefunction:
     def test_spin_zero_single_component(self):
         psi = random_wavefunction(1, 4, 0, 9)
-        assert len(psi.components) == 1
+        assert {m for term in psi.terms for m, _ in term} == {0}
 
     def test_component_count(self):
+        # at most four of the 9 spin configurations carry terms
         psi = random_wavefunction(2, 4, 2, 9)
-        assert len(psi.components) == 9
+        configs = {tuple(m for m, _ in term) for term in psi.terms}
+        assert 1 <= len(configs) <= 4
+        assert all(0 <= m <= 2 for config in configs for m in config)
 
     def test_degree_bound(self):
         psi = random_wavefunction(3, 4, 0, 2)
-        for comp in psi.components:
-            for mono in comp.coeffs:
-                assert max(mono) <= 4
+        for mono in exponents(psi):
+            assert max(mono) <= 4
 
     def test_determinism_and_nonzero(self):
         a = random_wavefunction(2, 5, 1, 77)
@@ -181,11 +150,61 @@ class TestRandomWavefunction:
 
 class TestSpinorStructure:
     def test_component_count_enforced(self):
+        # 2s = 1 allows spin indices 0 and 1 only
         with pytest.raises(ShapeError):
-            SpinorWavefunction(2, 1, (gaussian(2),))
+            SpinorWavefunction(2, 1, {((0, 0), (2, 0)): qc(1)})
+
+    def test_arity_and_exponent_enforced(self):
+        with pytest.raises(ShapeError):
+            SpinorWavefunction(2, 1, {((0, 0),): qc(1)})
+        with pytest.raises(ShapeError):
+            SpinorWavefunction(1, 1, {((0, -1),): qc(1)})
+
+    def test_zero_coefficients_dropped(self):
+        psi = SpinorWavefunction(1, 1, {((0, 1),): qc(0), ((1, 2),): qc(3)})
+        assert psi.terms == {((1, 2),): qc(3)}
 
     def test_permute_slots_roundtrip(self):
         psi = random_wavefunction(3, 4, 1, 5)
         swapped = psi.permute_slots((2, 1, 3))
         assert swapped != psi
         assert swapped.permute_slots((2, 1, 3)) == psi
+
+
+class TestPermuteSlots:
+    def test_three_cycle_moves_whole_particles(self):
+        # a distinct (m, e) per slot; slot 1 -> 2, slot 2 -> 3, slot 3 -> 1
+        psi = SpinorWavefunction(3, 1, {((0, 1), (1, 2), (0, 3)): qc(2, 1)})
+        assert psi.permute_slots((2, 3, 1)).terms == \
+            {((0, 3), (0, 1), (1, 2)): qc(2, 1)}
+
+    @pytest.mark.parametrize("sigma", list(itertools.permutations((1, 2, 3))))
+    def test_composition_law(self, sigma):
+        psi = random_wavefunction(3, 4, 1, 11)
+        for pi in Permutation.all(3):
+            pi_sigma = pi.compose(Permutation(sigma)).mapping
+            assert psi.permute_slots(sigma).permute_slots(pi.mapping) \
+                == psi.permute_slots(pi_sigma)
+
+    def test_agrees_with_permutation_unitary(self):
+        # spin-only terms: exponent 0 everywhere, so a wavefunction is a
+        # vector over the d^N spin configurations, slot 1 most significant
+        n, two_s = 3, 1
+        d = two_s + 1
+        system = ParticleSystem(n, d)
+        configs = list(itertools.product(range(d), repeat=n))
+        rng = np.random.default_rng(3)
+        weights = rng.integers(-5, 6, size=len(configs))
+        psi = SpinorWavefunction(n, two_s, {
+            tuple((m, 0) for m in config): qc(int(w))
+            for config, w in zip(configs, weights)})
+
+        def vector(wf):
+            return np.array([float(wf.terms.get(tuple((m, 0) for m in c),
+                                                qc(0)).re)
+                             for c in configs])
+
+        for mapping in itertools.permutations(range(1, n + 1)):
+            u = permutation_unitary(Permutation(mapping), system).entries
+            assert np.array_equal(vector(psi.permute_slots(mapping)),
+                                  (u @ vector(psi)).real)
