@@ -172,8 +172,8 @@ def commutator(a: Operator, b: Operator) -> Operator:
                     a.hbar_power + b.hbar_power)
 
 
-def hermitian_eigensystem(a: Operator) -> list[tuple[float, PureState]]:
-    """Ascending eigenvalues with orthonormal eigenvectors.
+def _hermitian_eigh(a: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of A, after checking that A is self-adjoint.
 
     Raises HermiticityError unless the input is self-adjoint within
     TOL_ABS relative to its norm.
@@ -181,7 +181,15 @@ def hermitian_eigensystem(a: Operator) -> list[tuple[float, PureState]]:
     scale = max(a.max_norm(), 1.0)
     if float(np.abs(a.entries - a.entries.conj().T).max()) > TOL_ABS * scale:
         raise HermiticityError("input is not self-adjoint")
-    evals, evecs = np.linalg.eigh(a.entries)
+    return np.linalg.eigh(a.entries)
+
+
+def hermitian_eigensystem(a: Operator) -> list[tuple[float, PureState]]:
+    """Ascending eigenvalues with orthonormal eigenvectors.
+
+    Raises HermiticityError unless the input is self-adjoint.
+    """
+    evals, evecs = _hermitian_eigh(a)
     return [(float(evals[k]), PureState(evecs[:, k])) for k in range(a.dim)]
 
 
@@ -190,10 +198,10 @@ def eigenvalue_levels(a: Operator) -> list[tuple[float, int]]:
 
     Eigenvalues within LEVEL_TOL_REL * ||A|| of each other are one level.
     """
-    pairs = hermitian_eigensystem(a)
+    evals, _ = _hermitian_eigh(a)
     gap = LEVEL_TOL_REL * max(a.max_norm(), 1.0)
     levels: list[list[float]] = []
-    for lam, _ in pairs:
+    for lam in map(float, evals):
         if levels and abs(lam - levels[-1][-1]) <= gap:
             levels[-1].append(lam)
         else:

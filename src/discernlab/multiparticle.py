@@ -5,8 +5,11 @@ and sector-constrained random state sampling.
 
 Permutation convention: U_pi moves the content of slot k to slot pi(k),
 i.e. on product vectors U_pi (phi_1 (x) ... (x) phi_N) =
-phi_{pi^-1(1)} (x) ... (x) phi_{pi^-1(N)}.  The composition law
-U_pi U_sigma = U_{pi o sigma} is tested exhaustively for S_3.
+phi_{pi^-1(1)} (x) ... (x) phi_{pi^-1(N)}.  On a vector reshaped to one
+axis per slot that is a transpose of the axes (``slot_axes``), so U_pi
+and the conjugation A -> U_pi A U_pi^dagger are index permutations, with
+no arithmetic.  The composition law U_pi U_sigma = U_{pi o sigma} is
+tested exhaustively for S_3.
 """
 
 from __future__ import annotations
@@ -116,6 +119,35 @@ class Permutation:
         for perm in itertools.permutations(range(1, n + 1)):
             yield Permutation(perm)
 
+    @staticmethod
+    def generators(n: int) -> list["Permutation"]:
+        """The transposition (1 2) and the N-cycle (1 2 ... N).
+
+        Every element of S_N is a product of these two, so a property
+        preserved under composition holds on S_N once it holds on them.
+        For N = 2 they coincide; S_1 needs none.
+        """
+        if n < 2:
+            return []
+        swap = Permutation((2, 1) + tuple(range(3, n + 1)))
+        cycle = Permutation(tuple(range(2, n + 1)) + (1,))
+        return [swap] if n == 2 else [swap, cycle]
+
+
+def slot_axes(pi: Permutation) -> tuple[int, ...]:
+    """np.transpose axes that move axis k-1 to position pi(k)-1.
+
+    Output axis j takes input axis pi^-1(j+1)-1: on a tensor with one
+    axis per slot, the content of slot k goes to slot pi(k).
+    """
+    return tuple(k - 1 for k in pi.inverse().mapping)
+
+
+def _check_slots(pi: Permutation, system: ParticleSystem):
+    if pi.n != system.n_particles:
+        raise IndexRangeError(f"permutation on {pi.n} slots, system has "
+                              f"{system.n_particles}")
+
 
 def embed_at_slot(a: Operator, slot: int, system: ParticleSystem) -> Operator:
     """Lift a single-particle operator to 1 (x)...(x) A (x)...(x) 1."""
@@ -131,22 +163,30 @@ def embed_at_slot(a: Operator, slot: int, system: ParticleSystem) -> Operator:
 
 
 def permutation_unitary(pi: Permutation, system: ParticleSystem) -> Operator:
-    """Unitary representation of pi on the N-fold tensor space."""
-    if pi.n != system.n_particles:
-        raise IndexRangeError(f"permutation on {pi.n} slots, system has "
-                              f"{system.n_particles}")
+    """Unitary representation of pi on the N-fold tensor space.
+
+    Column j of U_pi is basis vector j with its slot axes transposed, so
+    U_pi is the identity with its row axes transposed by slot_axes(pi).
+    """
+    _check_slots(pi, system)
+    d, n, dim = system.single_dim, system.n_particles, system.total_dim
+    rows = np.eye(dim, dtype=complex).reshape((d,) * n + (dim,))
+    return Operator(rows.transpose(slot_axes(pi) + (n,)).reshape(dim, dim))
+
+
+def conjugate_by_permutation(a: Operator, pi: Permutation,
+                             system: ParticleSystem) -> Operator:
+    """U_pi A U_pi^dagger, by transposing A's row and column slot axes.
+
+    An index permutation of A's entries: exact, and O(dim^2) instead of
+    two dense dim^3 products.
+    """
+    _check_slots(pi, system)
     d, n = system.single_dim, system.n_particles
-    u = np.zeros((system.total_dim, system.total_dim), dtype=complex)
-    for col, idx in enumerate(itertools.product(range(d), repeat=n)):
-        # content of slot k goes to slot pi(k)
-        out_idx = [0] * n
-        for k in range(n):
-            out_idx[pi(k + 1) - 1] = idx[k]
-        row = 0
-        for i in out_idx:
-            row = row * d + i
-        u[row, col] = 1.0
-    return Operator(u)
+    axes = slot_axes(pi)
+    entries = a.entries.reshape((d,) * (2 * n)).transpose(
+        axes + tuple(n + k for k in axes))
+    return Operator(entries.reshape(a.dim, a.dim), a.hbar_power)
 
 
 def symmetrizer(system: ParticleSystem, parity: str) -> Operator:

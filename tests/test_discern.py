@@ -27,6 +27,7 @@ from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
     embed_at_slot,
+    permutation_unitary,
     random_pure_state,
 )
 from discernlab.schwartz import random_wavefunction
@@ -40,6 +41,20 @@ from discernlab.spin import (
 
 def singlet():
     return PureState(np.array([0, 1, -1, 0]) / np.sqrt(2))
+
+
+def invariant_on_all_of_s_n(family, system, tol):
+    """The oracle: dense U_pi K_ab U_pi^dagger over all N! permutations."""
+    n = system.n_particles
+    for pi in Permutation.all(n):
+        u = permutation_unitary(pi, system).entries
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                img = u @ family(a, b).entries @ u.conj().T
+                want = family(pi(a), pi(b)).entries
+                if np.abs(img - want).max() > tol:
+                    return False
+    return True
 
 
 class TestEigenproperty:
@@ -177,6 +192,16 @@ class TestPermutationInvariance:
         assert permutation_invariance_check(
             family, Permutation((1, 2)), system)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_generator_verdict_equals_all_permutations(self, n):
+        label = SpinLabel(1)
+        system = ParticleSystem(n, label.dim)
+        report = certify_T(n, 1, n_pure_samples=2, n_mixed_samples=1,
+                           mixed_rank=1, seed=0)
+        family = lambda a, b: pair_total_spin_squared(label, a, b, system)
+        assert report.permutation_invariant
+        assert invariant_on_all_of_s_n(family, system, 1e-8)
+
 
 class TestCertify:
     def test_T_small_full_pipeline(self):
@@ -260,15 +285,39 @@ class TestNegativeControls:
             lambda pi: permutation_invariance_check(
                 family, pi, self.system, self.tol))
 
+    def shifted_T(self, shifted):
+        """T with the off-diagonal value lowered by 1 on the shifted pairs."""
+        def family(a, b):
+            k = pair_total_spin_squared(self.label, a, b, self.system)
+            shift = 1 if a != b and shifted(a, b) else 0
+            return k - Operator(shift * np.eye(k.dim), hbar_power=2)
+        return family
+
+    def assert_only_invariance_fails(self, family):
+        report = self.certify(family, float(4 * self.label.casimir_value()))
+        assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
+        assert all(p["off_diagonal_fails"] for p in report.pairs
+                   if p["a"] != p["b"])
+        assert not report.permutation_invariant
+        assert report.verdict == "violated"
+        assert not invariant_on_all_of_s_n(family, self.system, self.tol)
+
+    def generator_verdicts(self, family):
+        return [permutation_invariance_check(family, g, self.system, self.tol)
+                for g in Permutation.generators(3)]
+
     def test_monadic_relation_holds_off_diagonal(self):
         # S_a^2 + S_b^2 = 2 s(s+1) hbar^2 for every pair, a == b or not
         c = casimir(self.label)
-        report = self.certify(
-            lambda a, b: embed_at_slot(c, a, self.system)
-            + embed_at_slot(c, b, self.system),
-            float(2 * self.label.casimir_value()))
+
+        def family(a, b):
+            return embed_at_slot(c, a, self.system) \
+                + embed_at_slot(c, b, self.system)
+
+        report = self.certify(family, float(2 * self.label.casimir_value()))
         assert report.verdict == "violated"
         assert report.permutation_invariant
+        assert invariant_on_all_of_s_n(family, self.system, self.tol)
         off = [p for p in report.pairs if p["a"] != p["b"]]
         assert off and not any(p["off_diagonal_fails"] for p in off)
 
@@ -280,9 +329,17 @@ class TestNegativeControls:
             shift = 0 if a == b else a - 1
             return k - Operator(shift * np.eye(k.dim), hbar_power=2)
 
-        report = self.certify(family, float(4 * self.label.casimir_value()))
-        assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
-        assert all(p["off_diagonal_fails"] for p in report.pairs
-                   if p["a"] != p["b"])
-        assert not report.permutation_invariant
-        assert report.verdict == "violated"
+        self.assert_only_invariance_fails(family)
+
+    def test_swap_invariant_only(self):
+        # shifted on {a, b} = {1, 2}: fixed by (1 2), moved by (1 2 3)
+        family = self.shifted_T(lambda a, b: {a, b} == {1, 2})
+        assert self.generator_verdicts(family) == [True, False]
+        self.assert_only_invariance_fails(family)
+
+    def test_cycle_invariant_only(self):
+        # shifted on cyclic successors b = a + 1 mod N: fixed by (1 2 3),
+        # while (1 2) sends the successor pair (1, 2) to (2, 1)
+        family = self.shifted_T(lambda a, b: b == a % 3 + 1)
+        assert self.generator_verdicts(family) == [False, True]
+        self.assert_only_invariance_fails(family)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from discernlab.matrix_core import Operator, commutator, identity
 from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
+    conjugate_by_permutation,
     embed_at_slot,
     permutation_unitary,
     random_mixed_state,
@@ -37,6 +40,23 @@ class TestPermutation:
     def test_inverse(self):
         pi = Permutation((3, 1, 2))
         assert pi.compose(pi.inverse()).mapping == (1, 2, 3)
+
+    def test_generators_are_swap_and_cycle(self):
+        assert [g.mapping for g in Permutation.generators(4)] == \
+            [(2, 1, 3, 4), (2, 3, 4, 1)]
+        assert [g.mapping for g in Permutation.generators(2)] == [(2, 1)]
+        assert Permutation.generators(1) == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_generators_close_to_s_n(self, n):
+        gens = Permutation.generators(n)
+        group = {Permutation(tuple(range(1, n + 1)))}
+        frontier = list(group)
+        while frontier:
+            frontier = [g.compose(p) for p in frontier for g in gens]
+            frontier = [p for p in frontier if p not in group]
+            group.update(frontier)
+        assert len(group) == math.factorial(n)
 
 
 class TestEmbed:
@@ -89,6 +109,25 @@ class TestPermutationUnitary:
         for pi in Permutation.all(3):
             u = permutation_unitary(pi, system).entries
             assert np.array_equal(u @ u.conj().T, np.eye(27))
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_axis_conjugation_equals_dense_oracle(self, n, d):
+        system = ParticleSystem(n, d)
+        rng = np.random.default_rng(10 * n + d)
+        dim = system.total_dim
+        a = Operator(rng.standard_normal((dim, dim))
+                     + 1j * rng.standard_normal((dim, dim)), hbar_power=2)
+        for pi in Permutation.all(n):
+            u = permutation_unitary(pi, system).entries
+            got = conjugate_by_permutation(a, pi, system)
+            # an index permutation: exactly the 0/1 matrix products
+            assert np.array_equal(got.entries, u @ a.entries @ u.conj().T)
+            assert got.hbar_power == 2
+
+    def test_axis_conjugation_rejects_wrong_arity(self):
+        with pytest.raises(IndexRangeError):
+            conjugate_by_permutation(identity(8), Permutation((2, 1)),
+                                     ParticleSystem(3, 2))
 
     def test_conjugation_moves_slots(self):
         # U_pi embed(A, j) U_pi^dagger = embed(A, pi(j))
