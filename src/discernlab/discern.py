@@ -19,7 +19,6 @@ public predicates ``relation_T_holds`` and ``relation_C_holds`` run.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,9 +41,6 @@ from .multiparticle import (
     sector_dimension,
 )
 from .schwartz import (
-    MINUS_I,
-    QC_ONE,
-    QComplex,
     SpinorWavefunction,
     commutator_PQ_apply,
     random_wavefunction,
@@ -137,12 +133,12 @@ def relation_C_holds(a: int, b: int, psi) -> bool:
     """The commutator relation [P_a, Q_b] psi = -i hbar psi, exactly.
 
     psi may be a single spinor wavefunction or an iterable of them; the
-    relation must hold for every member.  Decided in exact rational
+    relation must hold for every member.  Decided in exact Gaussian-integer
     arithmetic, zero tolerance.
     """
     if isinstance(psi, SpinorWavefunction):
         psi = [psi]
-    return all(decide_C(a, b, wf, wf.scale(MINUS_I))[0] for wf in psi)
+    return all(decide_C(a, b, wf, wf.mul_minus_i())[0] for wf in psi)
 
 
 def ccr_identity_on_monomials(n_particles: int, max_degree: int,
@@ -160,9 +156,9 @@ def ccr_identity_on_monomials(n_particles: int, max_degree: int,
         for slot, e in zip(slots, exps):
             mono[slot - 1] = e
         wf = SpinorWavefunction(n_particles, 0,
-                                {tuple((0, e) for e in mono): QC_ONE})
+                                {tuple((0, e) for e in mono): (1, 0)})
         got = commutator_PQ_apply(wf, a, b)
-        if not (got == wf.scale(MINUS_I) if a == b else got.is_zero()):
+        if not (got == wf.mul_minus_i() if a == b else got.is_zero()):
             return False
     return True
 
@@ -360,12 +356,12 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
     wavefunctions = [random_wavefunction(n_particles, max_degree, two_s, seed + k)
                      for k in range(n_samples)]
     if two_s == 0:
-        # the bosonic direct-product case phi(q_1)...phi(q_N)
+        # the bosonic direct-product case phi(q_1)...phi(q_N), with
+        # phi = 1 + q/2 scaled by 2
         wavefunctions.append(symmetric_product_state(
-            {0: QComplex(Fraction(1)), 1: QComplex(Fraction(1, 2))},
-            n_particles))
+            {0: (2, 0), 1: (1, 0)}, n_particles))
     # -i psi once per wavefunction, not once per pair
-    samples = [(f"wavefunction[{i}]", (wf, wf.scale(MINUS_I)))
+    samples = [(f"wavefunction[{i}]", (wf, wf.mul_minus_i()))
                for i, wf in enumerate(wavefunctions)]
     slots = range(1, n_particles + 1)
     # [P_a, Q_b] psi on a few samples, computed once for every permutation

@@ -2,7 +2,6 @@
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -12,8 +11,6 @@ from discernlab.matrix_core import eigenvalue_levels
 from discernlab.multiparticle import ParticleSystem, Permutation, \
     permutation_unitary, symmetrizer
 from discernlab.schwartz import (
-    MINUS_I,
-    QComplex,
     commutator_PQ_apply,
     random_wavefunction,
     symmetric_product_state,
@@ -96,10 +93,10 @@ def test_criterion_4_exact_C_certification():
             samples = [random_wavefunction(n, 8, two_s, 1000 + k)
                        for k in range(200)]
             if two_s == 0:
+                # phi = 1 + q/3, scaled by 3
                 samples.append(symmetric_product_state(
-                    {0: QComplex(Fraction(1)), 1: QComplex(Fraction(1, 3))},
-                    n))
-            targets = [psi.scale(MINUS_I) for psi in samples]
+                    {0: (3, 0), 1: (1, 0)}, n))
+            targets = [psi.mul_minus_i() for psi in samples]
             for a in range(1, n + 1):
                 for psi, tgt in zip(samples, targets):
                     if commutator_PQ_apply(psi, a, a) != tgt:

@@ -9,6 +9,7 @@ from discernlab.discern import (
     certify_relation,
     certify_T,
     certify_weak_discernibility,
+    decide_C,
     decide_T,
     eigenproperty,
     permutation_invariance_check,
@@ -159,6 +160,14 @@ class TestRelationC:
         assert ccr_identity_on_monomials(2, 6, 1, 2)
         assert ccr_identity_on_monomials(3, 4, 2, 3)
 
+    def test_decide_C_branches(self):
+        wf = random_wavefunction(2, 4, 1, 3)
+        assert decide_C(1, 1, wf, wf.mul_minus_i()) == (True, None)
+        assert decide_C(1, 2, wf, wf.mul_minus_i()) == \
+            (False, "commutator_zero")
+        # against a wrong target (psi instead of -i psi)
+        assert decide_C(1, 1, wf, wf) == (False, "commutator_other")
+
 
 class TestPermutationInvariance:
     def test_pair_operator_family(self):
@@ -227,6 +236,16 @@ class TestCertify:
         assert report.verdict == "weakly_discerning"
         assert report.tolerances["tol"] == 0.0
         assert report.mode == "symbolic_exact"
+
+    def test_C_off_diagonal_witnesses(self):
+        for two_s in (0, 1):
+            report = certify_C(3, two_s, n_samples=5, max_degree=4, seed=2)
+            off = [p for p in report.pairs if p["a"] != p["b"]]
+            assert len(off) == 6
+            assert all(p["witness"] == "wavefunction[0]:commutator_zero"
+                       for p in off)
+            assert all(p["witness"] is None
+                       for p in report.pairs if p["a"] == p["b"])
 
     def test_arity_error(self):
         with pytest.raises(ArityError):

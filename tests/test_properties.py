@@ -1,17 +1,18 @@
 """Property-based checks over randomly generated operators and wavefunctions."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discernlab.matrix_core import Operator, commutator, hermitian_eigensystem
 from discernlab.schwartz import (
-    MINUS_I,
-    QComplex,
     SpinorWavefunction,
     commutator_PQ_apply,
+    random_wavefunction,
 )
 
 complex_entries = st.integers(-8, 8)
@@ -26,19 +27,109 @@ def square_matrices(draw, dim=3):
     return Operator(m)
 
 
+# Rational oracle: wavefunctions as {term: (re, im)} with Fraction parts,
+# the coefficient arithmetic the integer kernel replaces.
+
+def oracle_add(out, term, re, im):
+    x, y = out.get(term, (Fraction(0), Fraction(0)))
+    out[term] = (x + re, y + im)
+
+
+def oracle_shift(term, k, de):
+    m, e = term[k]
+    return term[:k] + ((m, e + de),) + term[k + 1:]
+
+
+def oracle_nonzero(terms):
+    return {term: c for term, c in terms.items() if c != (0, 0)}
+
+
+def oracle_apply_Q(terms, slot):
+    return {oracle_shift(term, slot - 1, 1): c for term, c in terms.items()}
+
+
+def oracle_apply_P(terms, slot):
+    """-i d/dq on q^e exp(-q^2/2): -i (e q^(e-1) - q^(e+1)) exp(-q^2/2)."""
+    k = slot - 1
+    out = {}
+    for term, (re, im) in terms.items():
+        mre, mim = im, -re  # -i (re + i im)
+        oracle_add(out, oracle_shift(term, k, 1), -mre, -mim)
+        e = term[k][1]
+        if e:
+            oracle_add(out, oracle_shift(term, k, -1), e * mre, e * mim)
+    return oracle_nonzero(out)
+
+
+def oracle_commutator(terms, a, b):
+    out = dict(oracle_apply_P(oracle_apply_Q(terms, b), a))
+    for term, (re, im) in oracle_apply_Q(oracle_apply_P(terms, a), b).items():
+        oracle_add(out, term, -re, -im)
+    return oracle_nonzero(out)
+
+
+def oracle_lcm(terms):
+    """LCM of the denominators of every real and imaginary part."""
+    return math.lcm(*(x.denominator for c in terms.values() for x in c))
+
+
+def oracle_scaled(terms, factor):
+    """{term: (re, im)} times factor, as ints; every part must become one."""
+    out = {}
+    for term, (re, im) in terms.items():
+        re, im = re * factor, im * factor
+        assert re.denominator == im.denominator == 1
+        out[term] = (int(re), int(im))
+    return out
+
+
+def oracle_random_wavefunction(n_particles, max_degree, spin_two_s, seed):
+    """The rational draw that random_wavefunction scales to integers."""
+    rng = random.Random(seed)
+    d = spin_two_s + 1
+    n_configs = d ** n_particles
+    active = rng.sample(range(n_configs), min(n_configs, 4))
+    terms = {}
+    for flat in sorted(active):
+        spins = [flat // d ** (n_particles - 1 - k) % d
+                 for k in range(n_particles)]
+        part = {}
+        for _ in range(rng.randint(1, 4)):
+            term = tuple((m, rng.randint(0, max_degree)) for m in spins)
+            num_re = rng.randint(-9, 9)
+            num_im = rng.randint(-9, 9)
+            den = rng.randint(1, 9)
+            oracle_add(part, term, Fraction(num_re, den), Fraction(num_im, den))
+        if all(c == (0, 0) for c in part.values()):
+            part[tuple((m, 0) for m in spins)] = (Fraction(1), Fraction(0))
+        terms.update(part)
+    return oracle_nonzero(terms)
+
+
+# denominators with shared factors, so the LCM is less than their product
+shared_denominators = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 36])
+
+
+@st.composite
+def rational_terms(draw, n_particles=2, max_degree=6, two_s=0):
+    n_terms = draw(st.integers(1, 5))
+    terms = {}
+    for _ in range(n_terms):
+        term = tuple((draw(st.integers(0, two_s)),
+                      draw(st.integers(0, max_degree)))
+                     for _ in range(n_particles))
+        den = draw(shared_denominators)
+        oracle_add(terms, term, Fraction(draw(st.integers(-9, 9)), den),
+                   Fraction(draw(st.integers(-9, 9)), den))
+    return oracle_nonzero(terms)
+
+
 @st.composite
 def rational_polys(draw, n_particles=2, max_degree=6):
-    n_terms = draw(st.integers(1, 5))
-    coeffs = {}
-    for _ in range(n_terms):
-        mono = tuple(draw(st.integers(0, max_degree))
-                     for _ in range(n_particles))
-        num_re = draw(st.integers(-9, 9))
-        num_im = draw(st.integers(-9, 9))
-        den = draw(st.integers(1, 9))
-        coeffs[tuple((0, e) for e in mono)] = QComplex(
-            Fraction(num_re, den), Fraction(num_im, den))
-    return SpinorWavefunction(n_particles, 0, coeffs)
+    """A rational spin-0 wavefunction scaled by its LCM: the same ray."""
+    terms = draw(rational_terms(n_particles, max_degree))
+    return SpinorWavefunction(n_particles, 0,
+                              oracle_scaled(terms, oracle_lcm(terms)))
 
 
 @given(square_matrices(), square_matrices())
@@ -62,7 +153,7 @@ def test_eigensystem_reconstructs_hermitian_part(a):
 @settings(max_examples=100, deadline=None)
 def test_exact_ccr_on_random_polys(psi):
     for a in (1, 2):
-        assert commutator_PQ_apply(psi, a, a) == psi.scale(MINUS_I)
+        assert commutator_PQ_apply(psi, a, a) == psi.mul_minus_i()
     assert commutator_PQ_apply(psi, 1, 2).is_zero()
     assert commutator_PQ_apply(psi, 2, 1).is_zero()
 
@@ -74,3 +165,28 @@ def test_degree_growth_bounded(psi):
     out = commutator_PQ_apply(psi, 1, 2)
     after = max((e for term in out.terms for _, e in term), default=0)
     assert after <= before + 2
+
+
+@given(st.integers(2, 3), st.integers(0, 2), st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_kernel_matches_rational_oracle(n, two_s, data):
+    terms = data.draw(rational_terms(n, max_degree=5, two_s=two_s))
+    scale = oracle_lcm(terms)
+    psi = SpinorWavefunction(n, two_s, oracle_scaled(terms, scale))
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            assert commutator_PQ_apply(psi, a, b).terms == \
+                oracle_scaled(oracle_commutator(terms, a, b), scale)
+
+
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 8),
+       st.integers(0, 10**6))
+# draws in which every coefficient of one spin configuration cancels
+@example(1, 0, 0, 907)
+@example(1, 1, 0, 256)
+@example(2, 0, 0, 784)
+@settings(max_examples=100, deadline=None)
+def test_random_wavefunction_is_rational_draw_times_lcm(n, two_s, degree, seed):
+    terms = oracle_random_wavefunction(n, degree, two_s, seed)
+    assert random_wavefunction(n, degree, two_s, seed).terms == \
+        oracle_scaled(terms, oracle_lcm(terms))

@@ -11,8 +11,6 @@ from discernlab.multiparticle import (
     permutation_unitary,
 )
 from discernlab.schwartz import (
-    MINUS_I,
-    QComplex,
     SpinorWavefunction,
     apply_P,
     apply_Q,
@@ -23,7 +21,8 @@ from discernlab.schwartz import (
 
 
 def qc(re, im=0):
-    return QComplex(Fraction(re), Fraction(im))
+    """Gaussian-integer coefficient re + i im."""
+    return (re, im)
 
 
 def poly(n, coeffs, **kw):
@@ -43,15 +42,22 @@ def exponents(psi):
 
 
 class TestQComplex:
+    """Gaussian-integer coefficient arithmetic, on one-term wavefunctions."""
+
     def test_arithmetic(self):
         a, b = qc(1, 2), qc(3, -1)
-        assert a * b == qc(5, 5)
-        assert a + b == qc(4, 1)
-        assert a.mul_minus_i() == a * MINUS_I
+        # the q_2 term of (a + b q_1)(a + b q_2) carries a * b
+        product = symmetric_product_state({0: a, 1: b}, 2)
+        assert product.terms[((0, 0), (0, 1))] == qc(5, 5)
+        # a + b as a - (-b)
+        assert poly(1, {(0,): a}) - poly(1, {(0,): (-3, 1)}) \
+            == poly(1, {(0,): qc(4, 1)})
+        assert poly(1, {(0,): a}).mul_minus_i() == poly(1, {(0,): (2, -1)})
 
     def test_exactness(self):
-        third = QComplex(Fraction(1, 3))
-        assert third + third + third == qc(1)
+        # 1/3 + 1/3 + 1/3 = 1, scaled by 3
+        third, minus_third = poly(1, {(0,): 1}), poly(1, {(0,): -1})
+        assert third - minus_third - minus_third == poly(1, {(0,): 3})
 
 
 class TestApplyP:
@@ -75,6 +81,11 @@ class TestApplyP:
     def test_slot_out_of_range(self):
         with pytest.raises(IndexRangeError):
             apply_P(gaussian(1), 2)
+
+    def test_degree_cap(self):
+        capped = poly(1, {(2,): 1}, degree_cap=2)
+        with pytest.raises(DegreeCapError):
+            apply_P(capped, 1)
 
 
 class TestApplyQ:
@@ -102,7 +113,7 @@ class TestCommutator:
         for seed in range(20):
             psi = random_wavefunction(2, 6, 1, seed)
             for a in (1, 2):
-                assert commutator_PQ_apply(psi, a, a) == psi.scale(MINUS_I)
+                assert commutator_PQ_apply(psi, a, a) == psi.mul_minus_i()
 
     def test_off_diagonal_is_zero(self):
         for seed in range(20):
@@ -113,8 +124,8 @@ class TestCommutator:
     def test_bosonic_product_state(self):
         phi = {0: qc(1), 1: qc(1, 1), 2: qc(-1, 0)}
         psi = symmetric_product_state(phi, 2)
-        assert commutator_PQ_apply(psi, 1, 1) == psi.scale(MINUS_I)
-        assert commutator_PQ_apply(psi, 2, 2) == psi.scale(MINUS_I)
+        assert commutator_PQ_apply(psi, 1, 1) == psi.mul_minus_i()
+        assert commutator_PQ_apply(psi, 2, 2) == psi.mul_minus_i()
         assert commutator_PQ_apply(psi, 1, 2).is_zero()
 
     def test_degree_raised_by_at_most_one(self):
@@ -164,6 +175,19 @@ class TestSpinorStructure:
         psi = SpinorWavefunction(1, 1, {((0, 1),): qc(0), ((1, 2),): qc(3)})
         assert psi.terms == {((1, 2),): qc(3)}
 
+    def test_coefficients_are_integer_pairs(self):
+        for c in ((1.0, 0), (1, 0, 0), 1, (True, 0), (1, Fraction(1, 2))):
+            with pytest.raises(ShapeError):
+                SpinorWavefunction(1, 0, {((0, 0),): c})
+
+    def test_equality_is_not_projective(self):
+        psi = random_wavefunction(2, 4, 1, 8)
+        doubled = SpinorWavefunction(2, 1, {
+            term: (2 * re, 2 * im) for term, (re, im) in psi.terms.items()})
+        assert psi != doubled
+        assert psi != psi.mul_minus_i()
+        assert commutator_PQ_apply(psi, 1, 1) != psi
+
     def test_permute_slots_roundtrip(self):
         psi = random_wavefunction(3, 4, 1, 5)
         swapped = psi.permute_slots((2, 1, 3))
@@ -201,7 +225,7 @@ class TestPermuteSlots:
 
         def vector(wf):
             return np.array([float(wf.terms.get(tuple((m, 0) for m in c),
-                                                qc(0)).re)
+                                                qc(0))[0])
                              for c in configs])
 
         for mapping in itertools.permutations(range(1, n + 1)):
