@@ -12,14 +12,18 @@ relation.  Each universally quantified relation is decided two ways:
 exactly, on the defining operator (scalar-identity / spectral check for
 T, monomial basis check for C), and empirically, by seeded state
 sampling that produces witness states.  Reports record both routes.
-The per-sample decisions ``decide_T`` and ``decide_C`` are the ones the
-public predicates ``relation_T_holds`` and ``relation_C_holds`` run.
+The decisions ``decide_T`` (every state of a batch at once) and
+``decide_C`` (one wavefunction) are the ones the public predicates
+``relation_T_holds`` and ``relation_C_holds`` run.  Relation T never
+forms an N-body operator: K_ab is one two-slot block placed on slots
+(a, b) (``pair_operator``), applied to all sampled states together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,10 +39,11 @@ from .matrix_core import (
 from .multiparticle import (
     ParticleSystem,
     Permutation,
-    conjugate_by_permutation,
-    random_mixed_state,
-    random_pure_state,
+    SlotOperator,
+    StateBatch,
+    sample_states,
     sector_dimension,
+    slot_axes,
 )
 from .schwartz import (
     SpinorWavefunction,
@@ -46,7 +51,7 @@ from .schwartz import (
     random_wavefunction,
     symmetric_product_state,
 )
-from .spin import SpinLabel, pair_total_spin_squared
+from .spin import SpinLabel, pair_operator
 
 ALL_STATES = "all"
 
@@ -54,8 +59,44 @@ VERDICT_PASS = "weakly_discerning"
 VERDICT_FAIL = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-#: a relation decided on one sample: (holds, failure branch or None)
-Decision = tuple[bool, Optional[str]]
+#: amplitudes per batch a pair block is applied to, which bounds the
+#: temporaries of one application whatever the number of samples
+BATCH_ENTRIES = 4096
+
+#: a relation decided on every sample: (holds per sample, branch), with
+#: branch(i) the reason it fails on sample i
+Decision = tuple[Sequence[bool], Callable[[int], str]]
+
+
+def state_batch(state, shape: tuple[int, ...]) -> StateBatch:
+    """A PureState, or a MixedState factored once by eigh, as a batch of one."""
+    if not isinstance(state, (PureState, MixedState)):
+        raise ShapeError(f"unsupported state type {type(state)!r}")
+    if state.dim != math.prod(shape):
+        raise ShapeError(f"dim mismatch {math.prod(shape)} vs {state.dim}")
+    if isinstance(state, PureState):
+        return StateBatch(state.amplitudes.reshape((1, 1) + shape),
+                          np.ones((1, 1)))
+    w, v = np.linalg.eigh(state.entries)
+    return StateBatch(v.T.reshape((1, -1) + shape), w[None])
+
+
+def eigen_residuals(k: SlotOperator,
+                    batch: StateBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate value and eigen-residual of k on every state of a batch.
+
+    For W = F D F^dagger: v = tr(D F^dagger K F) / tr(D F^dagger F), and
+    the Frobenius residual ||K W - v W|| = ||R D F^dagger|| with
+    R = K F - v F, whose square tr(D R^dagger R D F^dagger F) takes only
+    r x r products.  On a pure state it is the 2-norm ||K psi - v psi||.
+    """
+    w, f = batch.weights, batch.flat
+    r = k.apply(batch.vectors).reshape(f.shape)  # K F, then R in place
+    value = np.einsum("mk,mki,mki->m", w, batch.flat_conj, r) / batch.trace
+    r -= value[:, None, None] * f
+    rr = np.einsum("mji,mki->mjk", r.conj(), r)
+    square = np.einsum("mj,mjk,mk,mkj->m", w, rr, w, batch.gram).real
+    return value, np.sqrt(np.maximum(square, 0.0))
 
 
 def eigenproperty(a: Operator, state, tol: float = TOL_ABS) -> Optional[complex]:
@@ -66,36 +107,28 @@ def eigenproperty(a: Operator, state, tol: float = TOL_ABS) -> Optional[complex]
     <= tol.  Mixed states analogously with A W = v W, in the Frobenius
     norm, which on a projector |psi><psi| equals the pure-state norm.
     Returns None when the state is no eigenstate (no eigenstate, no
-    property).
+    property).  The same kernel as relation T, on a batch of one.
     """
-    if not isinstance(state, (PureState, MixedState)):
-        raise ShapeError(f"unsupported state type {type(state)!r}")
-    if a.dim != state.dim:
-        raise ShapeError(f"dim mismatch {a.dim} vs {state.dim}")
-    pure = isinstance(state, PureState)
-    x = state.amplitudes if pure else state.entries
-    ax = a.entries @ x
-    v = complex(x.conj() @ ax) if pure else complex(np.trace(ax) / np.trace(x))
-    # the 2-norm of a vector, the Frobenius norm of a matrix
-    if np.linalg.norm(ax - v * x) <= tol:
-        return v
-    return None
+    value, residual = eigen_residuals(SlotOperator(a.entries, (1,)),
+                                      state_batch(state, (a.dim,)))
+    return complex(value[0]) if residual[0] <= tol else None
 
 
-def decide_T(k: Operator, state, target: float, tol: float) -> Decision:
-    """Relation T on one state, for the pair operator k: (holds, branch).
+def decide_T(k: SlotOperator, batches: list[StateBatch], target: float,
+             tol: float) -> Decision:
+    """Relation T for the pair operator k on every state of the batches.
 
-    T holds when the state possesses a value of k within
+    T holds on a state when it possesses a value of k within
     tol * max(1, target) of the target.  On failure the branch says why:
     "absent" when the state has no eigenproperty (the converse
     possession principle), otherwise "value=..." with the possessed value.
     """
-    v = eigenproperty(k, state, tol)
-    if v is None:
-        return False, "absent"
-    if abs(v - target) <= tol * max(1.0, target):
-        return True, None
-    return False, f"value={v.real:.6g}"
+    value, residual = map(np.concatenate,
+                          zip(*(eigen_residuals(k, b) for b in batches)))
+    present = residual <= tol
+    holds = present & (np.abs(value - target) <= tol * max(1.0, target))
+    return holds, lambda i: (f"value={value[i].real:.6g}" if present[i]
+                             else "absent")
 
 
 def relation_T_holds(a: int, b: int, state, label: SpinLabel,
@@ -109,15 +142,16 @@ def relation_T_holds(a: int, b: int, state, label: SpinLabel,
     """
     if label.two_s == 0:
         raise DegenerateSpinError("relation T is undefined for spin 0")
-    k = pair_total_spin_squared(label, a, b, system)
+    k = pair_operator(label, a, b, system)
     target = float(4 * label.casimir_value())
     if state == ALL_STATES:
-        return is_scalar_identity(k, target, tol)
-    return decide_T(k, state, target, tol)[0]
+        return is_scalar_identity(Operator(k.block), target, tol)
+    shape = (system.single_dim,) * system.n_particles
+    return bool(decide_T(k, [state_batch(state, shape)], target, tol)[0][0])
 
 
 def decide_C(a: int, b: int, wf: SpinorWavefunction,
-             target: SpinorWavefunction) -> Decision:
+             target: SpinorWavefunction) -> tuple[bool, Optional[str]]:
     """Relation C on one wavefunction: (holds, branch).
 
     target is -i wf, passed in so that a caller deciding many pairs on
@@ -163,20 +197,23 @@ def ccr_identity_on_monomials(n_particles: int, max_degree: int,
     return True
 
 
-def permutation_invariance_check(op_family, pi: Permutation,
-                                 system: ParticleSystem,
+def permutation_invariance_check(family: Callable[[int, int], SlotOperator],
+                                 pi: Permutation, states: np.ndarray,
                                  tol: float = TOL_ABS) -> bool:
-    """U_pi K_ab U_pi^dagger = K_{pi(a) pi(b)} for every ordered pair.
+    """K_{pi(a) pi(b)} U_pi psi = U_pi K_ab psi for every pair and state.
 
-    The conjugation is a transpose of K_ab's slot axes, so it adds no
-    rounding to the comparison.
+    states is a batch shaped (count, d, ..., d), and U_pi the exact
+    transpose of its slot axes.  Checking states rather than (block, a, b)
+    descriptors catches a block applied on the wrong slots.
     """
-    n = system.n_particles
+    n = states.ndim - 1
+    axes = (0,) + tuple(1 + k for k in slot_axes(pi))
+    moved = states.transpose(axes)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            k_img = conjugate_by_permutation(op_family(a, b), pi, system)
-            k_want = op_family(pi(a), pi(b)).entries
-            if float(np.abs(k_img.entries - k_want).max()) > tol:
+            diff = family(pi(a), pi(b)).apply(moved)
+            diff -= family(a, b).apply(states).transpose(axes)
+            if float(np.abs(diff).max(initial=0.0)) > tol:
                 return False
     return True
 
@@ -213,9 +250,9 @@ class DiscernibilityReport:
 
 
 def certify_relation(
-        report: DiscernibilityReport, samples: list,
+        report: DiscernibilityReport, names: list[str],
         operator_route: Callable[[int, int], bool],
-        pair_check: Callable[[int, int], Callable[[object], Decision]],
+        decide_pair: Callable[[int, int], Decision],
         invariant: Callable[[Permutation], bool]) -> DiscernibilityReport:
     """Check one relation for the weak-discernibility pattern; fill report.
 
@@ -224,47 +261,41 @@ def certify_relation(
     * operator_route(a, b): for a == b, whether the operator route proves
       the relation on every state; for a != b, whether it proves that
       the relation fails on every state;
-    * pair_check(a, b): the per-sample decision for the pair, a function
-      from one sample to (holds, failure branch);
+    * decide_pair(a, b): the relation for the pair on every sample, a
+      ``Decision``;
     * invariant(pi): whether the relation is invariant under pi.
 
-    samples are (name, sample) pairs.  A diagonal pair is reflexive when
-    both routes say the relation holds; an off-diagonal pair fails when
-    the operator route proves it and no sample satisfies the relation.
-    Its witness is the first sample on which the relation fails.
+    names are the samples' names.  A diagonal pair is reflexive when both
+    routes say the relation holds; an off-diagonal pair fails when the
+    operator route proves it and no sample satisfies the relation.  Its
+    witness is the first sample on which the relation fails.
 
     Permutation invariance is checked on the two generators of S_N
     (``Permutation.generators``): the transposition (1 2) and the N-cycle
     (1 2 ... N), not all N! elements.  pi acts through a representation,
     U_pi on the tensor space for T and slot relabeling for C, so
-    invariance is closed under composition: if it holds for sigma and
-    for pi, then U_pi U_sigma K_ab U_sigma^dagger U_pi^dagger =
-    U_pi K_{sigma(a) sigma(b)} U_pi^dagger = K_{pi sigma(a), pi sigma(b)}.
-    Every element of S_N is a word in the two generators, so the two
-    checks cover S_N; a word of length L deviates by at most L * tol.
-    For C the check samples the operator identity on a few
-    wavefunctions; the monomial route proves [P_a, Q_b] itself exactly.
+    K_{pi(a) pi(b)} U_pi = U_pi K_ab is closed under composition: from
+    sigma and pi, K_{pi sigma(a), pi sigma(b)} U_pi U_sigma =
+    U_pi K_{sigma(a) sigma(b)} U_sigma = U_pi U_sigma K_ab.  Every element
+    of S_N is a word in the two generators; a word of length L deviates
+    by at most L * tol.  Both relations check the identity on samples:
+    T on every sampled state (the operator identity once they span the
+    sector), C on a few wavefunctions.
     """
     n = report.n_particles
-    names = [name for name, _ in samples]
-    states = [sample for _, sample in samples]
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             proved = operator_route(a, b)
-            check = pair_check(a, b)
-            outcomes = [check(sample) for sample in states]
+            holds, branch = decide_pair(a, b)
             pair = {"a": a, "b": b, "reflexive": None,
                     "off_diagonal_fails": None, "witness": None}
             if a == b:
-                pair["reflexive"] = bool(
-                    proved and all(holds for holds, _ in outcomes))
+                pair["reflexive"] = bool(proved and all(holds))
             else:
-                pair["off_diagonal_fails"] = bool(
-                    proved and not any(holds for holds, _ in outcomes))
-                pair["witness"] = next(
-                    (f"{name}:{branch}"
-                     for name, (holds, branch) in zip(names, outcomes)
-                     if not holds), None)
+                pair["off_diagonal_fails"] = bool(proved and not any(holds))
+                first = next((i for i, h in enumerate(holds) if not h), None)
+                if first is not None:
+                    pair["witness"] = f"{names[first]}:{branch(first)}"
             report.pairs.append(pair)
     report.permutation_invariant = all(
         invariant(pi) for pi in Permutation.generators(n))
@@ -276,7 +307,12 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
               n_pure_samples: int = 100, n_mixed_samples: int = 20,
               mixed_rank: int = 2, seed: int = 0,
               tol: float = 1e-8) -> DiscernibilityReport:
-    """Full weak-discernibility certification of the total-spin relation."""
+    """Full weak-discernibility certification of the total-spin relation.
+
+    Both routes work on the blocks of ``pair_operator``: the operator
+    route decides once on 4 S^2 and K_12, the sampled route applies each
+    K_ab to every sample at once.  No N-body operator is built.
+    """
     if n_particles < 2:
         raise ArityError("need at least two particles to discern")
     if two_s < 1:
@@ -305,36 +341,39 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
         tolerances={"tol": tol, "tol_abs": TOL_ABS},
     )
 
-    operators = {(a, b): pair_total_spin_squared(label, a, b, system)
-                 for a in range(1, n_particles + 1)
-                 for b in range(1, n_particles + 1)}
+    slots = range(1, n_particles + 1)
+    operators = {(a, b): pair_operator(label, a, b, system)
+                 for a in slots for b in slots}
     rng = np.random.default_rng(np.random.SeedSequence([seed, two_s, n_particles]))
-    samples = [(f"pure[{i}]", random_pure_state(system, rng))
-               for i in range(n_pure_samples)]
-    samples += [(f"mixed[{i}]", random_mixed_state(system, rank, rng))
-                for i in range(n_mixed_samples)]
+    drawn = [sample_states(system, n_pure_samples, rng)]
+    if n_mixed_samples:
+        drawn.append(sample_states(system, n_mixed_samples, rng, rank))
+    batches = [piece for batch in drawn for piece in batch.split(BATCH_ENTRIES)]
+    names = [f"pure[{i}]" for i in range(n_pure_samples)]
+    names += [f"mixed[{i}]" for i in range(n_mixed_samples)]
 
-    def operator_route(a: int, b: int) -> bool:
-        k = operators[(a, b)]
-        if a == b:
-            return is_scalar_identity(k, target, tol)
-        # not a scalar, and spectrally bounded away from the target
-        top = eigenvalue_levels(k)[-1][0]
-        return not is_scalar_identity(k, target, tol) \
-            and top <= max_allowed + tol and top < target - tol
+    # every diagonal block is 4 S^2 and every off-diagonal one K_12
+    reflexive = is_scalar_identity(
+        Operator(operators[1, 1].block, hbar_power=2), target, tol)
+    k12 = Operator(operators[1, 2].block, hbar_power=2)
+    levels = eigenvalue_levels(k12)
+    top = levels[-1][0]
+    # not a scalar, and spectrally bounded away from the target
+    off_diagonal_fails = not is_scalar_identity(k12, target, tol) \
+        and top <= max_allowed + tol and top < target - tol
 
-    def pair_check(a: int, b: int):
-        k = operators[(a, b)]
-        return lambda state: decide_T(k, state, target, tol)
-
-    def family(a: int, b: int) -> Operator:
-        return operators[(a, b)]
+    def family(a: int, b: int) -> SlotOperator:
+        return operators[a, b]
 
     certify_relation(
-        report, samples, operator_route, pair_check,
-        lambda pi: permutation_invariance_check(family, pi, system, tol))
-    report.spectrum = [[lam, mult]
-                       for lam, mult in eigenvalue_levels(operators[(1, 2)])]
+        report, names,
+        lambda a, b: reflexive if a == b else off_diagonal_fails,
+        lambda a, b: decide_T(operators[a, b], batches, target, tol),
+        lambda pi: all(permutation_invariance_check(family, pi, b.vectors, tol)
+                       for b in batches))
+    # K_ab is K_12 (x) 1 on the other N-2 slots, up to a slot relabeling
+    report.spectrum = [[lam, mult * label.dim ** (n_particles - 2)]
+                       for lam, mult in levels]
     return report
 
 
@@ -361,8 +400,7 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         wavefunctions.append(symmetric_product_state(
             {0: (2, 0), 1: (1, 0)}, n_particles))
     # -i psi once per wavefunction, not once per pair
-    samples = [(f"wavefunction[{i}]", (wf, wf.mul_minus_i()))
-               for i, wf in enumerate(wavefunctions)]
+    samples = [(wf, wf.mul_minus_i()) for wf in wavefunctions]
     slots = range(1, n_particles + 1)
     # [P_a, Q_b] psi on a few samples, computed once for every permutation
     images = [(wf, {(a, b): commutator_PQ_apply(wf, a, b)
@@ -379,11 +417,15 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
                 return False
         return True
 
+    def decide_pair(a: int, b: int) -> Decision:
+        outcomes = [decide_C(a, b, wf, target) for wf, target in samples]
+        return [holds for holds, _ in outcomes], lambda i: outcomes[i][1]
+
     return certify_relation(
-        report, samples,
+        report, [f"wavefunction[{i}]" for i in range(len(samples))],
         # the identity proves [P_a,Q_a] = -i and [P_a,Q_b] = 0 != -i
         lambda a, b: ccr_identity_on_monomials(n_particles, max_degree, a, b),
-        lambda a, b: lambda sample: decide_C(a, b, *sample), invariant)
+        decide_pair, invariant)
 
 
 def certify_weak_discernibility(relation: str, **config) -> DiscernibilityReport:

@@ -25,10 +25,6 @@ class EmptySectorError(DiscernlabError):
     """The requested symmetry sector has dimension zero."""
 
 
-class SamplingError(DiscernlabError):
-    """Random state sampling failed repeatedly."""
-
-
 class RankError(DiscernlabError):
     """Requested mixed-state rank exceeds the sector dimension."""
 

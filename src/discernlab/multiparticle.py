@@ -1,7 +1,8 @@
 """N-fold tensor-product spaces.
 
-Slot embeddings, permutation unitaries, symmetrizers / antisymmetrizers
-and sector-constrained random state sampling.
+Slot embeddings, operators that act on a few slots (``SlotOperator``),
+permutation unitaries, symmetrizers / antisymmetrizers, orthonormal
+sector bases and sector-constrained random state sampling.
 
 Permutation convention: U_pi moves the content of slot k to slot pi(k),
 i.e. on product vectors U_pi (phi_1 (x) ... (x) phi_N) =
@@ -27,15 +28,12 @@ from .errors import (
     EmptySectorError,
     IndexRangeError,
     RankError,
-    SamplingError,
 )
 from .matrix_core import MixedState, Operator, PureState, dimension_cap, identity, kron
 
 SECTORS = ("full", "bose", "fermi")
 #: symmetrizer parity of each symmetry-restricted sector
 _PARITY = {"bose": "+", "fermi": "-"}
-
-MAX_PROJECTION_RETRIES = 16
 
 
 @dataclass(frozen=True)
@@ -189,6 +187,24 @@ def conjugate_by_permutation(a: Operator, pi: Permutation,
     return Operator(entries.reshape(a.dim, a.dim), a.hbar_power)
 
 
+@dataclass(frozen=True)
+class SlotOperator:
+    """block (x) identity: a d^k x d^k block on the k slots in slots.
+
+    ``apply`` acts on a batch shaped (count, d, ..., d), axis k being
+    slot k, by contracting the block with those axes: no N-body matrix.
+    """
+
+    block: np.ndarray
+    slots: tuple[int, ...]
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        k, d = len(self.slots), states.shape[1]
+        out = np.tensordot(states, self.block.reshape((d,) * (2 * k)),
+                           axes=(self.slots, tuple(range(k, 2 * k))))
+        return np.moveaxis(out, tuple(range(-k, 0)), self.slots)
+
+
 def symmetrizer(system: ParticleSystem, parity: str) -> Operator:
     """Orthogonal projector Pi+/- = (1/N!) sum_pi [sign(pi)] U_pi."""
     if parity not in ("+", "-"):
@@ -227,42 +243,127 @@ def sector_dimension(system: ParticleSystem,
     raise ValueError("parity must be '+' or '-'")
 
 
-def random_pure_state(system: ParticleSystem, seed) -> PureState:
-    """Haar-uniform ray inside the system's sector.
+def sector_basis(system: ParticleSystem) -> tuple[np.ndarray, ...]:
+    """Orthonormal bose or fermi basis (support, column, coef).
 
-    seed is an int or a numpy Generator.  A Generator is drawn from in
-    place, so successive calls on one generator give successive samples.
+    Basis vector column[k] has entry coef[k] at product index support[k].
+    Product indices are grouped by their sorted slot tuple: every group
+    for bose (occupation-number multisets), the groups of N distinct
+    levels for fermi (Slater determinants, signed by the parity of the
+    sorting permutation).  O(dim * N * d) work and no N!-term sum.
     """
-    if sector_dimension(system) < 1:
+    d, n, dim = system.single_dim, system.n_particles, system.total_dim
+    digits = np.indices((d,) * n).reshape(n, -1).T  # index -> slot tuple
+    occupation = (digits[:, :, None] == np.arange(d)).sum(axis=1)
+    filled = occupation.cumsum(axis=1)
+    # the group is the product index of the sorted slot tuple, whose j-th
+    # entry counts the levels l with at most j slots at levels <= l
+    group = sum((filled <= j).sum(axis=1) * d ** (n - 1 - j) for j in range(n))
+    support, sign = np.arange(dim), 1.0
+    if system.sector == "fermi":
+        keep = (occupation <= 1).all(axis=1)
+        support, digits, group = support[keep], digits[keep], group[keep]
+        inversions = sum(digits[:, i] > digits[:, j]
+                         for i in range(n) for j in range(i + 1, n))
+        sign = 1.0 - 2.0 * (np.asarray(inversions) % 2)
+    used = np.zeros(dim, dtype=bool)
+    used[group] = True
+    column = np.cumsum(used)[group] - 1  # groups in ascending order
+    return support, column, sign / np.sqrt(np.bincount(group)[group])
+
+
+@dataclass(frozen=True)
+class StateBatch:
+    """States as rank-r factors: state m is sum_k weights[m, k] |f_mk><f_mk|.
+
+    factors has shape (states, r, d, ..., d), one axis per slot; weights
+    has shape (states, r).  A pure state has r = 1 and weight 1.  The
+    products that do not depend on an operator are cached.
+    """
+
+    factors: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Every factor, as one batch shaped (states * r, d, ..., d)."""
+        return self.factors.reshape((-1,) + self.factors.shape[2:])
+
+    def split(self, entries: int) -> list["StateBatch"]:
+        """Consecutive sub-batches of about entries amplitudes, at least one."""
+        step = max(1, entries // max(1, self.factors[0:1].size))
+        return [StateBatch(self.factors[i:i + step], self.weights[i:i + step])
+                for i in range(0, max(len(self.weights), 1), step)]
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        return self.factors.reshape(
+            self.factors.shape[:2] + (math.prod(self.factors.shape[2:]),))
+
+    @cached_property
+    def flat_conj(self) -> np.ndarray:
+        return self.flat.conj()
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """F^dagger F: entry (j, k) is <f_j, f_k>."""
+        return np.einsum("mji,mki->mjk", self.flat_conj, self.flat)
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        """tr(D F^dagger F)."""
+        return np.einsum("mk,mkk->m", self.weights, self.gram)
+
+
+def sample_states(system: ParticleSystem, count: int, seed,
+                  rank: Optional[int] = None) -> StateBatch:
+    """count Haar-random states of the sector: the one sampler.
+
+    Pure states without a rank; with one, mixtures of rank pure states,
+    each drawing its weights and then its components.  A pure state is a
+    complex Gaussian in the coordinates of the sector's orthonormal basis
+    (the product basis for full), normalized.  seed is an int or a numpy
+    Generator, drawn from in place; one draw of count states equals count
+    successive draws.
+    """
+    sdim = sector_dimension(system)
+    if sdim < 1:
         raise EmptySectorError(f"{system.sector} sector of {system} is empty")
-    proj = system.projector.entries
+    if rank is not None and not 1 <= rank <= sdim:
+        raise RankError(f"rank {rank} not in 1..{sdim} for {system.sector} sector")
     rng = np.random.default_rng(seed)
-    for _ in range(MAX_PROJECTION_RETRIES):
-        v = rng.standard_normal(system.total_dim) + 1j * rng.standard_normal(
-            system.total_dim)
-        v = proj @ v
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return PureState(v / norm)
-    raise SamplingError("projection returned zero norm repeatedly")
+    if rank is None:
+        weights = np.ones((count, 1))
+        normals = rng.standard_normal((count, 1, 2, sdim))
+    else:
+        weights = np.empty((count, rank))
+        normals = np.empty((count, rank, 2, sdim))
+        for m in range(count):
+            weights[m] = rng.random(rank) + 1e-6
+            normals[m] = rng.standard_normal((rank, 2, sdim))
+        weights /= weights.sum(axis=1, keepdims=True)
+    vectors = normals[:, :, 1] * 1j
+    vectors += normals[:, :, 0]
+    if system.sector != "full":
+        support, column, coef = sector_basis(system)
+        coords = vectors[:, :, column] * coef
+        vectors = np.zeros(coords.shape[:2] + (system.total_dim,), complex)
+        vectors[:, :, support] = coords
+    squares = vectors.view(float)
+    vectors /= np.sqrt(np.einsum("mki,mki->mk", squares, squares))[..., None]
+    return StateBatch(vectors.reshape(weights.shape + (system.single_dim,)
+                                      * system.n_particles), weights)
+
+
+def random_pure_state(system: ParticleSystem, seed) -> PureState:
+    """Haar-uniform ray inside the system's sector (``sample_states``)."""
+    return PureState(sample_states(system, 1, seed).factors.ravel())
 
 
 def random_mixed_state(system: ParticleSystem, rank: int, seed) -> MixedState:
-    """Convex mixture of rank sector-confined pure projectors.
-
-    seed is an int or a numpy Generator.  The weights are drawn first,
-    then the rank pure components, all from the one generator.
-    """
-    sdim = sector_dimension(system)
-    if not 1 <= rank <= sdim:
-        raise RankError(f"rank {rank} not in 1..{sdim} for {system.sector} sector")
-    rng = np.random.default_rng(seed)
-    weights = rng.random(rank) + 1e-6
-    weights /= weights.sum()
-    w = np.zeros((system.total_dim, system.total_dim), dtype=complex)
-    for wk in weights:
-        psi = random_pure_state(system, rng).amplitudes
-        w += wk * np.outer(psi, psi.conj())
+    """One rank-r ``sample_states`` draw as a dense statistical operator."""
+    batch = sample_states(system, 1, seed, rank)
+    f = batch.flat[0]
+    w = (f.T * batch.weights[0]) @ f.conj()
     # symmetrize away float round-off before the invariant check
-    w = (w + w.conj().T) / 2
-    return MixedState(w)
+    return MixedState((w + w.conj().T) / 2)

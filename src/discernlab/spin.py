@@ -23,7 +23,7 @@ from .matrix_core import (
     PureState,
     hermitian_eigensystem,
 )
-from .multiparticle import ParticleSystem, embed_at_slot
+from .multiparticle import ParticleSystem, SlotOperator, embed_at_slot
 
 
 @dataclass(frozen=True)
@@ -77,24 +77,46 @@ def casimir(label: SpinLabel) -> Operator:
     return sx @ sx + sy @ sy + sz @ sz
 
 
-def pair_total_spin_squared(label: SpinLabel, a: int, b: int,
-                            system: ParticleSystem) -> Operator:
-    """(S_a + S_b)^2 on the N-particle space, hbar^2 units.
-
-    For a == b this is 4 S_a^2 = 4 s(s+1) hbar^2 * identity.
-    """
+def _check_pair(label: SpinLabel, a: int, b: int, system: ParticleSystem):
     if system.single_dim != label.dim:
         raise IndexRangeError(
             f"system single_dim {system.single_dim} != 2s+1 = {label.dim}")
     for slot in (a, b):
         if not 1 <= slot <= system.n_particles:
             raise IndexRangeError(f"slot {slot} out of range")
+
+
+def pair_total_spin_squared(label: SpinLabel, a: int, b: int,
+                            system: ParticleSystem) -> Operator:
+    """(S_a + S_b)^2 on the N-particle space, hbar^2 units.
+
+    For a == b this is 4 S_a^2 = 4 s(s+1) hbar^2 * identity.  The dense
+    form of ``pair_operator``, kept as its oracle.
+    """
+    _check_pair(label, a, b, system)
     total = None
     for w in spin_operators(label):
         comp = embed_at_slot(w, a, system) + embed_at_slot(w, b, system)
         sq = comp @ comp
         total = sq if total is None else total + sq
     return total
+
+
+def pair_operator(label: SpinLabel, a: int, b: int,
+                  system: ParticleSystem) -> SlotOperator:
+    """(S_a + S_b)^2 as a block on slots (a, b), hbar^2 units.
+
+    The block is (S_1 + S_2)^2 on C^d (x) C^d for every a != b, and the
+    d x d block 4 S_a^2 = 4 s(s+1) hbar^2 on slot a for a == b.
+    """
+    _check_pair(label, a, b, system)
+    if a == b:
+        return SlotOperator(4 * casimir(label).entries, (a,))
+    eye, block = np.eye(label.dim), 0
+    for w in spin_operators(label):
+        comp = np.kron(w.entries, eye) + np.kron(eye, w.entries)
+        block = block + comp @ comp
+    return SlotOperator(block, (a, b))
 
 
 def total_sz(label: SpinLabel, system: ParticleSystem) -> Operator:

@@ -27,21 +27,40 @@ from discernlab.matrix_core import (
 from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
-    embed_at_slot,
+    SlotOperator,
     permutation_unitary,
     random_pure_state,
+    sample_states,
 )
 from discernlab.schwartz import random_wavefunction
 from discernlab.spin import (
     SpinLabel,
     casimir,
     coupled_basis,
+    pair_operator,
     pair_total_spin_squared,
 )
 
 
 def singlet():
     return PureState(np.array([0, 1, -1, 0]) / np.sqrt(2))
+
+
+def dense(op, system):
+    """The N-body matrix of a SlotOperator, built without its apply.
+
+    The block times the identity on the remaining slots, with the
+    block's slots moved to op.slots by a dense permutation unitary.  A
+    dense Operator is its own matrix.
+    """
+    if isinstance(op, Operator):
+        return op.entries
+    n, d, k = system.n_particles, system.single_dim, len(op.slots)
+    rest = tuple(j for j in range(1, n + 1) if j not in op.slots)
+    # sigma moves slot j to op.slots[j-1] for j <= k
+    sigma = Permutation(tuple(op.slots) + rest)
+    u = permutation_unitary(sigma, system).entries
+    return u @ np.kron(op.block, np.eye(d ** (n - k))) @ u.conj().T
 
 
 def invariant_on_all_of_s_n(family, system, tol):
@@ -51,8 +70,8 @@ def invariant_on_all_of_s_n(family, system, tol):
         u = permutation_unitary(pi, system).entries
         for a in range(1, n + 1):
             for b in range(1, n + 1):
-                img = u @ family(a, b).entries @ u.conj().T
-                want = family(pi(a), pi(b)).entries
+                img = u @ dense(family(a, b), system) @ u.conj().T
+                want = dense(family(pi(a), pi(b)), system)
                 if np.abs(img - want).max() > tol:
                     return False
     return True
@@ -172,16 +191,13 @@ class TestRelationC:
 class TestPermutationInvariance:
     def test_pair_operator_family(self):
         label = SpinLabel(1)
-        for d in (2,):
-            system = ParticleSystem(3, label.dim)
-            family = {}
-            for a in range(1, 4):
-                for b in range(1, 4):
-                    family[(a, b)] = pair_total_spin_squared(
-                        label, a, b, system)
-            for pi in Permutation.all(3):
-                assert permutation_invariance_check(
-                    lambda a, b: family[(a, b)], pi, system, 1e-10)
+        system = ParticleSystem(3, label.dim)
+        family = {(a, b): pair_operator(label, a, b, system)
+                  for a in range(1, 4) for b in range(1, 4)}
+        states = sample_states(system, 8, 0).vectors
+        for pi in Permutation.all(3):
+            assert permutation_invariance_check(
+                lambda a, b: family[(a, b)], pi, states, 1e-10)
 
     def test_three_cycle_maps_pairs(self):
         # conjugation oracle: the 3-cycle sends (S_1+S_2)^2 to (S_2+S_3)^2
@@ -197,9 +213,19 @@ class TestPermutationInvariance:
     def test_identity_permutation(self):
         label = SpinLabel(1)
         system = ParticleSystem(2, 2)
-        family = lambda a, b: pair_total_spin_squared(label, a, b, system)
+        family = lambda a, b: pair_operator(label, a, b, system)
         assert permutation_invariance_check(
-            family, Permutation((1, 2)), system)
+            family, Permutation((1, 2)), sample_states(system, 4, 1).vectors)
+
+    def test_dense_oracle_matches_pair_operators(self):
+        # the test helper dense() against the embed-built operators
+        label = SpinLabel(2)
+        system = ParticleSystem(3, label.dim)
+        for a in range(1, 4):
+            for b in range(1, 4):
+                got = dense(pair_operator(label, a, b, system), system)
+                want = pair_total_spin_squared(label, a, b, system).entries
+                assert np.abs(got - want).max() < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_generator_verdict_equals_all_permutations(self, n):
@@ -289,27 +315,27 @@ class TestNegativeControls:
 
     def certify(self, family, target):
         def operator_route(a, b):
-            scalar = is_scalar_identity(family(a, b), target, self.tol)
+            block = Operator(family(a, b).block)
+            scalar = is_scalar_identity(block, target, self.tol)
             return scalar if a == b else not scalar
 
         report = DiscernibilityReport(
             relation="control", mode="mixed_sampling", n_particles=3,
             two_s=1, sector="full", samples={}, seed=0, tolerances={})
-        samples = [(f"pure[{k}]", random_pure_state(self.system, k))
-                   for k in range(5)]
+        batch = sample_states(self.system, 5, 0)
         return certify_relation(
-            report, samples, operator_route,
-            lambda a, b: lambda st: decide_T(family(a, b), st, target,
-                                             self.tol),
+            report, [f"pure[{k}]" for k in range(5)], operator_route,
+            lambda a, b: decide_T(family(a, b), [batch], target, self.tol),
             lambda pi: permutation_invariance_check(
-                family, pi, self.system, self.tol))
+                family, pi, batch.vectors, self.tol))
 
     def shifted_T(self, shifted):
         """T with the off-diagonal value lowered by 1 on the shifted pairs."""
         def family(a, b):
-            k = pair_total_spin_squared(self.label, a, b, self.system)
+            k = pair_operator(self.label, a, b, self.system)
             shift = 1 if a != b and shifted(a, b) else 0
-            return k - Operator(shift * np.eye(k.dim), hbar_power=2)
+            return SlotOperator(k.block - shift * np.eye(len(k.block)),
+                                k.slots)
         return family
 
     def assert_only_invariance_fails(self, family):
@@ -322,16 +348,19 @@ class TestNegativeControls:
         assert not invariant_on_all_of_s_n(family, self.system, self.tol)
 
     def generator_verdicts(self, family):
-        return [permutation_invariance_check(family, g, self.system, self.tol)
+        states = sample_states(self.system, 5, 0).vectors
+        return [permutation_invariance_check(family, g, states, self.tol)
                 for g in Permutation.generators(3)]
 
     def test_monadic_relation_holds_off_diagonal(self):
         # S_a^2 + S_b^2 = 2 s(s+1) hbar^2 for every pair, a == b or not
-        c = casimir(self.label)
+        c = casimir(self.label).entries
+        eye = np.eye(self.label.dim)
 
         def family(a, b):
-            return embed_at_slot(c, a, self.system) \
-                + embed_at_slot(c, b, self.system)
+            if a == b:
+                return SlotOperator(2 * c, (a,))
+            return SlotOperator(np.kron(c, eye) + np.kron(eye, c), (a, b))
 
         report = self.certify(family, float(2 * self.label.casimir_value()))
         assert report.verdict == "violated"
@@ -344,9 +373,10 @@ class TestNegativeControls:
         # T with the off-diagonal value shifted by the first label: the
         # weak-discernibility pattern holds, but only through the labels
         def family(a, b):
-            k = pair_total_spin_squared(self.label, a, b, self.system)
+            k = pair_operator(self.label, a, b, self.system)
             shift = 0 if a == b else a - 1
-            return k - Operator(shift * np.eye(k.dim), hbar_power=2)
+            return SlotOperator(k.block - shift * np.eye(len(k.block)),
+                                k.slots)
 
         self.assert_only_invariance_fails(family)
 
@@ -362,3 +392,168 @@ class TestNegativeControls:
         family = self.shifted_T(lambda a, b: b == a % 3 + 1)
         assert self.generator_verdicts(family) == [False, True]
         self.assert_only_invariance_fails(family)
+
+
+def dense_certify_T(n, two_s, sector, n_pure, n_mixed, rank, seed, tol=1e-8):
+    """The dense route: N-body operators, dense states, all N! permutations.
+
+    Draws the same states as certify_T, then decides every pair on the
+    dense (S_a + S_b)^2 and the dense statistical operators.  Returns
+    (pairs, permutation_invariant, spectrum) in the report's form.
+    """
+    label = SpinLabel(two_s)
+    system = ParticleSystem(n, label.dim, sector)
+    target = float(4 * label.casimir_value())
+    slots = range(1, n + 1)
+    ops = {(a, b): pair_total_spin_squared(label, a, b, system)
+           for a in slots for b in slots}
+    rng = np.random.default_rng(np.random.SeedSequence([seed, two_s, n]))
+    pure = sample_states(system, n_pure, rng).flat[:, 0]
+    mixed = sample_states(system, n_mixed, rng, rank)
+    states = [(f"pure[{i}]", np.outer(v, v.conj()), v)
+              for i, v in enumerate(pure)]
+    for i, (f, w) in enumerate(zip(mixed.flat, mixed.weights)):
+        states.append((f"mixed[{i}]", (f.T * w) @ f.conj(), None))
+
+    def decide(k, w, psi):
+        if psi is not None:
+            kx = k @ psi
+            value = psi.conj() @ kx
+            residual = np.linalg.norm(kx - value * psi)
+        else:
+            kw = k @ w
+            value = np.trace(kw) / np.trace(w)
+            residual = np.linalg.norm(kw - value * w)
+        if residual > tol:
+            return False, "absent"
+        if abs(value - target) <= tol * max(1.0, target):
+            return True, None
+        return False, f"value={value.real:.6g}"
+
+    pairs = []
+    for (a, b), op in ops.items():
+        k = op.entries
+        outcomes = [decide(k, w, psi) for _, w, psi in states]
+        scalar = np.abs(k - target * np.eye(len(k))).max() <= tol
+        pair = {"a": a, "b": b, "reflexive": None,
+                "off_diagonal_fails": None, "witness": None}
+        if a == b:
+            pair["reflexive"] = bool(scalar and all(h for h, _ in outcomes))
+        else:
+            top = np.linalg.eigvalsh(k)[-1]
+            proved = not scalar and top <= two_s * (two_s + 1) + tol \
+                and top < target - tol
+            pair["off_diagonal_fails"] = bool(
+                proved and not any(h for h, _ in outcomes))
+            pair["witness"] = next(
+                (f"{name}:{branch}" for (name, _, _), (h, branch)
+                 in zip(states, outcomes) if not h), None)
+        pairs.append(pair)
+    invariant = invariant_on_all_of_s_n(lambda a, b: ops[a, b], system, tol)
+    evals = np.linalg.eigvalsh(ops[1, 2].entries)
+    levels = np.unique(np.round(evals, 6), return_counts=True)
+    spectrum = [[float(evals[np.isclose(evals, lam, atol=1e-6)].mean()), int(c)]
+                for lam, c in zip(*levels)]
+    return pairs, invariant, spectrum
+
+
+class TestBlockRouteOracle:
+    """certify_T on pair blocks against the dense route, for N <= 5."""
+
+    @pytest.mark.parametrize("n,two_s,sector", [
+        (2, 1, "full"), (2, 1, "bose"), (2, 1, "fermi"), (2, 2, "fermi"),
+        (3, 1, "full"), (3, 1, "bose"), (3, 2, "bose"), (3, 2, "fermi"),
+        (4, 1, "full"), (4, 1, "bose"), (5, 1, "full"), (5, 1, "bose"),
+    ])
+    def test_pairs_witnesses_and_spectrum_match_dense_route(
+            self, n, two_s, sector):
+        report = certify_T(n, two_s, sector, n_pure_samples=6,
+                           n_mixed_samples=3, mixed_rank=2, seed=n + two_s)
+        rank = report.samples["mixed_rank"]
+        pairs, invariant, spectrum = dense_certify_T(
+            n, two_s, sector, 6, 3, rank, seed=n + two_s)
+        assert report.pairs == pairs
+        assert report.permutation_invariant == invariant is True
+        assert [m for _, m in report.spectrum] == [m for _, m in spectrum]
+        for (lam, _), (want, _) in zip(report.spectrum, spectrum):
+            assert abs(lam - want) <= 1e-12
+        assert report.verdict == "weakly_discerning"
+
+    def test_eigenstate_witness_reads_its_value(self):
+        # every bose state of two spin-1/2 particles is a triplet state
+        pairs, _, _ = dense_certify_T(2, 1, "bose", 4, 2, 2, seed=0)
+        report = certify_T(2, 1, "bose", 4, 2, 2, seed=0)
+        assert report.pairs[1]["witness"] == pairs[1]["witness"] \
+            == "pure[0]:value=2"
+
+
+class TestInvarianceIsNotVacuous:
+    """The state check catches a block applied on the wrong slots."""
+
+    def asymmetric(self, swap_pair):
+        """K_ab plus S_z on slot a only, optionally misplaced on one pair."""
+        label = SpinLabel(1)
+        sz = np.diag([0.5, -0.5])
+
+        def build(lab, a, b, system):
+            k = pair_operator(lab, a, b, system)
+            if a == b:
+                return k
+            block = k.block + np.kron(sz, np.eye(label.dim))
+            slots = (b, a) if (a, b) == swap_pair else (a, b)
+            return SlotOperator(block, slots)
+        return build
+
+    def test_misplaced_asymmetric_block_breaks_invariance(self, monkeypatch):
+        import discernlab.discern as discern
+        monkeypatch.setattr(discern, "pair_operator",
+                            self.asymmetric(swap_pair=(1, 2)))
+        for n in (2, 3, 4):
+            report = certify_T(n, 1, n_pure_samples=3, n_mixed_samples=1)
+            assert not report.permutation_invariant
+            assert report.verdict == "violated"
+
+    def test_correctly_placed_asymmetric_block_is_invariant(self, monkeypatch):
+        import discernlab.discern as discern
+        monkeypatch.setattr(discern, "pair_operator",
+                            self.asymmetric(swap_pair=None))
+        for n in (2, 3, 4):
+            report = certify_T(n, 1, n_pure_samples=3, n_mixed_samples=1)
+            assert report.permutation_invariant
+
+
+class TestScale:
+    @pytest.mark.parametrize("sector", ["full", "bose"])
+    def test_twelve_spin_half_particles(self, sector):
+        # dim 2^12 = 4096, the default dimension cap
+        report = certify_T(12, 1, sector, n_pure_samples=4,
+                           n_mixed_samples=2, mixed_rank=2, seed=1)
+        assert report.verdict == "weakly_discerning"
+        assert [m for _, m in report.spectrum] == [1024, 3 * 1024]
+        assert [lam for lam, _ in report.spectrum] == pytest.approx(
+            [0.0, 2.0], abs=1e-12)
+        off = [p for p in report.pairs if p["a"] != p["b"]]
+        assert len(off) == 132 and all(p["off_diagonal_fails"] for p in off)
+
+    def test_certify_T_builds_no_dense_operator(self, monkeypatch):
+        import discernlab
+        from discernlab import (cli, discern, matrix_core, multiparticle,
+                                schwartz, spin)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("dense N-body helper called")
+
+        for name in ("pair_total_spin_squared", "embed_at_slot", "kron",
+                     "symmetrizer"):
+            for module in (discernlab, cli, discern, matrix_core,
+                           multiparticle, schwartz, spin):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, banned)
+        monkeypatch.setattr(multiparticle.ParticleSystem, "projector",
+                            property(banned))
+        monkeypatch.setattr(matrix_core.MixedState, "__post_init__", banned)
+        for n, two_s, sector in ((3, 1, "full"), (3, 1, "bose"),
+                                 (3, 2, "fermi"), (6, 1, "bose")):
+            report = certify_T(n, two_s, sector, n_pure_samples=3,
+                               n_mixed_samples=2, mixed_rank=2)
+            assert report.verdict == "weakly_discerning"

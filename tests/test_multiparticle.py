@@ -8,11 +8,14 @@ from discernlab.matrix_core import Operator, commutator, identity
 from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
+    SlotOperator,
     conjugate_by_permutation,
     embed_at_slot,
     permutation_unitary,
     random_mixed_state,
     random_pure_state,
+    sample_states,
+    sector_basis,
     sector_dimension,
     symmetrizer,
 )
@@ -244,3 +247,98 @@ class TestRandomStates:
         psis = [random_pure_state(system, rng).amplitudes for _ in range(2)]
         want = sum(wk * np.outer(p, p.conj()) for wk, p in zip(weights, psis))
         assert np.abs(w.entries - want).max() <= 1e-15
+
+
+SECTOR_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3),
+                 (4, 4)]
+
+
+class TestSectorBasis:
+    @staticmethod
+    def matrix(system):
+        support, column, coef = sector_basis(system)
+        basis = np.zeros((system.total_dim, sector_dimension(system)))
+        basis[support, column] = coef
+        return basis
+
+    @pytest.mark.parametrize("n,d", SECTOR_SHAPES)
+    @pytest.mark.parametrize("sector,parity", [("bose", "+"), ("fermi", "-")])
+    def test_orthonormal_basis_of_the_symmetrizer_range(self, n, d, sector,
+                                                        parity):
+        system = ParticleSystem(n, d, sector)
+        support, column, _ = sector_basis(system)
+        sdim = sector_dimension(system)
+        # every column is used: the basis has sector_dimension vectors
+        assert sorted(set(column.tolist())) == list(range(sdim))
+        assert len(set(support.tolist())) == len(support)
+        basis = self.matrix(system)
+        assert np.abs(basis.T @ basis - np.eye(sdim)).max(initial=0) <= 1e-12
+        # its span is the range of the N!-term symmetrizer
+        proj = symmetrizer(ParticleSystem(n, d), parity).entries
+        assert np.abs(basis @ basis.T - proj).max() <= 1e-12
+
+    def test_fermi_pair_basis_is_the_singlet(self):
+        basis = self.matrix(ParticleSystem(2, 2, "fermi"))
+        assert np.allclose(basis[:, 0], [0, 1, -1, 0] / np.sqrt(2))
+
+    @pytest.mark.parametrize("n,d,sector", [
+        (n, d, sector) for n, d in SECTOR_SHAPES for sector in ("bose", "fermi")
+        if sector == "bose" or d >= n])
+    def test_draws_are_symmetric_under_both_generators(self, n, d, sector):
+        system = ParticleSystem(n, d, sector)
+        pure = sample_states(system, 4, 7)
+        mixed = sample_states(system, 3, 8, rank=min(2, sector_dimension(system)))
+        for batch in (pure, mixed):
+            states = batch.flat.reshape(-1, system.total_dim)
+            for g in Permutation.generators(n):
+                u = permutation_unitary(g, ParticleSystem(n, d)).entries
+                sign = g.sign if sector == "fermi" else 1
+                moved = states @ u.T  # U_pi psi for each row psi
+                assert np.abs(moved - sign * states).max() <= 1e-12
+
+
+class TestSampler:
+    def test_full_sector_batch_equals_sequential_draws(self):
+        system = ParticleSystem(3, 3)
+        batch = sample_states(system, 5, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for row in batch.flat[:, 0]:
+            v = rng.standard_normal(27) + 1j * rng.standard_normal(27)
+            assert np.abs(row - v / np.linalg.norm(v)).max() <= 1e-15
+
+    def test_mixed_batch_draws_weights_then_components(self):
+        system = ParticleSystem(2, 2)
+        batch = sample_states(system, 3, np.random.default_rng(5), rank=2)
+        rng = np.random.default_rng(5)
+        for w, f in zip(batch.weights, batch.flat):
+            weights = rng.random(2) + 1e-6
+            assert np.array_equal(w, weights / weights.sum())
+            for row in f:
+                v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                assert np.abs(row - v / np.linalg.norm(v)).max() <= 1e-15
+
+    def test_split_keeps_order_and_bounds_size(self):
+        batch = sample_states(ParticleSystem(3, 2), 10, 0, rank=2)
+        pieces = batch.split(40)  # 16 amplitudes per state: 2 per piece
+        assert [len(p.weights) for p in pieces] == [2] * 5
+        assert np.array_equal(np.concatenate([p.factors for p in pieces]),
+                              batch.factors)
+        assert len(batch.split(1)) == 10
+
+
+class TestSlotOperator:
+    @pytest.mark.parametrize("slots", [(1,), (3,), (1, 2), (3, 1), (2, 4)])
+    def test_apply_equals_dense_embedding(self, slots):
+        n, d = 4, 2
+        system = ParticleSystem(n, d)
+        rng = np.random.default_rng(len(slots) * 10 + slots[0])
+        k = len(slots)
+        block = rng.standard_normal((d ** k, d ** k)) \
+            + 1j * rng.standard_normal((d ** k, d ** k))
+        # dense oracle: block (x) 1 moved onto the slots by U_sigma
+        rest = tuple(j for j in range(1, n + 1) if j not in slots)
+        u = permutation_unitary(Permutation(slots + rest), system).entries
+        want = u @ np.kron(block, np.eye(d ** (n - k))) @ u.conj().T
+        states = rng.standard_normal((3,) + (d,) * n) + 0j
+        got = SlotOperator(block, slots).apply(states).reshape(3, -1)
+        assert np.abs(got - states.reshape(3, -1) @ want.T).max() <= 1e-12

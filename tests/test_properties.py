@@ -8,12 +8,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discernlab.matrix_core import Operator, commutator, hermitian_eigensystem
+from discernlab.discern import eigen_residuals, eigenproperty
+from discernlab.matrix_core import (
+    MixedState,
+    Operator,
+    commutator,
+    hermitian_eigensystem,
+)
+from discernlab.multiparticle import ParticleSystem, StateBatch
 from discernlab.schwartz import (
     SpinorWavefunction,
     commutator_PQ_apply,
     random_wavefunction,
 )
+from discernlab.spin import SpinLabel, pair_operator, pair_total_spin_squared
 
 complex_entries = st.integers(-8, 8)
 
@@ -190,3 +198,40 @@ def test_random_wavefunction_is_rational_draw_times_lcm(n, two_s, degree, seed):
     terms = oracle_random_wavefunction(n, degree, two_s, seed)
     assert random_wavefunction(n, degree, two_s, seed).terms == \
         oracle_scaled(terms, oracle_lcm(terms))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_factor_kernel_matches_dense_mixed_state(seed, rank, eigen):
+    """Value and residual from rank-r factors equal the dense Frobenius ones.
+
+    K is (S_1 + S_2)^2 for two spin-1 particles (levels 0, 2, 6).  The
+    factors are drawn inside its S = 2 eigenspace (an eigenstate with
+    value 6) or anywhere (no eigenstate).
+    """
+    rng = np.random.default_rng(seed)
+    label, system = SpinLabel(2), ParticleSystem(2, 3)
+    k = pair_total_spin_squared(label, 1, 2, system).entries
+    coords = rng.standard_normal((rank, 9)) + 1j * rng.standard_normal((rank, 9))
+    if eigen:
+        _, vecs = np.linalg.eigh(k)
+        coords = coords[:, :5] @ vecs[:, 4:].T  # the five S = 2 vectors
+    f = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+    w = rng.random(rank) + 0.05
+    w /= w.sum()
+    batch = StateBatch(f.reshape(1, rank, 3, 3), w[None])
+    value, residual = eigen_residuals(pair_operator(label, 1, 2, system), batch)
+
+    dense = MixedState(sum(wk * np.outer(fk, fk.conj()) for wk, fk in zip(w, f)))
+    kw = k @ dense.entries
+    want_value = np.trace(kw) / np.trace(dense.entries)
+    want_residual = np.linalg.norm(kw - want_value * dense.entries)
+    assert abs(value[0] - want_value) <= 1e-12
+    assert abs(residual[0] - want_residual) <= 1e-12
+    # the MixedState route factors W by eigh and runs the same kernel
+    got = eigenproperty(Operator(k), dense, tol=1e-8)
+    if eigen:
+        assert residual[0] <= 1e-12 and abs(value[0] - 6) <= 1e-12
+        assert abs(got - 6) <= 1e-12
+    else:
+        assert residual[0] > 1e-3 and got is None
