@@ -12,15 +12,17 @@ relation.  Each universally quantified relation is decided two ways:
 exactly, on the defining operator (scalar-identity / spectral check for
 T, monomial basis check for C), and empirically, by seeded state
 sampling that produces witness states.  Reports record both routes.
-The decisions ``decide_T`` (every state of a batch at once) and
-``decide_C`` (one wavefunction) are the ones the public predicates
-``relation_T_holds`` and ``relation_C_holds`` run.  Relation T never
+The decisions ``decide_T`` (from the eigen-residuals of many states)
+and ``decide_C`` (from one commutator image) are the ones the public
+predicates ``relation_T_holds`` and ``relation_C_holds`` run, and the
+S_N check reads the same image of each pair operator.  Relation T never
 forms an N-body operator: K_ab is one two-slot block placed on slots
 (a, b) (``pair_operator``), applied to all sampled states together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
@@ -81,17 +83,19 @@ def state_batch(state, shape: tuple[int, ...]) -> StateBatch:
     return StateBatch(v.T.reshape((1, -1) + shape), w[None])
 
 
-def eigen_residuals(k: SlotOperator,
+def eigen_residuals(image: np.ndarray,
                     batch: StateBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate value and eigen-residual of k on every state of a batch.
+    """Candidate value and eigen-residual of K on every state of a batch.
 
-    For W = F D F^dagger: v = tr(D F^dagger K F) / tr(D F^dagger F), and
-    the Frobenius residual ||K W - v W|| = ||R D F^dagger|| with
-    R = K F - v F, whose square tr(D R^dagger R D F^dagger F) takes only
-    r x r products.  On a pure state it is the 2-norm ||K psi - v psi||.
+    image is K applied to ``batch.vectors``.  For W = F D F^dagger:
+    v = tr(D F^dagger K F) / tr(D F^dagger F), and the Frobenius residual
+    ||K W - v W|| = ||R D F^dagger|| with R = K F - v F, whose square
+    tr(D R^dagger R D F^dagger F) takes only r x r products.  On a pure
+    state it is the 2-norm ||K psi - v psi||.  R is formed in place, so
+    image may be overwritten: the invariance check reads it first.
     """
     w, f = batch.weights, batch.flat
-    r = k.apply(batch.vectors).reshape(f.shape)  # K F, then R in place
+    r = image.reshape(f.shape)  # K F, then R in place
     value = np.einsum("mk,mki,mki->m", w, batch.flat_conj, r) / batch.trace
     r -= value[:, None, None] * f
     rr = np.einsum("mji,mki->mjk", r.conj(), r)
@@ -109,22 +113,21 @@ def eigenproperty(a: Operator, state, tol: float = TOL_ABS) -> Optional[complex]
     Returns None when the state is no eigenstate (no eigenstate, no
     property).  The same kernel as relation T, on a batch of one.
     """
-    value, residual = eigen_residuals(SlotOperator(a.entries, (1,)),
-                                      state_batch(state, (a.dim,)))
+    batch = state_batch(state, (a.dim,))
+    value, residual = eigen_residuals(
+        SlotOperator(a.entries, (1,)).apply(batch.vectors), batch)
     return complex(value[0]) if residual[0] <= tol else None
 
 
-def decide_T(k: SlotOperator, batches: list[StateBatch], target: float,
+def decide_T(value: np.ndarray, residual: np.ndarray, target: float,
              tol: float) -> Decision:
-    """Relation T for the pair operator k on every state of the batches.
+    """Relation T on every state, from the ``eigen_residuals`` of its K.
 
-    T holds on a state when it possesses a value of k within
+    T holds on a state when it possesses a value of K within
     tol * max(1, target) of the target.  On failure the branch says why:
     "absent" when the state has no eigenproperty (the converse
     possession principle), otherwise "value=..." with the possessed value.
     """
-    value, residual = map(np.concatenate,
-                          zip(*(eigen_residuals(k, b) for b in batches)))
     present = residual <= tol
     holds = present & (np.abs(value - target) <= tol * max(1.0, target))
     return holds, lambda i: (f"value={value[i].real:.6g}" if present[i]
@@ -146,21 +149,22 @@ def relation_T_holds(a: int, b: int, state, label: SpinLabel,
     target = float(4 * label.casimir_value())
     if state == ALL_STATES:
         return is_scalar_identity(Operator(k.block), target, tol)
-    shape = (system.single_dim,) * system.n_particles
-    return bool(decide_T(k, [state_batch(state, shape)], target, tol)[0][0])
+    batch = state_batch(state, (system.single_dim,) * system.n_particles)
+    value, residual = eigen_residuals(k.apply(batch.vectors), batch)
+    return bool(decide_T(value, residual, target, tol)[0][0])
 
 
-def decide_C(a: int, b: int, wf: SpinorWavefunction,
+def decide_C(image: SpinorWavefunction,
              target: SpinorWavefunction) -> tuple[bool, Optional[str]]:
-    """Relation C on one wavefunction: (holds, branch).
+    """Relation C on one wavefunction psi: (holds, branch).
 
-    target is -i wf, passed in so that a caller deciding many pairs on
-    one wavefunction computes it once.  Exact, zero tolerance.
+    image is [P_a, Q_b] psi, and target is -i psi, passed in so that a
+    caller deciding many pairs on one wavefunction computes it once.
+    Exact, zero tolerance.
     """
-    comm = commutator_PQ_apply(wf, a, b)
-    if comm == target:
+    if image == target:
         return True, None
-    return False, "commutator_zero" if comm.is_zero() else "commutator_other"
+    return False, "commutator_zero" if image.is_zero() else "commutator_other"
 
 
 def relation_C_holds(a: int, b: int, psi) -> bool:
@@ -172,7 +176,8 @@ def relation_C_holds(a: int, b: int, psi) -> bool:
     """
     if isinstance(psi, SpinorWavefunction):
         psi = [psi]
-    return all(decide_C(a, b, wf, wf.mul_minus_i())[0] for wf in psi)
+    return all(decide_C(commutator_PQ_apply(wf, a, b), wf.mul_minus_i())[0]
+               for wf in psi)
 
 
 def ccr_identity_on_monomials(n_particles: int, max_degree: int,
@@ -197,25 +202,45 @@ def ccr_identity_on_monomials(n_particles: int, max_degree: int,
     return True
 
 
-def permutation_invariance_check(family: Callable[[int, int], SlotOperator],
-                                 pi: Permutation, states: np.ndarray,
+def permutation_invariance_check(k: SlotOperator, pi: Permutation,
+                                 states: np.ndarray, image: np.ndarray,
                                  tol: float = TOL_ABS) -> bool:
-    """K_{pi(a) pi(b)} U_pi psi = U_pi K_ab psi for every pair and state.
+    """K_{pi(a) pi(b)} U_pi psi = U_pi (K_ab psi) for every state psi.
 
-    states is a batch shaped (count, d, ..., d), and U_pi the exact
-    transpose of its slot axes.  Checking states rather than (block, a, b)
+    k is K_{pi(a) pi(b)}, states a batch shaped (count, d, ..., d), image
+    the sampled route's K_ab applied to it, and U_pi the exact transpose
+    of the slot axes.  Checking states rather than (block, a, b)
     descriptors catches a block applied on the wrong slots.
     """
-    n = states.ndim - 1
-    axes = (0,) + tuple(1 + k for k in slot_axes(pi))
-    moved = states.transpose(axes)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            diff = family(pi(a), pi(b)).apply(moved)
-            diff -= family(a, b).apply(states).transpose(axes)
-            if float(np.abs(diff).max(initial=0.0)) > tol:
-                return False
-    return True
+    axes = (0,) + tuple(1 + j for j in slot_axes(pi))
+    diff = k.apply(states.transpose(axes))
+    diff -= image.transpose(axes)
+    return float(np.abs(diff).max(initial=0.0)) <= tol
+
+
+def sampled_route_T(family: Callable[[int, int], SlotOperator],
+                    batches: list[StateBatch], target: float, tol: float):
+    """Relation T's decide_pair for ``certify_relation``.
+
+    For each batch piece, K_ab = family(a, b) is applied once.  The
+    generator checks read that image before ``eigen_residuals``, which
+    overwrites it.
+    """
+    def decide_pair(a: int, b: int, generators: list[Permutation]):
+        k, values, residuals, invariant = family(a, b), [], [], True
+        for batch in batches:
+            image = k.apply(batch.vectors)
+            invariant = invariant and all(
+                permutation_invariance_check(family(pi(a), pi(b)), pi,
+                                             batch.vectors, image, tol)
+                for pi in generators)
+            value, residual = eigen_residuals(image, batch)
+            values.append(value)
+            residuals.append(residual)
+        decision = decide_T(np.concatenate(values), np.concatenate(residuals),
+                            target, tol)
+        return decision, invariant
+    return decide_pair
 
 
 @dataclass
@@ -252,18 +277,19 @@ class DiscernibilityReport:
 def certify_relation(
         report: DiscernibilityReport, names: list[str],
         operator_route: Callable[[int, int], bool],
-        decide_pair: Callable[[int, int], Decision],
-        invariant: Callable[[Permutation], bool]) -> DiscernibilityReport:
+        decide_pair: Callable[[int, int, list[Permutation]],
+                              tuple[Decision, bool]]) -> DiscernibilityReport:
     """Check one relation for the weak-discernibility pattern; fill report.
 
-    The relation is given by three callables:
+    The relation is given by two callables:
 
     * operator_route(a, b): for a == b, whether the operator route proves
       the relation on every state; for a != b, whether it proves that
       the relation fails on every state;
-    * decide_pair(a, b): the relation for the pair on every sample, a
-      ``Decision``;
-    * invariant(pi): whether the relation is invariant under pi.
+    * decide_pair(a, b, generators): the relation for the pair on every
+      sample, a ``Decision``, and whether K_{pi(a) pi(b)} U_pi psi =
+      U_pi (K_ab psi) holds for every pi in generators on the samples it
+      checks.  Both facts come from one image K_ab psi per sample.
 
     names are the samples' names.  A diagonal pair is reflexive when both
     routes say the relation holds; an off-diagonal pair fails when the
@@ -274,19 +300,22 @@ def certify_relation(
     (``Permutation.generators``): the transposition (1 2) and the N-cycle
     (1 2 ... N), not all N! elements.  pi acts through a representation,
     U_pi on the tensor space for T and slot relabeling for C, so
-    K_{pi(a) pi(b)} U_pi = U_pi K_ab is closed under composition: from
-    sigma and pi, K_{pi sigma(a), pi sigma(b)} U_pi U_sigma =
-    U_pi K_{sigma(a) sigma(b)} U_sigma = U_pi U_sigma K_ab.  Every element
-    of S_N is a word in the two generators; a word of length L deviates
-    by at most L * tol.  Both relations check the identity on samples:
-    T on every sampled state (the operator identity once they span the
-    sector), C on a few wavefunctions.
+    K_{pi(a) pi(b)} U_pi = U_pi K_ab over all pairs is closed under
+    composition: from sigma and pi, K_{pi sigma(a), pi sigma(b)} U_pi
+    U_sigma = U_pi K_{sigma(a) sigma(b)} U_sigma = U_pi U_sigma K_ab.
+    Every element of S_N is a word in the two generators; a word of
+    length L deviates by at most L * tol.  Both relations check the
+    identity on samples: T on every sampled state (the operator identity
+    once they span the sector), C on a few wavefunctions.
     """
     n = report.n_particles
+    generators = Permutation.generators(n)
+    invariant = []
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             proved = operator_route(a, b)
-            holds, branch = decide_pair(a, b)
+            (holds, branch), pair_invariant = decide_pair(a, b, generators)
+            invariant.append(pair_invariant)
             pair = {"a": a, "b": b, "reflexive": None,
                     "off_diagonal_fails": None, "witness": None}
             if a == b:
@@ -297,8 +326,7 @@ def certify_relation(
                 if first is not None:
                     pair["witness"] = f"{names[first]}:{branch(first)}"
             report.pairs.append(pair)
-    report.permutation_invariant = all(
-        invariant(pi) for pi in Permutation.generators(n))
+    report.permutation_invariant = all(invariant)
     report.compute_verdict()
     return report
 
@@ -362,15 +390,10 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
     off_diagonal_fails = not is_scalar_identity(k12, target, tol) \
         and top <= max_allowed + tol and top < target - tol
 
-    def family(a: int, b: int) -> SlotOperator:
-        return operators[a, b]
-
     certify_relation(
         report, names,
         lambda a, b: reflexive if a == b else off_diagonal_fails,
-        lambda a, b: decide_T(operators[a, b], batches, target, tol),
-        lambda pi: all(permutation_invariance_check(family, pi, b.vectors, tol)
-                       for b in batches))
+        sampled_route_T(lambda a, b: operators[a, b], batches, target, tol))
     # K_ab is K_12 (x) 1 on the other N-2 slots, up to a slot relabeling
     report.spectrum = [[lam, mult * label.dim ** (n_particles - 2)]
                        for lam, mult in levels]
@@ -400,32 +423,33 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         wavefunctions.append(symmetric_product_state(
             {0: (2, 0), 1: (1, 0)}, n_particles))
     # -i psi once per wavefunction, not once per pair
-    samples = [(wf, wf.mul_minus_i()) for wf in wavefunctions]
-    slots = range(1, n_particles + 1)
-    # [P_a, Q_b] psi on a few samples, computed once for every permutation
-    images = [(wf, {(a, b): commutator_PQ_apply(wf, a, b)
-                    for a in slots for b in slots})
-              for wf in wavefunctions[:3]]
+    targets = [wf.mul_minus_i() for wf in wavefunctions]
 
-    def invariant(pi: Permutation) -> bool:
-        """Symbolic invariance via slot relabeling on a few samples."""
-        for wf, comm in images:
-            moved = wf.permute_slots(pi.mapping)
-            if not all(image.permute_slots(pi.mapping)
-                       == commutator_PQ_apply(moved, pi(a), pi(b))
-                       for (a, b), image in comm.items()):
-                return False
-        return True
+    @functools.cache
+    def moved(pi: Permutation) -> list[SpinorWavefunction]:
+        """U_pi psi for the few samples the invariance check reads."""
+        return [wf.permute_slots(pi.mapping) for wf in wavefunctions[:3]]
 
-    def decide_pair(a: int, b: int) -> Decision:
-        outcomes = [decide_C(a, b, wf, target) for wf, target in samples]
-        return [holds for holds, _ in outcomes], lambda i: outcomes[i][1]
+    def decide_pair(a: int, b: int, generators: list[Permutation]):
+        outcomes, images = [], []
+        for wf, target in zip(wavefunctions, targets):
+            image = commutator_PQ_apply(wf, a, b)
+            outcomes.append(decide_C(image, target))
+            if len(images) < 3:  # kept for the invariance check
+                images.append(image)
+        # symbolic invariance via slot relabeling on a few samples
+        invariant = all(
+            image.permute_slots(pi.mapping)
+            == commutator_PQ_apply(psi, pi(a), pi(b))
+            for pi in generators for image, psi in zip(images, moved(pi)))
+        return ([holds for holds, _ in outcomes],
+                lambda i: outcomes[i][1]), invariant
 
     return certify_relation(
-        report, [f"wavefunction[{i}]" for i in range(len(samples))],
+        report, [f"wavefunction[{i}]" for i in range(len(wavefunctions))],
         # the identity proves [P_a,Q_a] = -i and [P_a,Q_b] = 0 != -i
         lambda a, b: ccr_identity_on_monomials(n_particles, max_degree, a, b),
-        decide_pair, invariant)
+        decide_pair)
 
 
 def certify_weak_discernibility(relation: str, **config) -> DiscernibilityReport:

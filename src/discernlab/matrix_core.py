@@ -74,9 +74,6 @@ class Operator:
     def is_self_adjoint(self, tol: float = TOL_ABS) -> bool:
         return float(np.abs(self.entries - self.entries.conj().T).max()) <= tol
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.hbar_power)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise ShapeError(f"dim mismatch {self.dim} vs {other.dim}")

@@ -8,9 +8,8 @@ Permutation convention: U_pi moves the content of slot k to slot pi(k),
 i.e. on product vectors U_pi (phi_1 (x) ... (x) phi_N) =
 phi_{pi^-1(1)} (x) ... (x) phi_{pi^-1(N)}.  On a vector reshaped to one
 axis per slot that is a transpose of the axes (``slot_axes``), so U_pi
-and the conjugation A -> U_pi A U_pi^dagger are index permutations, with
-no arithmetic.  The composition law U_pi U_sigma = U_{pi o sigma} is
-tested exhaustively for S_3.
+is an index permutation, with no arithmetic.  The composition law
+U_pi U_sigma = U_{pi o sigma} is tested exhaustively for S_3.
 """
 
 from __future__ import annotations
@@ -58,11 +57,6 @@ class ParticleSystem:
     @property
     def total_dim(self) -> int:
         return self.single_dim ** self.n_particles
-
-    @cached_property
-    def projector(self) -> Operator:
-        """The sector projector, built once per system."""
-        return sector_projector(self)
 
 
 @dataclass(frozen=True)
@@ -172,21 +166,6 @@ def permutation_unitary(pi: Permutation, system: ParticleSystem) -> Operator:
     return Operator(rows.transpose(slot_axes(pi) + (n,)).reshape(dim, dim))
 
 
-def conjugate_by_permutation(a: Operator, pi: Permutation,
-                             system: ParticleSystem) -> Operator:
-    """U_pi A U_pi^dagger, by transposing A's row and column slot axes.
-
-    An index permutation of A's entries: exact, and O(dim^2) instead of
-    two dense dim^3 products.
-    """
-    _check_slots(pi, system)
-    d, n = system.single_dim, system.n_particles
-    axes = slot_axes(pi)
-    entries = a.entries.reshape((d,) * (2 * n)).transpose(
-        axes + tuple(n + k for k in axes))
-    return Operator(entries.reshape(a.dim, a.dim), a.hbar_power)
-
-
 @dataclass(frozen=True)
 class SlotOperator:
     """block (x) identity: a d^k x d^k block on the k slots in slots.
@@ -215,12 +194,6 @@ def symmetrizer(system: ParticleSystem, parity: str) -> Operator:
         u = permutation_unitary(pi, system).entries
         acc += (pi.sign * u) if parity == "-" else u
     return Operator(acc / math.factorial(n))
-
-
-def sector_projector(system: ParticleSystem) -> Operator:
-    if system.sector == "full":
-        return identity(system.total_dim)
-    return symmetrizer(system, _PARITY[system.sector])
 
 
 def sector_dimension(system: ParticleSystem,

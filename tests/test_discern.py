@@ -10,11 +10,11 @@ from discernlab.discern import (
     certify_T,
     certify_weak_discernibility,
     decide_C,
-    decide_T,
     eigenproperty,
     permutation_invariance_check,
     relation_C_holds,
     relation_T_holds,
+    sampled_route_T,
 )
 from discernlab.errors import ArityError, DegenerateSpinError
 from discernlab.matrix_core import (
@@ -32,7 +32,7 @@ from discernlab.multiparticle import (
     random_pure_state,
     sample_states,
 )
-from discernlab.schwartz import random_wavefunction
+from discernlab.schwartz import commutator_PQ_apply, random_wavefunction
 from discernlab.spin import (
     SpinLabel,
     casimir,
@@ -181,11 +181,12 @@ class TestRelationC:
 
     def test_decide_C_branches(self):
         wf = random_wavefunction(2, 4, 1, 3)
-        assert decide_C(1, 1, wf, wf.mul_minus_i()) == (True, None)
-        assert decide_C(1, 2, wf, wf.mul_minus_i()) == \
+        diagonal = commutator_PQ_apply(wf, 1, 1)
+        assert decide_C(diagonal, wf.mul_minus_i()) == (True, None)
+        assert decide_C(commutator_PQ_apply(wf, 1, 2), wf.mul_minus_i()) == \
             (False, "commutator_zero")
         # against a wrong target (psi instead of -i psi)
-        assert decide_C(1, 1, wf, wf) == (False, "commutator_other")
+        assert decide_C(diagonal, wf) == (False, "commutator_other")
 
 
 class TestPermutationInvariance:
@@ -196,8 +197,9 @@ class TestPermutationInvariance:
                   for a in range(1, 4) for b in range(1, 4)}
         states = sample_states(system, 8, 0).vectors
         for pi in Permutation.all(3):
-            assert permutation_invariance_check(
-                lambda a, b: family[(a, b)], pi, states, 1e-10)
+            for (a, b), k in family.items():
+                assert permutation_invariance_check(
+                    family[pi(a), pi(b)], pi, states, k.apply(states), 1e-10)
 
     def test_three_cycle_maps_pairs(self):
         # conjugation oracle: the 3-cycle sends (S_1+S_2)^2 to (S_2+S_3)^2
@@ -213,9 +215,12 @@ class TestPermutationInvariance:
     def test_identity_permutation(self):
         label = SpinLabel(1)
         system = ParticleSystem(2, 2)
-        family = lambda a, b: pair_operator(label, a, b, system)
-        assert permutation_invariance_check(
-            family, Permutation((1, 2)), sample_states(system, 4, 1).vectors)
+        states = sample_states(system, 4, 1).vectors
+        for a in (1, 2):
+            for b in (1, 2):
+                k = pair_operator(label, a, b, system)
+                assert permutation_invariance_check(
+                    k, Permutation((1, 2)), states, k.apply(states))
 
     def test_dense_oracle_matches_pair_operators(self):
         # the test helper dense() against the embed-built operators
@@ -325,9 +330,7 @@ class TestNegativeControls:
         batch = sample_states(self.system, 5, 0)
         return certify_relation(
             report, [f"pure[{k}]" for k in range(5)], operator_route,
-            lambda a, b: decide_T(family(a, b), [batch], target, self.tol),
-            lambda pi: permutation_invariance_check(
-                family, pi, batch.vectors, self.tol))
+            sampled_route_T(family, [batch], target, self.tol))
 
     def shifted_T(self, shifted):
         """T with the off-diagonal value lowered by 1 on the shifted pairs."""
@@ -348,8 +351,11 @@ class TestNegativeControls:
         assert not invariant_on_all_of_s_n(family, self.system, self.tol)
 
     def generator_verdicts(self, family):
-        states = sample_states(self.system, 5, 0).vectors
-        return [permutation_invariance_check(family, g, states, self.tol)
+        decide_pair = sampled_route_T(
+            family, [sample_states(self.system, 5, 0)],
+            float(4 * self.label.casimir_value()), self.tol)
+        return [all(decide_pair(a, b, [g])[1]
+                    for a in range(1, 4) for b in range(1, 4))
                 for g in Permutation.generators(3)]
 
     def test_monadic_relation_holds_off_diagonal(self):
@@ -487,6 +493,41 @@ class TestBlockRouteOracle:
             == "pure[0]:value=2"
 
 
+class TestOneImagePerPair:
+    """The sampled route and the S_N check read one image per pair."""
+
+    def test_T_applies_each_block_once_plus_once_per_generator(
+            self, monkeypatch):
+        calls = []
+        apply = SlotOperator.apply
+
+        def counted(self, states):
+            calls.append(self.slots)
+            return apply(self, states)
+
+        monkeypatch.setattr(SlotOperator, "apply", counted)
+        # 5 pure states of 3 spin-1/2 particles: 40 amplitudes, one piece
+        report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
+        assert report.verdict == "weakly_discerning"
+        # per pair: K_ab psi, then K_{pi(a) pi(b)} U_pi psi per generator
+        assert len(calls) == 9 * (1 + 2)
+
+    def test_C_computes_no_commutator_twice(self, monkeypatch):
+        import discernlab.discern as discern
+        original = discern.commutator_PQ_apply
+        seen, kept = set(), []
+
+        def counted(wf, a, b):
+            assert (id(wf), a, b) not in seen, f"[P_{a}, Q_{b}] psi twice"
+            seen.add((id(wf), a, b))
+            kept.append(wf)  # keeps every id distinct
+            return original(wf, a, b)
+
+        monkeypatch.setattr(discern, "commutator_PQ_apply", counted)
+        report = certify_C(3, 0, n_samples=4, max_degree=3, seed=1)
+        assert report.verdict == "weakly_discerning"
+
+
 class TestInvarianceIsNotVacuous:
     """The state check catches a block applied on the wrong slots."""
 
@@ -549,8 +590,6 @@ class TestScale:
                            multiparticle, schwartz, spin):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, banned)
-        monkeypatch.setattr(multiparticle.ParticleSystem, "projector",
-                            property(banned))
         monkeypatch.setattr(matrix_core.MixedState, "__post_init__", banned)
         for n, two_s, sector in ((3, 1, "full"), (3, 1, "bose"),
                                  (3, 2, "fermi"), (6, 1, "bose")):

@@ -9,7 +9,6 @@ from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
     SlotOperator,
-    conjugate_by_permutation,
     embed_at_slot,
     permutation_unitary,
     random_mixed_state,
@@ -112,25 +111,6 @@ class TestPermutationUnitary:
         for pi in Permutation.all(3):
             u = permutation_unitary(pi, system).entries
             assert np.array_equal(u @ u.conj().T, np.eye(27))
-
-    @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2), (4, 3)])
-    def test_axis_conjugation_equals_dense_oracle(self, n, d):
-        system = ParticleSystem(n, d)
-        rng = np.random.default_rng(10 * n + d)
-        dim = system.total_dim
-        a = Operator(rng.standard_normal((dim, dim))
-                     + 1j * rng.standard_normal((dim, dim)), hbar_power=2)
-        for pi in Permutation.all(n):
-            u = permutation_unitary(pi, system).entries
-            got = conjugate_by_permutation(a, pi, system)
-            # an index permutation: exactly the 0/1 matrix products
-            assert np.array_equal(got.entries, u @ a.entries @ u.conj().T)
-            assert got.hbar_power == 2
-
-    def test_axis_conjugation_rejects_wrong_arity(self):
-        with pytest.raises(IndexRangeError):
-            conjugate_by_permutation(identity(8), Permutation((2, 1)),
-                                     ParticleSystem(3, 2))
 
     def test_conjugation_moves_slots(self):
         # U_pi embed(A, j) U_pi^dagger = embed(A, pi(j))

@@ -220,7 +220,8 @@ def test_factor_kernel_matches_dense_mixed_state(seed, rank, eigen):
     w = rng.random(rank) + 0.05
     w /= w.sum()
     batch = StateBatch(f.reshape(1, rank, 3, 3), w[None])
-    value, residual = eigen_residuals(pair_operator(label, 1, 2, system), batch)
+    image = pair_operator(label, 1, 2, system).apply(batch.vectors)
+    value, residual = eigen_residuals(image, batch)
 
     dense = MixedState(sum(wk * np.outer(fk, fk.conj()) for wk, fk in zip(w, f)))
     kw = k @ dense.entries
