@@ -45,7 +45,8 @@ from .schwartz import (
 )
 from .discern import (
     DiscernibilityReport,
-    certify_weak_discernibility,
+    certify_C,
+    certify_T,
     eigenproperty,
     permutation_invariance_check,
     relation_C_holds,

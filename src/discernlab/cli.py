@@ -5,9 +5,11 @@ Exit codes:
     1  verdict violated or inconclusive
     2  usage / configuration error, including inputs the certifiers
        reject (an empty sector, fewer than two particles, spin 0 for
-       relation T, a mixed rank out of range)
-    3  resource limit (dimension or degree cap) exceeded
-    4  input error (missing or corrupt report file)
+       relation T, a mixed rank below 1; one above the sector dimension
+       is lowered to it, and samples.mixed_rank records the rank used)
+    3  resource limit exceeded: the dimension cap, or a relation C
+       --max-degree above 30 (the degree cap 32 less the 2 [P_a, Q_b] adds)
+    4  input error (missing or corrupt report file, or not a report)
     5  internal error: any other exception; its traceback goes to stderr
 
 One guard in ``main`` maps every exception to one of these codes, so a
@@ -30,9 +32,9 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
-from .discern import VERDICT_PASS, certify_weak_discernibility
+from .discern import VERDICT_PASS, DiscernibilityReport, certify_C, certify_T
 from .errors import (
     ArityError,
     ConfigError,
@@ -62,6 +64,9 @@ _UNUSED = {"T": {"max_degree": "--max-degree"},
            "C": {"sector": "--sector", "tol": "--tol",
                  "n_mixed_samples": "--mixed-samples",
                  "mixed_rank": "--mixed-rank"}}
+# keys every report file holds: what render reads (spectrum is optional)
+_REPORT_KEYS = {f.name for f in fields(DiscernibilityReport)} - {"spectrum"}
+_PAIR_KEYS = {"a", "b", "reflexive", "off_diagonal_fails", "witness"}
 
 
 @dataclass
@@ -223,27 +228,13 @@ def report_to_markdown(data: dict) -> str:
 
 def run_verify(cfg: RunConfig) -> int:
     if cfg.relation == "T":
-        report = certify_weak_discernibility(
-            "T",
-            n_particles=cfg.n_particles,
-            two_s=cfg.two_s,
-            sector=cfg.sector,
-            n_pure_samples=cfg.n_pure_samples,
-            n_mixed_samples=cfg.n_mixed_samples,
-            mixed_rank=cfg.mixed_rank,
-            seed=cfg.seed,
-            tol=cfg.tol,
-        )
+        report = certify_T(cfg.n_particles, cfg.two_s, cfg.sector,
+                           cfg.n_pure_samples, cfg.n_mixed_samples,
+                           cfg.mixed_rank, cfg.seed, cfg.tol)
     else:
-        report = certify_weak_discernibility(
-            "C",
-            n_particles=cfg.n_particles,
-            two_s=cfg.two_s,
-            n_samples=cfg.n_pure_samples,
-            max_degree=cfg.max_degree,
-            seed=cfg.seed,
-        )
-    data = report.to_dict()
+        report = certify_C(cfg.n_particles, cfg.two_s, cfg.n_pure_samples,
+                           cfg.max_degree, cfg.seed)
+    data = asdict(report)
     data["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if cfg.format == "markdown":
         atomic_write(cfg.out, report_to_markdown(data))
@@ -260,8 +251,14 @@ def run_render(path: str, fmt: str) -> int:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         print(f"error: cannot read report {path!r}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if not (isinstance(data, dict) and _REPORT_KEYS <= data.keys()
+            and isinstance(data["pairs"], list)
+            and all(isinstance(p, dict) and _PAIR_KEYS <= p.keys()
+                    for p in data["pairs"])):
+        print(f"error: {path!r} is not a discernlab report", file=sys.stderr)
         return EXIT_INPUT
     if fmt == "json":
         print(json.dumps(data, indent=2, sort_keys=True))

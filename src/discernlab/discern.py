@@ -24,12 +24,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArityError, DegenerateSpinError, EmptySectorError, ShapeError
+from .errors import (
+    ArityError,
+    DegenerateSpinError,
+    DegreeCapError,
+    EmptySectorError,
+    ShapeError,
+)
 from .matrix_core import (
     MixedState,
     Operator,
@@ -48,6 +54,7 @@ from .multiparticle import (
     slot_axes,
 )
 from .schwartz import (
+    DEGREE_CAP,
     SpinorWavefunction,
     commutator_PQ_apply,
     random_wavefunction,
@@ -270,9 +277,6 @@ class DiscernibilityReport:
             self.verdict = VERDICT_FAIL
         return self.verdict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def certify_relation(
         report: DiscernibilityReport, names: list[str],
@@ -405,6 +409,10 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
     """Exact symbolic certification of the commutator relation."""
     if n_particles < 2:
         raise ArityError("need at least two particles to discern")
+    if max_degree + 2 > DEGREE_CAP:  # refused before any draw
+        raise DegreeCapError(
+            f"max_degree {max_degree} plus the 2 that [P_a, Q_b] adds "
+            f"exceeds cap {DEGREE_CAP}")
     report = DiscernibilityReport(
         relation="C",
         mode="symbolic_exact",
@@ -451,11 +459,3 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         lambda a, b: ccr_identity_on_monomials(n_particles, max_degree, a, b),
         decide_pair)
 
-
-def certify_weak_discernibility(relation: str, **config) -> DiscernibilityReport:
-    """Dispatch to the T (finite spin) or C (symbolic) pipeline."""
-    if relation == "T":
-        return certify_T(**config)
-    if relation == "C":
-        return certify_C(**config)
-    raise ValueError(f"unknown relation {relation!r}")

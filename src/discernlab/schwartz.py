@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from .errors import DegreeCapError, IndexRangeError, ShapeError
 
-DEFAULT_DEGREE_CAP = 32
+#: largest exponent of any q_k that a wavefunction may carry
+DEGREE_CAP = 32
 #: lcm(1, ..., 9), a multiple of every denominator random_wavefunction draws
 _DRAW_LCM = 2520
 
@@ -47,7 +48,6 @@ class SpinorWavefunction:
     n_particles: int
     two_s: int
     terms: dict[Term, Coeff]
-    degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
         for term, c in self.terms.items():
@@ -59,9 +59,9 @@ class SpinorWavefunction:
                         f"spin index in {term} out of range 0..{self.two_s}")
                 if e < 0:
                     raise ShapeError(f"negative exponent in {term}")
-                if e > self.degree_cap:
+                if e > DEGREE_CAP:
                     raise DegreeCapError(
-                        f"exponent in {term} exceeds cap {self.degree_cap}")
+                        f"exponent in {term} exceeds cap {DEGREE_CAP}")
             if not (type(c) is tuple and len(c) == 2
                     and type(c[0]) is type(c[1]) is int):
                 raise ShapeError(f"coefficient {c!r} of {term} is not an "
@@ -78,12 +78,12 @@ class SpinorWavefunction:
         against the degree cap.  Zero coefficients are dropped.
         """
         if raised is not None and any(
-                term[raised][1] > self.degree_cap for term in terms):
+                term[raised][1] > DEGREE_CAP for term in terms):
             raise DegreeCapError(
-                f"exponent of slot {raised + 1} exceeds cap {self.degree_cap}")
+                f"exponent of slot {raised + 1} exceeds cap {DEGREE_CAP}")
         out = object.__new__(SpinorWavefunction)
         out.__dict__.update(n_particles=self.n_particles, two_s=self.two_s,
-                            terms=_nonzero(terms), degree_cap=self.degree_cap)
+                            terms=_nonzero(terms))
         return out
 
     def __sub__(self, other: "SpinorWavefunction") -> "SpinorWavefunction":
@@ -118,12 +118,6 @@ class SpinorWavefunction:
             raise IndexRangeError(
                 f"slot {slot} out of range 1..{self.n_particles}")
         return slot - 1
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SpinorWavefunction)
-                and self.n_particles == other.n_particles
-                and self.two_s == other.two_s
-                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.n_particles, self.two_s,
@@ -173,8 +167,7 @@ def commutator_PQ_apply(psi: SpinorWavefunction, a: int,
 
 
 def random_wavefunction(n_particles: int, max_degree: int, spin_two_s: int,
-                        seed: int,
-                        degree_cap: int = DEFAULT_DEGREE_CAP) -> SpinorWavefunction:
+                        seed: int) -> SpinorWavefunction:
     """Seeded random spinor wavefunction with sparse coefficients.
 
     Nonzero on up to four spin configurations, drawn by flat index over
@@ -185,8 +178,9 @@ def random_wavefunction(n_particles: int, max_degree: int, spin_two_s: int,
     multiplied by the LCM of the denominators of the real and imaginary
     parts of its coefficients, which makes them Gaussian integers.
     """
-    if max_degree > degree_cap:
-        raise DegreeCapError(f"max_degree {max_degree} exceeds cap {degree_cap}")
+    if max_degree > DEGREE_CAP:
+        raise DegreeCapError(
+            f"max_degree {max_degree} exceeds cap {DEGREE_CAP}")
     rng = random.Random(seed)
     d = spin_two_s + 1
     n_configs = d ** n_particles
@@ -213,12 +207,10 @@ def random_wavefunction(n_particles: int, max_degree: int, spin_two_s: int,
     g = math.gcd(_DRAW_LCM, *(x for c in terms.values() for x in c))
     return SpinorWavefunction(
         n_particles, spin_two_s,
-        {term: (re // g, im // g) for term, (re, im) in terms.items()},
-        degree_cap)
+        {term: (re // g, im // g) for term, (re, im) in terms.items()})
 
 
-def symmetric_product_state(phi_coeffs: dict[int, Coeff], n_particles: int,
-                            degree_cap: int = DEFAULT_DEGREE_CAP):
+def symmetric_product_state(phi_coeffs: dict[int, Coeff], n_particles: int):
     """phi(q_1) ... phi(q_N) from a single-variable polynomial phi.
 
     The bosonic direct-product case: a spin-0 wavefunction.  phi maps
@@ -231,4 +223,4 @@ def symmetric_product_state(phi_coeffs: dict[int, Coeff], n_particles: int,
         terms = {term + ((0, e),): (x * u - y * v, x * v + y * u)
                  for term, (x, y) in terms.items()
                  for e, (u, v) in phi_coeffs.items()}
-    return SpinorWavefunction(n_particles, 0, terms, degree_cap)
+    return SpinorWavefunction(n_particles, 0, terms)

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from discernlab import cli
+from discernlab import cli, discern
 from discernlab.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     main,
     report_to_markdown,
@@ -62,6 +63,15 @@ class TestVerifyT:
             data.pop("timestamp")
             outs.append(json.dumps(data, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_mixed_rank_lowered_to_sector_dimension(self, tmp_path):
+        # two spin-1/2 fermions span a one-dimensional sector
+        out = tmp_path / "r.json"
+        code = run(["verify", "--particles", "2", "--two-s", "1",
+                    "--sector", "fermi", "--mixed-samples", "2",
+                    "--mixed-rank", "5", "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["samples"]["mixed_rank"] == 1
 
 
 class TestVerifyC:
@@ -138,13 +148,14 @@ class TestRejectedBeforeWork:
         (None, ["--relation", "C", "--mixed-rank", "1"]),
         (None, ["--relation", "T", "--max-degree", "8"]),
         ({"max_degree": 8}, []),
+        ({"relation": "X"}, []),
     ], ids=["non-object-config", "string-int", "float-int", "bool-int",
             "negative-tol", "nan-tol", "inf-tol", "zero-mixed-rank",
             "missing-out-dir", "C-with-sector", "empty-fermi-sector",
             "T-without-samples", "C-without-wavefunctions", "C-with-tol",
             "C-with-tol-in-config", "C-with-mixed-samples",
             "C-with-mixed-rank", "T-with-max-degree",
-            "T-with-max-degree-in-config"])
+            "T-with-max-degree-in-config", "unknown-relation"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, flags):
         argv = ["verify", "--out", str(tmp_path / "r.json")]
         if config is not None:
@@ -171,11 +182,45 @@ class TestRejectedBeforeWork:
         assert not out.exists()
 
 
+class TestResourceCaps:
+    def assert_exits_3(self, argv, out, capsys):
+        assert run(argv + ["--out", str(out)]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("resource error:") and err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    def test_dimension_cap(self, tmp_path, capsys):
+        # 2^13 = 8192 exceeds the default cap of 4096
+        self.assert_exits_3(["verify", "--particles", "13", "--two-s", "1"],
+                            tmp_path / "r.json", capsys)
+
+    @pytest.mark.parametrize("degree", ["31", "32", "33"])
+    def test_degree_cap_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                        degree):
+        # [P_a, Q_b] raises an exponent by 2, so 30 is the largest degree
+        def drawn(*args):
+            raise AssertionError("a wavefunction was drawn")
+
+        monkeypatch.setattr(discern, "random_wavefunction", drawn)
+        err = self.assert_exits_3(["verify", "--relation", "C",
+                                   "--particles", "2", "--max-degree", degree],
+                                  tmp_path / "r.json", capsys)
+        assert "cap 32" in err
+
+    def test_largest_degree_passes(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["verify", "--relation", "C", "--particles", "2",
+                    "--max-degree", "30", "--pure-samples", "3",
+                    "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["samples"]["max_degree"] == 30
+
+
 def test_internal_error_exits_5_with_traceback(tmp_path, capsys, monkeypatch):
-    def broken(relation, **config):
+    def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "certify_weak_discernibility", broken)
+    monkeypatch.setattr(cli, "certify_T", broken)
     code = run(["verify", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_INTERNAL
     err = capsys.readouterr().err
@@ -202,6 +247,34 @@ class TestRender:
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
         assert run(["render", str(bad)]) == EXIT_INPUT
+        bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+        assert run(["render", str(bad)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    @pytest.mark.parametrize("edit,code", [
+        (lambda data: data, EXIT_OK),
+        (lambda data: {}, EXIT_INPUT),
+        (lambda data: [1, 2], EXIT_INPUT),
+        (lambda data: {k: v for k, v in data.items() if k != "pairs"},
+         EXIT_INPUT),
+        (lambda data: {**data, "pairs": [
+            {k: v for k, v in data["pairs"][0].items() if k != "witness"}]
+            + data["pairs"][1:]}, EXIT_INPUT),
+    ], ids=["report", "empty-object", "list", "no-pairs",
+            "first-pair-without-witness"])
+    def test_render_checks_report_shape(self, tmp_path, capsys, fmt, edit,
+                                        code):
+        out = tmp_path / "r.json"
+        assert run(["verify", "--pure-samples", "3", "--mixed-samples", "1",
+                    "--out", str(out)]) == EXIT_OK
+        out.write_text(json.dumps(edit(json.loads(out.read_text()))))
+        capsys.readouterr()
+        assert run(["render", str(out), "--format", fmt]) == code
+        captured = capsys.readouterr()
+        if code == EXIT_INPUT:
+            assert captured.out == ""
+            assert captured.err.startswith("error:") \
+                and captured.err.count("\n") == 1
 
     def test_markdown_output_format(self, tmp_path):
         out = tmp_path / "r.md"

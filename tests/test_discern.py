@@ -8,7 +8,6 @@ from discernlab.discern import (
     certify_C,
     certify_relation,
     certify_T,
-    certify_weak_discernibility,
     decide_C,
     eigenproperty,
     permutation_invariance_check,
@@ -287,14 +286,6 @@ class TestCertify:
     def test_spin_zero_T_error(self):
         with pytest.raises(DegenerateSpinError):
             certify_T(2, 0)
-
-    def test_dispatch(self):
-        report = certify_weak_discernibility(
-            "T", n_particles=2, two_s=1, n_pure_samples=5,
-            n_mixed_samples=2, seed=1)
-        assert report.relation == "T"
-        with pytest.raises(ValueError):
-            certify_weak_discernibility("X")
 
     def test_report_shape_is_weak_discernibility_pattern(self):
         report = certify_T(3, 1, "full", n_pure_samples=10,

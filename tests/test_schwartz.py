@@ -11,6 +11,7 @@ from discernlab.multiparticle import (
     permutation_unitary,
 )
 from discernlab.schwartz import (
+    DEGREE_CAP,
     SpinorWavefunction,
     apply_P,
     apply_Q,
@@ -25,12 +26,12 @@ def qc(re, im=0):
     return (re, im)
 
 
-def poly(n, coeffs, **kw):
+def poly(n, coeffs):
     """Spin-0 wavefunction from {exponent tuple: coefficient}."""
     return SpinorWavefunction(
         n, 0, {tuple((0, e) for e in mono):
                qc(*c) if isinstance(c, tuple) else qc(c)
-               for mono, c in coeffs.items()}, **kw)
+               for mono, c in coeffs.items()})
 
 
 def gaussian(n):
@@ -83,9 +84,10 @@ class TestApplyP:
             apply_P(gaussian(1), 2)
 
     def test_degree_cap(self):
-        capped = poly(1, {(2,): 1}, degree_cap=2)
+        capped = poly(2, {(DEGREE_CAP, 0): 1})
         with pytest.raises(DegreeCapError):
             apply_P(capped, 1)
+        assert apply_P(capped, 2) == poly(2, {(DEGREE_CAP, 1): (0, 1)})
 
 
 class TestApplyQ:
@@ -103,9 +105,10 @@ class TestApplyQ:
         assert ab == ba
 
     def test_degree_cap(self):
-        capped = poly(1, {(2,): 1}, degree_cap=2)
+        capped = poly(2, {(DEGREE_CAP, 0): 1})
         with pytest.raises(DegreeCapError):
             apply_Q(capped, 1)
+        assert apply_Q(capped, 2) == poly(2, {(DEGREE_CAP, 1): 1})
 
 
 class TestCommutator:
@@ -170,6 +173,14 @@ class TestSpinorStructure:
             SpinorWavefunction(2, 1, {((0, 0),): qc(1)})
         with pytest.raises(ShapeError):
             SpinorWavefunction(1, 1, {((0, -1),): qc(1)})
+
+    def test_exponent_cap_enforced(self):
+        assert poly(1, {(DEGREE_CAP,): 1}).terms
+        with pytest.raises(DegreeCapError):
+            poly(1, {(DEGREE_CAP + 1,): 1})
+        random_wavefunction(2, DEGREE_CAP, 0, 1)
+        with pytest.raises(DegreeCapError):
+            random_wavefunction(2, DEGREE_CAP + 1, 0, 1)
 
     def test_zero_coefficients_dropped(self):
         psi = SpinorWavefunction(1, 1, {((0, 1),): qc(0), ((1, 2),): qc(3)})
