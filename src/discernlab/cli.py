@@ -1,5 +1,8 @@
 """Command-line front end: configure, run and render certifications.
 
+``verify`` writes the report as JSON, the one on-disk format; ``render``
+prints a report file as markdown.
+
 Exit codes:
     0  verdict weakly_discerning
     1  verdict violated or inconclusive
@@ -7,9 +10,11 @@ Exit codes:
        reject (an empty sector, fewer than two particles, spin 0 for
        relation T, a mixed rank below 1; one above the sector dimension
        is lowered to it, and samples.mixed_rank records the rank used)
-    3  resource limit exceeded: the dimension cap, or a relation C
-       --max-degree above 30 (the degree cap 32 less the 2 [P_a, Q_b] adds)
-    4  input error (missing or corrupt report file, or not a report)
+    3  resource limit exceeded: the dimension cap, relation T samples
+       holding more than cap^2 amplitudes, or a relation C --max-degree
+       above 30 (the degree cap 32 less the 2 [P_a, Q_b] adds)
+    4  input error (missing or corrupt report file, or not a report,
+       including a spectrum that is not [eigenvalue, multiplicity] pairs)
     5  internal error: any other exception; its traceback goes to stderr
 
 One guard in ``main`` maps every exception to one of these codes, so a
@@ -64,7 +69,8 @@ _UNUSED = {"T": {"max_degree": "--max-degree"},
            "C": {"sector": "--sector", "tol": "--tol",
                  "n_mixed_samples": "--mixed-samples",
                  "mixed_rank": "--mixed-rank"}}
-# keys every report file holds: what render reads (spectrum is optional)
+# keys every report file holds: what render reads (spectrum is optional;
+# when present it is a list of [eigenvalue, int multiplicity] pairs)
 _REPORT_KEYS = {f.name for f in fields(DiscernibilityReport)} - {"spectrum"}
 _PAIR_KEYS = {"a", "b", "reflexive", "off_diagonal_fails", "witness"}
 
@@ -82,7 +88,6 @@ class RunConfig:
     seed: int = 0
     tol: float = 1e-8
     out: str = "report.json"
-    format: str = "json"
 
     def validate(self):
         for f in fields(self):
@@ -119,8 +124,6 @@ class RunConfig:
                               "mixed sample")
         if self.relation == "C" and self.n_pure_samples < 1:
             raise ConfigError("relation C needs --pure-samples >= 1")
-        if self.format not in ("json", "markdown"):
-            raise ConfigError(f"unknown format {self.format!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(
                 f"--tol must be finite and positive, got {self.tol}")
@@ -150,12 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int)
     verify.add_argument("--tol", type=float)
     verify.add_argument("--out")
-    verify.add_argument("--format", choices=["json", "markdown"])
 
-    render = sub.add_parser("render", help="render a report file")
+    render = sub.add_parser("render", help="print a report file as markdown")
     render.add_argument("path")
-    render.add_argument("--format", choices=["json", "markdown"],
-                        default="markdown")
     return parser
 
 
@@ -236,10 +236,7 @@ def run_verify(cfg: RunConfig) -> int:
                            cfg.max_degree, cfg.seed)
     data = asdict(report)
     data["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if cfg.format == "markdown":
-        atomic_write(cfg.out, report_to_markdown(data))
-    else:
-        atomic_write(cfg.out, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    atomic_write(cfg.out, json.dumps(data, indent=2, sort_keys=True) + "\n")
     if report.verdict == VERDICT_PASS:
         print(f"verdict: {report.verdict} (report: {cfg.out})")
         return EXIT_OK
@@ -247,7 +244,7 @@ def run_verify(cfg: RunConfig) -> int:
     return EXIT_VIOLATED
 
 
-def run_render(path: str, fmt: str) -> int:
+def run_render(path: str) -> int:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -257,13 +254,14 @@ def run_render(path: str, fmt: str) -> int:
     if not (isinstance(data, dict) and _REPORT_KEYS <= data.keys()
             and isinstance(data["pairs"], list)
             and all(isinstance(p, dict) and _PAIR_KEYS <= p.keys()
-                    for p in data["pairs"])):
+                    for p in data["pairs"])
+            and isinstance(data.get("spectrum", []), list)
+            and all(isinstance(p, list) and len(p) == 2
+                    and type(p[0]) in (int, float) and type(p[1]) is int
+                    for p in data.get("spectrum", []))):
         print(f"error: {path!r} is not a discernlab report", file=sys.stderr)
         return EXIT_INPUT
-    if fmt == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(report_to_markdown(data), end="")
+    print(report_to_markdown(data), end="")
     return EXIT_OK
 
 
@@ -275,7 +273,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         if args.command == "render":
-            return run_render(args.path, args.format)
+            return run_render(args.path)
         return run_verify(load_config(args))
     except _INPUT_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)

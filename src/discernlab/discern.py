@@ -33,6 +33,7 @@ from .errors import (
     ArityError,
     DegenerateSpinError,
     DegreeCapError,
+    DimensionCapError,
     EmptySectorError,
     ShapeError,
 )
@@ -41,6 +42,7 @@ from .matrix_core import (
     Operator,
     PureState,
     TOL_ABS,
+    dimension_cap,
     eigenvalue_levels,
     is_scalar_identity,
 )
@@ -360,6 +362,13 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
     # largest eigenvalue off-diagonal: S(S+1) at S = 2s, exactly 2s(2s+1)
     max_allowed = float(two_s * (two_s + 1))
     rank = min(mixed_rank, sdim)
+    # refused before any draw: the samples may hold as many amplitudes as
+    # one d^N x d^N operator at the cap, and no more
+    amplitudes = (n_pure_samples + n_mixed_samples * rank) * system.total_dim
+    if amplitudes > dimension_cap() ** 2:
+        raise DimensionCapError(
+            f"{amplitudes} sample amplitudes exceed the budget "
+            f"{dimension_cap() ** 2} (DISCERNLAB_DIM_CAP squared)")
 
     report = DiscernibilityReport(
         relation="T",

@@ -149,13 +149,15 @@ class TestRejectedBeforeWork:
         (None, ["--relation", "T", "--max-degree", "8"]),
         ({"max_degree": 8}, []),
         ({"relation": "X"}, []),
+        ({"format": "json"}, []),
     ], ids=["non-object-config", "string-int", "float-int", "bool-int",
             "negative-tol", "nan-tol", "inf-tol", "zero-mixed-rank",
             "missing-out-dir", "C-with-sector", "empty-fermi-sector",
             "T-without-samples", "C-without-wavefunctions", "C-with-tol",
             "C-with-tol-in-config", "C-with-mixed-samples",
             "C-with-mixed-rank", "T-with-max-degree",
-            "T-with-max-degree-in-config", "unknown-relation"])
+            "T-with-max-degree-in-config", "unknown-relation",
+            "format-in-config"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, flags):
         argv = ["verify", "--out", str(tmp_path / "r.json")]
         if config is not None:
@@ -215,6 +217,29 @@ class TestResourceCaps:
                     "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["samples"]["max_degree"] == 30
 
+    # at cap 64, N=6 spin-1/2 samples have 64 amplitudes each and the
+    # budget is 64^2 = 4096 amplitudes: 24 pure + 20 rank-2 mixed fill it
+    SAMPLE_BUDGET = ["verify", "--particles", "6", "--two-s", "1",
+                     "--mixed-samples", "20", "--mixed-rank", "2"]
+
+    def test_sample_budget_before_any_draw(self, tmp_path, capsys,
+                                           monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setenv("DISCERNLAB_DIM_CAP", "64")
+        monkeypatch.setattr(discern, "sample_states", drawn)
+        err = self.assert_exits_3(self.SAMPLE_BUDGET + ["--pure-samples", "25"],
+                                  tmp_path / "r.json", capsys)
+        assert "4160 sample amplitudes exceed the budget 4096" in err
+
+    def test_full_sample_budget_passes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DISCERNLAB_DIM_CAP", "64")
+        out = tmp_path / "r.json"
+        assert run(self.SAMPLE_BUDGET + ["--pure-samples", "24",
+                                         "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["samples"]["pure"] == 24
+
 
 def test_internal_error_exits_5_with_traceback(tmp_path, capsys, monkeypatch):
     def broken(*args):
@@ -250,7 +275,7 @@ class TestRender:
         bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
         assert run(["render", str(bad)]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    # the ids end in -markdown, the one format render prints
     @pytest.mark.parametrize("edit,code", [
         (lambda data: data, EXIT_OK),
         (lambda data: {}, EXIT_INPUT),
@@ -260,30 +285,53 @@ class TestRender:
         (lambda data: {**data, "pairs": [
             {k: v for k, v in data["pairs"][0].items() if k != "witness"}]
             + data["pairs"][1:]}, EXIT_INPUT),
-    ], ids=["report", "empty-object", "list", "no-pairs",
-            "first-pair-without-witness"])
-    def test_render_checks_report_shape(self, tmp_path, capsys, fmt, edit,
-                                        code):
+        (lambda data: {k: v for k, v in data.items() if k != "spectrum"},
+         EXIT_OK),
+        (lambda data: {**data, "spectrum": []}, EXIT_OK),
+        (lambda data: {**data, "spectrum": 5}, EXIT_INPUT),
+        (lambda data: {**data, "spectrum": [[1]]}, EXIT_INPUT),
+        (lambda data: {**data, "spectrum": [["a", 1]]}, EXIT_INPUT),
+    ], ids=["report-markdown", "empty-object-markdown", "list-markdown",
+            "no-pairs-markdown", "first-pair-without-witness-markdown",
+            "no-spectrum-markdown", "empty-spectrum-markdown",
+            "int-spectrum-markdown", "one-entry-spectrum-pair-markdown",
+            "string-eigenvalue-markdown"])
+    def test_render_checks_report_shape(self, tmp_path, capsys, edit, code):
         out = tmp_path / "r.json"
         assert run(["verify", "--pure-samples", "3", "--mixed-samples", "1",
                     "--out", str(out)]) == EXIT_OK
         out.write_text(json.dumps(edit(json.loads(out.read_text()))))
         capsys.readouterr()
-        assert run(["render", str(out), "--format", fmt]) == code
+        assert run(["render", str(out)]) == code
         captured = capsys.readouterr()
         if code == EXIT_INPUT:
             assert captured.out == ""
             assert captured.err.startswith("error:") \
                 and captured.err.count("\n") == 1
+        else:
+            assert captured.out.startswith("# Discernibility report")
 
-    def test_markdown_output_format(self, tmp_path):
-        out = tmp_path / "r.md"
-        code = run(["verify", "--relation", "T", "--particles", "2",
-                    "--two-s", "1", "--pure-samples", "5",
-                    "--mixed-samples", "1", "--seed", "2",
-                    "--format", "markdown", "--out", str(out)])
-        assert code == EXIT_OK
-        assert out.read_text().startswith("# Discernibility report")
+    def test_render_C_report_without_spectrum(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["verify", "--relation", "C", "--pure-samples", "3",
+                    "--out", str(out)]) == EXIT_OK
+        data = json.loads(out.read_text())
+        del data["spectrum"]
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["render", str(out)]) == EXIT_OK
+        assert "relation C" in capsys.readouterr().out
+
+    def test_format_flags_are_gone(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["verify", "--pure-samples", "3", "--format", "markdown",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert run(["verify", "--pure-samples", "3",
+                    "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["render", str(out), "--format", "json"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 class TestMarkdownRenderer:
