@@ -13,11 +13,13 @@ exactly, on the defining operator (scalar-identity / spectral check for
 T, monomial basis check for C), and empirically, by seeded state
 sampling that produces witness states.  Reports record both routes.
 The decisions ``decide_T`` (from the eigen-residuals of many states)
-and ``decide_C`` (from one commutator image) are the ones the public
-predicates ``relation_T_holds`` and ``relation_C_holds`` run, and the
-S_N check reads the same image of each pair operator.  Relation T never
-forms an N-body operator: K_ab is one two-slot block placed on slots
-(a, b) (``pair_operator``), applied to all sampled states together.
+and ``decide_C`` (from the commutator image of a batch of wavefunctions)
+are the ones the public predicates ``relation_T_holds`` and
+``relation_C_holds`` run, and the S_N check reads the same image of each
+pair operator.  Relation T never forms an N-body operator: K_ab is one
+two-slot block placed on slots (a, b) (``pair_operator``), applied to all
+sampled states together.  Relation C applies [P_a, Q_b] to all sampled
+wavefunctions together, as one ``TermBatch``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ from .multiparticle import (
 from .schwartz import (
     DEGREE_CAP,
     SpinorWavefunction,
-    commutator_PQ_apply,
+    TermBatch,
+    monomials,
+    pack,
     random_wavefunction,
     symmetric_product_state,
 )
@@ -163,17 +167,19 @@ def relation_T_holds(a: int, b: int, state, label: SpinLabel,
     return bool(decide_T(value, residual, target, tol)[0][0])
 
 
-def decide_C(image: SpinorWavefunction,
-             target: SpinorWavefunction) -> tuple[bool, Optional[str]]:
-    """Relation C on one wavefunction psi: (holds, branch).
+def decide_C(image: TermBatch, target: TermBatch) -> Decision:
+    """Relation C on every wavefunction psi of a batch.
 
-    image is [P_a, Q_b] psi, and target is -i psi, passed in so that a
-    caller deciding many pairs on one wavefunction computes it once.
-    Exact, zero tolerance.
+    image is [P_a, Q_b] psi, merged, and target is -i psi, passed in so
+    that a caller deciding many pairs on one batch computes it once.
+    Exact, zero tolerance: C holds on psi when image - target leaves no
+    term of psi.  On failure the branch is "commutator_zero" when the
+    image of psi is zero, otherwise "commutator_other".
     """
-    if image == target:
-        return True, None
-    return False, "commutator_zero" if image.is_zero() else "commutator_other"
+    holds = ~image.minus(target).nonzero_owners()
+    nonzero = image.nonzero_owners()
+    return holds, lambda i: ("commutator_other" if nonzero[i]
+                             else "commutator_zero")
 
 
 def relation_C_holds(a: int, b: int, psi) -> bool:
@@ -181,12 +187,14 @@ def relation_C_holds(a: int, b: int, psi) -> bool:
 
     psi may be a single spinor wavefunction or an iterable of them; the
     relation must hold for every member.  Decided in exact Gaussian-integer
-    arithmetic, zero tolerance.
+    arithmetic, zero tolerance, by the batch kernel on all of them at once.
     """
-    if isinstance(psi, SpinorWavefunction):
-        psi = [psi]
-    return all(decide_C(commutator_PQ_apply(wf, a, b), wf.mul_minus_i())[0]
-               for wf in psi)
+    psi = [psi] if isinstance(psi, SpinorWavefunction) else list(psi)
+    if not psi:
+        return True
+    batch = pack(psi)
+    return bool(all(decide_C(batch.commutator_PQ(a, b),
+                             batch.mul_minus_i())[0]))
 
 
 def ccr_identity_on_monomials(n_particles: int, max_degree: int,
@@ -196,19 +204,14 @@ def ccr_identity_on_monomials(n_particles: int, max_degree: int,
     [P_a, Q_b] only touches the variables q_a and q_b and acts slotwise,
     so by linearity and factorization over untouched variables it
     suffices to check every monomial in q_a, q_b alone up to max_degree.
-    Verifies [P_a, Q_a] m = -i m and [P_a, Q_b] m = 0 for a != b.
+    Verifies [P_a, Q_a] m = -i m and [P_a, Q_b] m = 0 for a != b, on all
+    the monomials as one batch.
     """
-    slots = sorted({a, b})
-    for exps in np.ndindex(*([max_degree + 1] * len(slots))):
-        mono = [0] * n_particles
-        for slot, e in zip(slots, exps):
-            mono[slot - 1] = e
-        wf = SpinorWavefunction(n_particles, 0,
-                                {tuple((0, e) for e in mono): (1, 0)})
-        got = commutator_PQ_apply(wf, a, b)
-        if not (got == wf.mul_minus_i() if a == b else got.is_zero()):
-            return False
-    return True
+    batch = monomials(n_particles, sorted({a, b}), max_degree)
+    image = batch.commutator_PQ(a, b)
+    if a == b:
+        return bool(all(decide_C(image, batch.mul_minus_i())[0]))
+    return image.is_zero()
 
 
 def permutation_invariance_check(k: SlotOperator, pi: Permutation,
@@ -439,32 +442,28 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         # phi = 1 + q/2 scaled by 2
         wavefunctions.append(symmetric_product_state(
             {0: (2, 0), 1: (1, 0)}, n_particles))
-    # -i psi once per wavefunction, not once per pair
-    targets = [wf.mul_minus_i() for wf in wavefunctions]
+    batch = pack(wavefunctions)
+    # -i psi once per batch, not once per pair
+    target = batch.mul_minus_i()
+    head = batch.head(3)  # the samples the invariance check reads
 
     @functools.cache
-    def moved(pi: Permutation) -> list[SpinorWavefunction]:
-        """U_pi psi for the few samples the invariance check reads."""
-        return [wf.permute_slots(pi.mapping) for wf in wavefunctions[:3]]
+    def moved(pi: Permutation) -> TermBatch:
+        """U_pi psi for the samples of head."""
+        return head.permute_slots(pi.mapping)
 
     def decide_pair(a: int, b: int, generators: list[Permutation]):
-        outcomes, images = [], []
-        for wf, target in zip(wavefunctions, targets):
-            image = commutator_PQ_apply(wf, a, b)
-            outcomes.append(decide_C(image, target))
-            if len(images) < 3:  # kept for the invariance check
-                images.append(image)
+        image = batch.commutator_PQ(a, b)
         # symbolic invariance via slot relabeling on a few samples
+        first = image.head(3)
         invariant = all(
-            image.permute_slots(pi.mapping)
-            == commutator_PQ_apply(psi, pi(a), pi(b))
-            for pi in generators for image, psi in zip(images, moved(pi)))
-        return ([holds for holds, _ in outcomes],
-                lambda i: outcomes[i][1]), invariant
+            first.permute_slots(pi.mapping)
+            .minus(moved(pi).commutator_PQ(pi(a), pi(b))).is_zero()
+            for pi in generators)
+        return decide_C(image, target), invariant
 
     return certify_relation(
         report, [f"wavefunction[{i}]" for i in range(len(wavefunctions))],
         # the identity proves [P_a,Q_a] = -i and [P_a,Q_b] = 0 != -i
         lambda a, b: ccr_identity_on_monomials(n_particles, max_degree, a, b),
         decide_pair)
-

@@ -14,18 +14,41 @@ the same verdict on every pair.
 
 Configuration space is one-dimensional per particle, which makes the
 commutator constant exactly -i hbar (hbar = 1).
+
+P, Q and the commutator have one implementation, ``TermBatch``: the
+terms of many wavefunctions as rows of integers, with like terms merged
+by sorting on a packed integer key.  ``apply_P``, ``apply_Q`` and
+``commutator_PQ_apply`` run it on a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DegreeCapError, IndexRangeError, ShapeError
 
 #: largest exponent of any q_k that a wavefunction may carry
 DEGREE_CAP = 32
+#: dtype of TermBatch rows; ``pack`` reads spin indices and exponents with
+#: np.fromiter, which refuses a value past int32 rather than wrap it
+_ROW_DTYPE = np.int32
+#: radix of an exponent digit in a packed term key: exponents run 0..DEGREE_CAP
+_EXPONENT_RADIX = DEGREE_CAP + 1
+#: bound on any sum or product one kernel step takes of its parts (``_exact``)
+_INT64_FACTOR = 4 * (DEGREE_CAP + 1)
+#: largest coefficient part the kernel computes with in int64
+_INT64_SAFE = np.iinfo(np.int64).max // _INT64_FACTOR
+#: i (re + i im) = -im + i re and -i (re + i im) = im - i re, as factors
+#: of the swapped parts (im, re)
+_TIMES_I = np.array([-1, 1], dtype=np.int64)
+_TIMES_MINUS_I = np.array([1, -1], dtype=np.int64)
 #: lcm(1, ..., 9), a multiple of every denominator random_wavefunction draws
 _DRAW_LCM = 2520
 
@@ -68,56 +91,21 @@ class SpinorWavefunction:
                                  "(re, im) pair of ints")
         object.__setattr__(self, "terms", _nonzero(self.terms))
 
-    def _derived(self, terms: dict[Term, Coeff],
-                 raised: int | None = None) -> "SpinorWavefunction":
-        """Trusted constructor for the results of this module's operations.
-
-        It skips ``__post_init__``: the results keep arity, spin range and
-        sign of exponents by construction, so only the exponent of slot
-        position ``raised``, the one an operator raised, is checked
-        against the degree cap.  Zero coefficients are dropped.
-        """
-        if raised is not None and any(
-                term[raised][1] > DEGREE_CAP for term in terms):
-            raise DegreeCapError(
-                f"exponent of slot {raised + 1} exceeds cap {DEGREE_CAP}")
-        out = object.__new__(SpinorWavefunction)
-        out.__dict__.update(n_particles=self.n_particles, two_s=self.two_s,
-                            terms=_nonzero(terms))
-        return out
+    # the operations below run the TermBatch kernel on a batch of one
 
     def __sub__(self, other: "SpinorWavefunction") -> "SpinorWavefunction":
-        if (other.n_particles, other.two_s) != (self.n_particles, self.two_s):
-            raise ShapeError("spinor shape mismatch")
-        out = dict(self.terms)
-        for term, (re, im) in other.terms.items():
-            x, y = out.get(term, (0, 0))
-            out[term] = (x - re, y - im)
-        return self._derived(out)
+        return pack([self]).minus(pack([other])).unpack()[0]
 
     def mul_minus_i(self) -> "SpinorWavefunction":
         """-i psi, the target of [P_a, Q_a] psi: (re + i im)(-i) = im - i re."""
-        return self._derived(
-            {term: (im, -re) for term, (re, im) in self.terms.items()})
+        return pack([self]).mul_minus_i().unpack()[0]
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def permute_slots(self, mapping: tuple[int, ...]) -> "SpinorWavefunction":
         """Permute particles: slot k's (m_k, e_k) moves to slot mapping[k]."""
-        source = [0] * self.n_particles
-        for k, target in enumerate(mapping):
-            source[target - 1] = k
-        return self._derived(
-            {tuple(term[k] for k in source): c
-             for term, c in self.terms.items()})
-
-    def _slot_index(self, slot: int) -> int:
-        """0-based position of a 1-based slot within a term."""
-        if not 1 <= slot <= self.n_particles:
-            raise IndexRangeError(
-                f"slot {slot} out of range 1..{self.n_particles}")
-        return slot - 1
+        return pack([self]).permute_slots(mapping).unpack()[0]
 
     def __hash__(self):
         return hash((self.n_particles, self.two_s,
@@ -128,42 +116,258 @@ def _nonzero(terms: dict[Term, Coeff]) -> dict[Term, Coeff]:
     return {term: c for term, c in terms.items() if c != (0, 0)}
 
 
+def _exact(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs, as Python ints when int64 could overflow in a kernel step.
+
+    ``p``, the one step that multiplies, and ``minus`` bound their
+    operands here before any arithmetic.  From parts at most _INT64_SAFE
+    no result reaches int64's limit: p multiplies a part by an exponent
+    of at most DEGREE_CAP, [P_a, Q_b] sums at most four products of p
+    into one term, and minus sums two terms, all within _INT64_FACTOR
+    times the largest part.  Larger parts run the same code on
+    ``dtype=object`` arrays, which numpy sums and multiplies as Python
+    ints.
+    """
+    if coeffs.dtype == object or \
+            int(np.abs(coeffs).max(initial=0)) <= _INT64_SAFE:
+        return coeffs
+    return coeffs.astype(object)
+
+
+@functools.lru_cache(maxsize=64)
+def _key_layout(n_owners: int, n_particles: int,
+                two_s: int) -> list[tuple[slice, np.ndarray]]:
+    """The run of row columns each key word packs, and their place values.
+
+    Digits are the owner, then (m_k, e_k) per slot, with radix n_owners,
+    2s + 1 and _EXPONENT_RADIX; a word takes digits while their radices
+    multiply to at most 2^63, so it holds in int64.
+    """
+    radices = [n_owners] + [two_s + 1, _EXPONENT_RADIX] * n_particles
+    words, start, size = [], 0, 1
+    # a radix past 2^63 at the end closes the last word
+    for col, radix in enumerate(radices + [2 ** 63 + 1]):
+        if size * radix > 2 ** 63 and col > start:
+            weights = [math.prod(radices[c + 1:col])
+                       for c in range(start, col)]
+            words.append((slice(start, col),
+                          np.array(weights, dtype=np.int64)))
+            start, size = col, 1
+        size *= radix
+    return words
+
+
+def _exponent_column(n_particles: int, slot: int) -> int:
+    """Column of a 1-based slot's exponent in a ``TermBatch`` row."""
+    if not 1 <= slot <= n_particles:
+        raise IndexRangeError(f"slot {slot} out of range 1..{n_particles}")
+    return 2 * slot
+
+
+@dataclass(eq=False)
+class TermBatch:
+    """The terms of many wavefunctions, as integer rows: one exact kernel.
+
+    Row t is (owner, m_1, e_1, ..., m_N, e_N): the index of the
+    wavefunction it belongs to, then the spin index and the exponent of
+    each slot.  coeffs[t] is its (re, im) coefficient, int64, or Python
+    ints (``dtype=object``) when int64 could overflow (``_exact``).  The
+    operators return row sets in which a term may repeat; ``merged`` sums
+    like terms and drops zeros.  No float enters any operation.
+    """
+
+    n_particles: int
+    two_s: int
+    n_owners: int
+    rows: np.ndarray
+    coeffs: np.ndarray
+
+    def _with(self, rows: np.ndarray, coeffs: np.ndarray,
+              n_owners: int | None = None) -> "TermBatch":
+        return TermBatch(self.n_particles, self.two_s,
+                         self.n_owners if n_owners is None else n_owners,
+                         rows, coeffs)
+
+    def _raised(self, slot: int) -> tuple[int, np.ndarray]:
+        """The exponent column of slot, and the rows with it raised by 1."""
+        col = _exponent_column(self.n_particles, slot)
+        if self.rows[:, col].max(initial=0) >= DEGREE_CAP:
+            raise DegreeCapError(
+                f"exponent of slot {slot} exceeds cap {DEGREE_CAP}")
+        rows = self.rows.copy()
+        rows[:, col] += 1
+        return col, rows
+
+    def q(self, slot: int) -> "TermBatch":
+        """Position operator: multiply every wavefunction by q_slot."""
+        return self._with(self._raised(slot)[1], self.coeffs)
+
+    def p(self, slot: int) -> "TermBatch":
+        """Momentum operator -i hbar d/dq_slot, acting through the Gaussian.
+
+        On q^e exp(-q^2/2) the derivative is (e q^(e-1) - q^(e+1))
+        exp(-q^2/2), so c q^e maps to i c q^(e+1) - i e c q^(e-1): the
+        raised row with coefficient (-im, re) and, where e > 0, the
+        lowered row with (e im, -e re).
+        """
+        col, up = self._raised(slot)
+        lower = self.rows[:, col] > 0
+        down = self.rows[lower]
+        e = down[:, col:col + 1].copy()
+        down[:, col] -= 1
+        swapped = _exact(self.coeffs)[:, ::-1]  # (im, re)
+        return self._with(
+            np.concatenate([up, down]),
+            np.concatenate([swapped * _TIMES_I,
+                            swapped[lower] * e * _TIMES_MINUS_I]))
+
+    def commutator_PQ(self, a: int, b: int) -> "TermBatch":
+        """[P_a, Q_b] psi = P_a Q_b psi - Q_b P_a psi on every psi, merged.
+
+        Equals -i hbar psi coefficient-for-coefficient when a == b and the
+        zero wavefunction when a != b.
+        """
+        pq, qp = self.q(b).p(a), self.p(a).q(b)
+        both = self._with(np.concatenate([pq.rows, qp.rows]),
+                          np.concatenate([pq.coeffs, -qp.coeffs]))
+        del pq, qp  # freed before the merge, where memory peaks
+        return both.merged()
+
+    def mul_minus_i(self) -> "TermBatch":
+        """-i psi on every psi: (re + i im)(-i) = im - i re."""
+        return self._with(self.rows, self.coeffs[:, ::-1] * _TIMES_MINUS_I)
+
+    def minus(self, other: "TermBatch") -> "TermBatch":
+        """self - other, owner by owner, merged."""
+        if (other.n_particles, other.two_s, other.n_owners) != \
+                (self.n_particles, self.two_s, self.n_owners):
+            raise ShapeError("term batch shape mismatch")
+        return self._with(
+            np.concatenate([self.rows, other.rows]),
+            np.concatenate([_exact(self.coeffs), -_exact(other.coeffs)]),
+        ).merged()
+
+    def head(self, count: int) -> "TermBatch":
+        """The rows of the first count wavefunctions."""
+        keep = self.rows[:, 0] < count
+        return self._with(self.rows[keep], self.coeffs[keep],
+                          min(count, self.n_owners))
+
+    def permute_slots(self, mapping: tuple[int, ...]) -> "TermBatch":
+        """Permute particles: slot k's (m_k, e_k) moves to slot mapping[k]."""
+        source = [0] * self.n_particles
+        for k, target in enumerate(mapping):
+            source[target - 1] = k
+        columns = [0] + [2 * k + j for k in source for j in (1, 2)]
+        return self._with(self.rows[:, columns], self.coeffs)
+
+    def nonzero_owners(self) -> np.ndarray:
+        """Per wavefunction, whether it has a row (on a merged batch: is
+        nonzero)."""
+        found = np.zeros(self.n_owners, dtype=bool)
+        found[self.rows[:, 0]] = True
+        return found
+
+    def is_zero(self) -> bool:
+        return not len(self.rows)
+
+    def merged(self) -> "TermBatch":
+        """Like terms of each owner summed, zero coefficients dropped.
+
+        Sorts on the packed key words, sums each run of equal keys with
+        ``np.add.reduceat``.
+        """
+        if not len(self.rows):
+            return self
+        # owner and term packed into int64 words: equal in every word means
+        # the same owner and term
+        words = [np.einsum("ij,j->i", self.rows[:, cols], weights)
+                 for cols, weights
+                 in _key_layout(self.n_owners, self.n_particles, self.two_s)]
+        order = np.lexsort(words[::-1])
+        same = np.ones(len(order) - 1, dtype=bool)  # row i + 1 repeats row i
+        for word in words:
+            word = word[order]
+            same &= word[1:] == word[:-1]
+        starts = np.flatnonzero(np.concatenate([[True], ~same]))
+        coeffs = np.add.reduceat(self.coeffs[order], starts, axis=0)
+        keep = (coeffs != 0).any(axis=1)
+        return self._with(self.rows[order[starts[keep]]], coeffs[keep])
+
+    def unpack(self) -> list[SpinorWavefunction]:
+        """One wavefunction per owner, from a batch with no repeated term.
+
+        The kernel keeps arity, spin range, sign of exponents and the
+        degree cap, so the results skip ``__post_init__``.
+        """
+        terms: list[dict[Term, Coeff]] = [{} for _ in range(self.n_owners)]
+        for row, (re, im) in zip(self.rows.tolist(), self.coeffs.tolist()):
+            terms[row[0]][tuple(zip(row[1::2], row[2::2]))] = (re, im)
+        out = [object.__new__(SpinorWavefunction) for _ in terms]
+        for wf, t in zip(out, terms):
+            wf.__dict__.update(n_particles=self.n_particles,
+                               two_s=self.two_s, terms=_nonzero(t))
+        return out
+
+
+def pack(wavefunctions: Sequence[SpinorWavefunction]) -> TermBatch:
+    """Every term of every wavefunction as one batch; owner i is the i-th."""
+    n, two_s = wavefunctions[0].n_particles, wavefunctions[0].two_s
+    if any((wf.n_particles, wf.two_s) != (n, two_s) for wf in wavefunctions):
+        raise ShapeError("spinor shape mismatch")
+    count = sum(len(wf.terms) for wf in wavefunctions)
+    rows = np.empty((count, 2 * n + 1), dtype=_ROW_DTYPE)
+    rows[:, 0] = np.repeat(np.arange(len(wavefunctions)),
+                           [len(wf.terms) for wf in wavefunctions])
+    flat = itertools.chain.from_iterable
+    rows[:, 1:] = np.fromiter(
+        flat(flat(flat(wf.terms for wf in wavefunctions))),
+        dtype=_ROW_DTYPE, count=count * 2 * n).reshape(count, 2 * n)
+
+    def parts():
+        return flat(flat(wf.terms.values() for wf in wavefunctions))
+    dtype = np.int64 if max(map(abs, parts()), default=0) <= _INT64_SAFE \
+        else object
+    coeffs = np.fromiter(parts(), dtype=dtype, count=2 * count)
+    return TermBatch(n, two_s, len(wavefunctions), rows,
+                     coeffs.reshape(count, 2))
+
+
+def monomials(n_particles: int, slots: Sequence[int],
+              max_degree: int) -> TermBatch:
+    """Every spin-0 monomial in the given slots up to max_degree, one per
+    owner, each with coefficient 1."""
+    if max_degree > DEGREE_CAP:
+        raise DegreeCapError(
+            f"max_degree {max_degree} exceeds cap {DEGREE_CAP}")
+    cols = [_exponent_column(n_particles, slot) for slot in slots]
+    exps = np.indices([max_degree + 1] * len(cols)).reshape(len(cols), -1)
+    count = exps.shape[1]
+    rows = np.zeros((count, 2 * n_particles + 1), dtype=_ROW_DTYPE)
+    rows[:, 0] = np.arange(count)
+    rows[:, cols] = exps.T
+    return TermBatch(n_particles, 0, count, rows,
+                     np.tile(np.array([1, 0], np.int64), (count, 1)))
+
+
 def apply_Q(psi: SpinorWavefunction, slot: int) -> SpinorWavefunction:
-    """Position operator: multiply by q_slot."""
-    k = psi._slot_index(slot)
-    return psi._derived(
-        {term[:k] + ((term[k][0], term[k][1] + 1),) + term[k + 1:]: c
-         for term, c in psi.terms.items()}, raised=k)
+    """Position operator: multiply by q_slot (the kernel on a batch of one)."""
+    return pack([psi]).q(slot).unpack()[0]
 
 
 def apply_P(psi: SpinorWavefunction, slot: int) -> SpinorWavefunction:
-    """Momentum operator -i hbar d/dq_slot, acting through the Gaussian.
-
-    On q^e exp(-q^2/2) the derivative is (e q^(e-1) - q^(e+1)) exp(-q^2/2),
-    so c q^e maps to i c q^(e+1) - i e c q^(e-1).
-    """
-    k = psi._slot_index(slot)
-    out: dict[Term, Coeff] = {}
-    for term, (re, im) in psi.terms.items():
-        head, (m, e), tail = term[:k], term[k], term[k + 1:]
-        up = head + ((m, e + 1),) + tail
-        x, y = out.get(up, (0, 0))
-        out[up] = (x - im, y + re)
-        if e:
-            down = head + ((m, e - 1),) + tail
-            x, y = out.get(down, (0, 0))
-            out[down] = (x + e * im, y - e * re)
-    return psi._derived(out, raised=k)
+    """Momentum operator -i hbar d/dq_slot (the kernel on a batch of one)."""
+    return pack([psi]).p(slot).merged().unpack()[0]
 
 
 def commutator_PQ_apply(psi: SpinorWavefunction, a: int,
                         b: int) -> SpinorWavefunction:
-    """[P_a, Q_b] psi = P_a Q_b psi - Q_b P_a psi, exactly.
+    """[P_a, Q_b] psi, exactly (the kernel on a batch of one).
 
     Equals -i hbar psi coefficient-for-coefficient when a == b and the
     zero wavefunction when a != b.
     """
-    return apply_P(apply_Q(psi, b), a) - apply_Q(apply_P(psi, a), b)
+    return pack([psi]).commutator_PQ(a, b).unpack()[0]
 
 
 def random_wavefunction(n_particles: int, max_degree: int, spin_two_s: int,

@@ -31,7 +31,12 @@ from discernlab.multiparticle import (
     random_pure_state,
     sample_states,
 )
-from discernlab.schwartz import commutator_PQ_apply, random_wavefunction
+from discernlab.schwartz import (
+    SpinorWavefunction,
+    TermBatch,
+    pack,
+    random_wavefunction,
+)
 from discernlab.spin import (
     SpinLabel,
     casimir,
@@ -179,13 +184,20 @@ class TestRelationC:
         assert ccr_identity_on_monomials(3, 4, 2, 3)
 
     def test_decide_C_branches(self):
-        wf = random_wavefunction(2, 4, 1, 3)
-        diagonal = commutator_PQ_apply(wf, 1, 1)
-        assert decide_C(diagonal, wf.mul_minus_i()) == (True, None)
-        assert decide_C(commutator_PQ_apply(wf, 1, 2), wf.mul_minus_i()) == \
-            (False, "commutator_zero")
+        # a random wavefunction and the zero one, which holds on every pair
+        batch = pack([random_wavefunction(2, 4, 1, 3),
+                      SpinorWavefunction(2, 1, {})])
+        target = batch.mul_minus_i()
+        diagonal = batch.commutator_PQ(1, 1)
+        holds, _ = decide_C(diagonal, target)
+        assert list(holds) == [True, True]
+        holds, branch = decide_C(batch.commutator_PQ(1, 2), target)
+        assert list(holds) == [False, True]
+        assert branch(0) == "commutator_zero"
         # against a wrong target (psi instead of -i psi)
-        assert decide_C(diagonal, wf) == (False, "commutator_other")
+        holds, branch = decide_C(diagonal, batch)
+        assert list(holds) == [False, True]
+        assert branch(0) == "commutator_other"
 
 
 class TestPermutationInvariance:
@@ -391,6 +403,56 @@ class TestNegativeControls:
         self.assert_only_invariance_fails(family)
 
 
+class TestWrongMomentumIsCaught:
+    """Relation C with a wrong P_a must not certify."""
+
+    @staticmethod
+    def momentum(lowering):
+        """P_a with its lowering row dropped (None), or with factor
+        e + lowering in place of e (0 is the true operator)."""
+        def p(self, slot):
+            col = 2 * slot  # a row is (owner, m_1, e_1, ..., m_N, e_N)
+            re, im = self.coeffs[:, 0], self.coeffs[:, 1]
+            up = self.rows.copy()
+            up[:, col] += 1
+            rows, coeffs = [up], [np.stack([-im, re], axis=1)]
+            lower = self.rows[:, col] > 0
+            if lowering is not None:
+                down = self.rows[lower]
+                down[:, col] -= 1
+                f = down[:, col] + 1 + lowering
+                rows.append(down)
+                coeffs.append(np.stack([f * im[lower], -f * re[lower]],
+                                       axis=1))
+            return TermBatch(self.n_particles, self.two_s, self.n_owners,
+                             np.concatenate(rows), np.concatenate(coeffs))
+        return p
+
+    @pytest.mark.parametrize("lowering, branch", [
+        (0, None),
+        # the raised rows cancel in [P_a, Q_a]: the image is zero
+        (None, "commutator_zero"),
+        # terms with e_a = 0 come out as -2i c, not -i c
+        (1, "commutator_other"),
+    ])
+    def test_reflexivity_fails(self, monkeypatch, lowering, branch):
+        monkeypatch.setattr(TermBatch, "p", self.momentum(lowering))
+        report = certify_C(2, 1, 5, 4, 0)
+        diagonal = [p["reflexive"] for p in report.pairs if p["a"] == p["b"]]
+        assert all(p["off_diagonal_fails"] for p in report.pairs
+                   if p["a"] != p["b"])
+        batch = pack([random_wavefunction(2, 4, 1, k) for k in range(5)])
+        holds, why = decide_C(batch.commutator_PQ(1, 1), batch.mul_minus_i())
+        failed = [i for i, h in enumerate(holds) if not h]
+        if branch is None:
+            assert report.verdict == "weakly_discerning"
+            assert all(diagonal) and not failed
+        else:
+            assert report.verdict == "violated"
+            assert not any(diagonal)
+            assert failed and {why(i) for i in failed} == {branch}
+
+
 def dense_certify_T(n, two_s, sector, n_pure, n_mixed, rank, seed, tol=1e-8):
     """The dense route: N-body operators, dense states, all N! permutations.
 
@@ -503,20 +565,27 @@ class TestOneImagePerPair:
         # per pair: K_ab psi, then K_{pi(a) pi(b)} U_pi psi per generator
         assert len(calls) == 9 * (1 + 2)
 
-    def test_C_computes_no_commutator_twice(self, monkeypatch):
-        import discernlab.discern as discern
-        original = discern.commutator_PQ_apply
-        seen, kept = set(), []
+    def test_C_applies_the_kernel_once_per_pair_plus_once_per_generator(
+            self, monkeypatch):
+        calls = []
+        kernel = TermBatch.commutator_PQ
 
-        def counted(wf, a, b):
-            assert (id(wf), a, b) not in seen, f"[P_{a}, Q_{b}] psi twice"
-            seen.add((id(wf), a, b))
-            kept.append(wf)  # keeps every id distinct
-            return original(wf, a, b)
+        def counted(self, a, b):
+            calls.append((self.n_owners, a, b))
+            return kernel(self, a, b)
 
-        monkeypatch.setattr(discern, "commutator_PQ_apply", counted)
+        monkeypatch.setattr(TermBatch, "commutator_PQ", counted)
+        # 4 drawn wavefunctions and the bosonic product state
         report = certify_C(3, 0, n_samples=4, max_degree=3, seed=1)
         assert report.verdict == "weakly_discerning"
+        pairs = sorted((a, b) for a in range(1, 4) for b in range(1, 4))
+        # per pair: the sampled route on all 5 at once, the S_N check on
+        # the first 3 per generator, and the monomial route on the 4 or
+        # 16 monomials in q_a, q_b of degree at most 3
+        assert sorted(c[1:] for c in calls if c[0] == 5) == pairs
+        assert len([c for c in calls if c[0] == 3]) == 9 * 2
+        assert sorted(c[1:] for c in calls if c[0] in (4, 16)) == pairs
+        assert len(calls) == 9 * (1 + 2 + 1)
 
 
 class TestInvarianceIsNotVacuous:

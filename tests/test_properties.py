@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discernlab.discern import eigen_residuals, eigenproperty
+from discernlab.discern import decide_C, eigen_residuals, eigenproperty
 from discernlab.matrix_core import (
     MixedState,
     Operator,
@@ -19,6 +19,7 @@ from discernlab.multiparticle import ParticleSystem, StateBatch
 from discernlab.schwartz import (
     SpinorWavefunction,
     commutator_PQ_apply,
+    pack,
     random_wavefunction,
 )
 from discernlab.spin import SpinLabel, pair_operator, pair_total_spin_squared
@@ -185,6 +186,41 @@ def test_integer_kernel_matches_rational_oracle(n, two_s, data):
         for b in range(1, n + 1):
             assert commutator_PQ_apply(psi, a, b).terms == \
                 oracle_scaled(oracle_commutator(terms, a, b), scale)
+
+
+# (N, 2s): one key word, one word with spins, and a key of two words
+@given(st.sampled_from([(2, 0), (3, 2), (8, 63)]), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_kernel_matches_rational_oracle(shape, huge, data):
+    """Owner by owner, one batch's image is the oracle's, scaled.
+
+    The batch mixes term counts and includes the zero wavefunction, on
+    which C holds for every pair.  huge scales every coefficient by 2^60,
+    beyond what the kernel computes with in int64, and adds a term whose
+    parts fit int64 but overflow it once P multiplies them by 21.
+    """
+    n, two_s = shape
+    drawn = data.draw(st.lists(rational_terms(n, max_degree=5, two_s=two_s),
+                               min_size=1, max_size=4)) + [{}]
+    if huge:
+        drawn.append({((0, 20),) * n: (Fraction(1), Fraction(-1))})
+    scales = [oracle_lcm(terms) * (2 ** 60 if huge else 1) for terms in drawn]
+    batch = pack([SpinorWavefunction(n, two_s, oracle_scaled(terms, scale))
+                  for terms, scale in zip(drawn, scales)])
+    assert (batch.coeffs.dtype == object) == huge
+    target = batch.mul_minus_i()
+    for a in {1, n}:
+        # P alone: its results do not fit int64 where the commutator's do
+        images = batch.p(a).merged().unpack()
+        for terms, scale, got in zip(drawn, scales, images):
+            assert got.terms == oracle_scaled(oracle_apply_P(terms, a), scale)
+    for a, b in {(1, 1), (1, 2), (n, 1), (n, n)}:
+        image = batch.commutator_PQ(a, b)
+        for terms, scale, got in zip(drawn, scales, image.unpack()):
+            assert got.terms == \
+                oracle_scaled(oracle_commutator(terms, a, b), scale)
+        holds, _ = decide_C(image, target)
+        assert list(holds) == [a == b or not terms for terms in drawn]
 
 
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 8),
