@@ -8,8 +8,9 @@ Exit codes:
     1  verdict violated or inconclusive
     2  usage / configuration error, including inputs the certifiers
        reject (an empty sector, fewer than two particles, spin 0 for
-       relation T, a mixed rank below 1; one above the sector dimension
-       is lowered to it, and samples.mixed_rank records the rank used)
+       relation T, a mixed rank below 1, a negative seed; a mixed rank
+       above the sector dimension is lowered to it, and
+       samples.mixed_rank records the rank used)
     3  resource limit exceeded: the dimension cap, relation T samples
        holding more than cap^2 amplitudes, or a relation C --max-degree
        above 30 (the degree cap 32 less the 2 [P_a, Q_b] adds)
@@ -104,7 +105,7 @@ class RunConfig:
         if self.relation == "T" and self.two_s < 1:
             raise ConfigError("relation T needs --two-s >= 1")
         for name in ("n_pure_samples", "n_mixed_samples", "mixed_rank",
-                     "max_degree"):
+                     "max_degree", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.relation == "T" and self.n_mixed_samples > 0 \

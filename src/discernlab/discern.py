@@ -61,9 +61,9 @@ from .schwartz import (
     DEGREE_CAP,
     SpinorWavefunction,
     TermBatch,
+    draw_wavefunctions,
     monomials,
     pack,
-    random_wavefunction,
     symmetric_product_state,
 )
 from .spin import SpinLabel, pair_operator
@@ -435,14 +435,17 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         seed=seed,
         tolerances={"tol": 0.0},
     )
-    wavefunctions = [random_wavefunction(n_particles, max_degree, two_s, seed + k)
-                     for k in range(n_samples)]
+    batch = draw_wavefunctions(n_particles, max_degree, two_s, n_samples,
+                               seed)
     if two_s == 0:
         # the bosonic direct-product case phi(q_1)...phi(q_N), with
-        # phi = 1 + q/2 scaled by 2
-        wavefunctions.append(symmetric_product_state(
-            {0: (2, 0), 1: (1, 0)}, n_particles))
-    batch = pack(wavefunctions)
+        # phi = 1 + q/2 scaled by 2, as owner n_samples
+        product = pack([symmetric_product_state({0: (2, 0), 1: (1, 0)},
+                                                n_particles)])
+        product.rows[:, 0] = n_samples
+        batch = TermBatch(n_particles, 0, n_samples + 1,
+                          np.concatenate([batch.rows, product.rows]),
+                          np.concatenate([batch.coeffs, product.coeffs]))
     # -i psi once per batch, not once per pair
     target = batch.mul_minus_i()
     head = batch.head(3)  # the samples the invariance check reads
@@ -463,7 +466,7 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         return decide_C(image, target), invariant
 
     return certify_relation(
-        report, [f"wavefunction[{i}]" for i in range(len(wavefunctions))],
+        report, [f"wavefunction[{i}]" for i in range(batch.n_owners)],
         # the identity proves [P_a,Q_a] = -i and [P_a,Q_b] = 0 != -i
         lambda a, b: ccr_identity_on_monomials(n_particles, max_degree, a, b),
         decide_pair)

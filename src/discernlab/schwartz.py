@@ -9,8 +9,8 @@ multiplies a coefficient by an integer exponent and -i swaps its two
 parts, so the canonical commutator is an exact coefficient-level
 identity here, with no tolerances anywhere in this module's verdicts.
 [P_a, Q_b] is linear and homogeneous, so a rational wavefunction scaled
-by the LCM of its denominators, as the samplers below return it, gets
-the same verdict on every pair.
+to coprime Gaussian integers, as the sampler below returns it, gets the
+same verdict on every pair.
 
 Configuration space is one-dimensional per particle, which makes the
 commutator constant exactly -i hbar (hbar = 1).
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +48,7 @@ _INT64_SAFE = np.iinfo(np.int64).max // _INT64_FACTOR
 #: of the swapped parts (im, re)
 _TIMES_I = np.array([-1, 1], dtype=np.int64)
 _TIMES_MINUS_I = np.array([1, -1], dtype=np.int64)
-#: lcm(1, ..., 9), a multiple of every denominator random_wavefunction draws
+#: lcm(1, ..., 9), a multiple of every denominator draw_wavefunctions draws
 _DRAW_LCM = 2520
 
 #: per-particle (spin index m_k, exponent e_k) pairs, slot 1 first
@@ -370,48 +369,57 @@ def commutator_PQ_apply(psi: SpinorWavefunction, a: int,
     return pack([psi]).commutator_PQ(a, b).unpack()[0]
 
 
-def random_wavefunction(n_particles: int, max_degree: int, spin_two_s: int,
-                        seed: int) -> SpinorWavefunction:
-    """Seeded random spinor wavefunction with sparse coefficients.
+def draw_wavefunctions(n_particles: int, max_degree: int, two_s: int,
+                       count: int, seed: int) -> TermBatch:
+    """count seeded random spinor wavefunctions, as one merged batch.
 
-    Nonzero on up to four spin configurations, drawn by flat index over
-    the (2s+1)^N configurations with slot 1 the most significant digit;
-    each carries a handful of random monomials with per-variable degree
-    at most max_degree and coefficient (re + i im) / den, re and im in
-    -9..9 and den in 1..9.  The rational wavefunction is returned
-    multiplied by the LCM of the denominators of the real and imaginary
-    parts of its coefficients, which makes them Gaussian integers.
+    Each is nonzero on up to four spin configurations, drawn slot by slot
+    (a repeated one merges), and carries 1..4 monomials on each, with
+    per-variable degree at most max_degree and coefficient
+    (re + i im) / den, re and im in -9..9 and den in 1..9.  One numpy
+    Generator, seeded by SeedSequence([seed, two_s, n_particles]), draws
+    the spins (count * 4, N), the monomial counts (count * 4), the
+    exponents (terms, N), the numerators (terms, 2) and the denominators
+    (terms, 1), in that order.  A wavefunction whose terms all cancel
+    gets the constant term with every spin index 0, so none is zero: the
+    zero wavefunction would satisfy relation C on every pair.  Each is
+    returned scaled to coprime Gaussian integers.
     """
     if max_degree > DEGREE_CAP:
         raise DegreeCapError(
             f"max_degree {max_degree} exceeds cap {DEGREE_CAP}")
-    rng = random.Random(seed)
-    d = spin_two_s + 1
-    n_configs = d ** n_particles
-    active = rng.sample(range(n_configs), min(n_configs, 4))
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, two_s, n_particles]))
+    spins = rng.integers(0, two_s + 1, size=(4 * count, n_particles))
+    per_config = rng.integers(1, 5, size=4 * count)
+    n_terms = int(per_config.sum())
+    rows = np.empty((n_terms, 2 * n_particles + 1), dtype=_ROW_DTYPE)
+    rows[:, 0] = np.repeat(np.arange(4 * count) // 4, per_config)
+    rows[:, 1::2] = np.repeat(spins, per_config, axis=0)
+    rows[:, 2::2] = rng.integers(0, max_degree + 1,
+                                 size=(n_terms, n_particles))
     # coefficients are held exactly as numerators over _DRAW_LCM
-    terms: dict[Term, Coeff] = {}
-    for flat in sorted(active):
-        spins = [flat // d ** (n_particles - 1 - k) % d
-                 for k in range(n_particles)]
-        part: dict[Term, Coeff] = {}
-        for _ in range(rng.randint(1, 4)):
-            term = tuple((m, rng.randint(0, max_degree)) for m in spins)
-            num_re = rng.randint(-9, 9)
-            num_im = rng.randint(-9, 9)
-            scale = _DRAW_LCM // rng.randint(1, 9)
-            x, y = part.get(term, (0, 0))
-            part[term] = (x + num_re * scale, y + num_im * scale)
-        if all(c == (0, 0) for c in part.values()):
-            part[tuple((m, 0) for m in spins)] = (_DRAW_LCM, 0)
-        terms.update(part)
-    # x / _DRAW_LCM reduces to denominator _DRAW_LCM / gcd(x, _DRAW_LCM); the
-    # LCM of those over every part x is _DRAW_LCM / g, g the gcd of
-    # _DRAW_LCM and all x, so the wavefunction times that LCM has parts x / g
-    g = math.gcd(_DRAW_LCM, *(x for c in terms.values() for x in c))
-    return SpinorWavefunction(
-        n_particles, spin_two_s,
-        {term: (re // g, im // g) for term, (re, im) in terms.items()})
+    numerators = rng.integers(-9, 10, size=(n_terms, 2))
+    coeffs = numerators * (_DRAW_LCM // rng.integers(1, 10, (n_terms, 1)))
+    batch = TermBatch(n_particles, two_s, count, rows, coeffs).merged()
+    # rows are sorted by owner, and an owner left with none gets its
+    # constant term in its place
+    empty = np.flatnonzero(~batch.nonzero_owners())
+    at = np.searchsorted(batch.rows[:, 0], empty)
+    constant = np.zeros((len(empty), 2 * n_particles + 1), dtype=_ROW_DTYPE)
+    constant[:, 0] = empty
+    rows = np.insert(batch.rows, at, constant, axis=0)
+    coeffs = np.insert(batch.coeffs, at, [1, 0], axis=0)
+    starts = np.searchsorted(rows[:, 0], np.arange(count))
+    g = np.gcd.reduceat(np.gcd(coeffs[:, 0], coeffs[:, 1]), starts)
+    return batch._with(rows, coeffs // g[rows[:, 0], None])
+
+
+def random_wavefunction(n_particles: int, max_degree: int, spin_two_s: int,
+                        seed: int) -> SpinorWavefunction:
+    """One seeded random spinor wavefunction (``draw_wavefunctions``)."""
+    return draw_wavefunctions(n_particles, max_degree, spin_two_s, 1,
+                              seed).unpack()[0]
 
 
 def symmetric_product_state(phi_coeffs: dict[int, Coeff], n_particles: int):

@@ -11,8 +11,8 @@ from discernlab.matrix_core import eigenvalue_levels
 from discernlab.multiparticle import ParticleSystem, Permutation, \
     permutation_unitary, symmetrizer
 from discernlab.schwartz import (
-    commutator_PQ_apply,
-    random_wavefunction,
+    draw_wavefunctions,
+    pack,
     symmetric_product_state,
 )
 from discernlab.spin import (
@@ -90,22 +90,21 @@ def test_criterion_4_exact_C_certification():
     ok = True
     for n in (2, 3, 4):
         for two_s in (0, 1, 3):
-            samples = [random_wavefunction(n, 8, two_s, 1000 + k)
-                       for k in range(200)]
+            batches = [draw_wavefunctions(n, 8, two_s, 200, 1000)]
             if two_s == 0:
                 # phi = 1 + q/3, scaled by 3
-                samples.append(symmetric_product_state(
-                    {0: (3, 0), 1: (1, 0)}, n))
-            targets = [psi.mul_minus_i() for psi in samples]
-            for a in range(1, n + 1):
-                for psi, tgt in zip(samples, targets):
-                    if commutator_PQ_apply(psi, a, a) != tgt:
+                batches.append(pack([symmetric_product_state(
+                    {0: (3, 0), 1: (1, 0)}, n)]))
+            for batch in batches:
+                targets = batch.mul_minus_i().unpack()
+                for a in range(1, n + 1):
+                    if batch.commutator_PQ(a, a).unpack() != targets:
                         ok = False
-            for a, b in ((1, 2), (2, 1), (1, n), (n, 1)):
-                if a == b:
-                    continue
-                for psi in samples:
-                    if not commutator_PQ_apply(psi, a, b).is_zero():
+                for a, b in ((1, 2), (2, 1), (1, n), (n, 1)):
+                    if a == b:
+                        continue
+                    if not all(psi.is_zero() for psi
+                               in batch.commutator_PQ(a, b).unpack()):
                         ok = False
     elapsed = time.time() - t0
     ok = ok and elapsed < 30.0

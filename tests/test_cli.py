@@ -150,6 +150,8 @@ class TestRejectedBeforeWork:
         ({"max_degree": 8}, []),
         ({"relation": "X"}, []),
         ({"format": "json"}, []),
+        (None, ["--relation", "T", "--seed", "-1"]),
+        (None, ["--relation", "C", "--seed", "-1"]),
     ], ids=["non-object-config", "string-int", "float-int", "bool-int",
             "negative-tol", "nan-tol", "inf-tol", "zero-mixed-rank",
             "missing-out-dir", "C-with-sector", "empty-fermi-sector",
@@ -157,7 +159,7 @@ class TestRejectedBeforeWork:
             "C-with-tol-in-config", "C-with-mixed-samples",
             "C-with-mixed-rank", "T-with-max-degree",
             "T-with-max-degree-in-config", "unknown-relation",
-            "format-in-config"])
+            "format-in-config", "T-negative-seed", "C-negative-seed"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, flags):
         argv = ["verify", "--out", str(tmp_path / "r.json")]
         if config is not None:
@@ -204,7 +206,7 @@ class TestResourceCaps:
         def drawn(*args):
             raise AssertionError("a wavefunction was drawn")
 
-        monkeypatch.setattr(discern, "random_wavefunction", drawn)
+        monkeypatch.setattr(discern, "draw_wavefunctions", drawn)
         err = self.assert_exits_3(["verify", "--relation", "C",
                                    "--particles", "2", "--max-degree", degree],
                                   tmp_path / "r.json", capsys)

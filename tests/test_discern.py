@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from discernlab.multiparticle import (
 from discernlab.schwartz import (
     SpinorWavefunction,
     TermBatch,
+    draw_wavefunctions,
     pack,
     random_wavefunction,
 )
@@ -289,6 +292,22 @@ class TestCertify:
             assert all(p["witness"] is None
                        for p in report.pairs if p["a"] == p["b"])
 
+    # the six c-exact cells and the n-scale C cell of perfbench/run.py
+    @pytest.mark.parametrize("n,two_s,samples,degree", [
+        (2, 0, 200, 8), (2, 1, 200, 8), (2, 3, 200, 8), (3, 0, 200, 8),
+        (3, 1, 200, 8), (3, 3, 200, 8), (4, 1, 10, 4)])
+    def test_C_report_does_not_depend_on_the_draws(self, n, two_s, samples,
+                                                   degree):
+        # every draw is nonzero, so every off-diagonal witness is the first
+        # wavefunction with a zero commutator, whatever was drawn: changing
+        # the sampler's random stream changes no report byte
+        def report(seed):
+            out = asdict(certify_C(n, two_s, samples, degree, seed))
+            del out["seed"]
+            return out
+
+        assert report(1) == report(999)
+
     def test_arity_error(self):
         with pytest.raises(ArityError):
             certify_T(1, 1)
@@ -441,7 +460,7 @@ class TestWrongMomentumIsCaught:
         diagonal = [p["reflexive"] for p in report.pairs if p["a"] == p["b"]]
         assert all(p["off_diagonal_fails"] for p in report.pairs
                    if p["a"] != p["b"])
-        batch = pack([random_wavefunction(2, 4, 1, k) for k in range(5)])
+        batch = draw_wavefunctions(2, 4, 1, 5, 0)  # certify_C's draws
         holds, why = decide_C(batch.commutator_PQ(1, 1), batch.mul_minus_i())
         failed = [i for i, h in enumerate(holds) if not h]
         if branch is None:

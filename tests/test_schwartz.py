@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from discernlab.schwartz import (
     apply_P,
     apply_Q,
     commutator_PQ_apply,
+    draw_wavefunctions,
     random_wavefunction,
     symmetric_product_state,
 )
@@ -160,6 +162,50 @@ class TestRandomWavefunction:
         b = random_wavefunction(2, 5, 1, 77)
         assert a == b
         assert not a.is_zero()
+
+
+class TestDrawWavefunctions:
+    @pytest.mark.parametrize("n,two_s", [(2, 0), (3, 1), (3, 3), (8, 63)])
+    def test_every_owner_is_a_nonzero_coprime_draw(self, n, two_s):
+        batch = draw_wavefunctions(n, 5, two_s, 40, 7)
+        assert batch.n_owners == 40 and batch.coeffs.dtype == np.int64
+        assert batch.nonzero_owners().all()
+        assert 0 <= batch.rows[:, 1::2].min() <= batch.rows[:, 1::2].max() \
+            <= two_s
+        assert 0 <= batch.rows[:, 2::2].min() <= batch.rows[:, 2::2].max() \
+            <= 5
+        for psi in batch.unpack():
+            # the unpacked terms pass the constructor's checks unchanged
+            assert SpinorWavefunction(n, two_s, psi.terms) == psi
+            configs = {tuple(m for m, _ in term) for term in psi.terms}
+            assert 1 <= len(configs) <= 4
+            assert math.gcd(*(x for c in psi.terms.values() for x in c)) == 1
+
+    def test_same_seed_same_batch(self):
+        a, b, c = (draw_wavefunctions(3, 4, 1, 30, seed)
+                   for seed in (5, 5, 6))
+        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert not np.array_equal(a.coeffs[:10], c.coeffs[:10])
+
+    def test_cancelled_draw_gets_the_constant_term(self):
+        # found by search: at 2s = 0 and degree 0 every term of a draw is
+        # the constant one, and the 4..16 drawn for owner 3 cancel.  The
+        # raw sums are read from the generator as draw_wavefunctions
+        # documents.
+        count, seed = 500, 14887
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, 1]))
+        rng.integers(0, 1, size=(4 * count, 1))  # spins
+        per_owner = rng.integers(1, 5, size=(count, 4)).sum(axis=1)
+        n_terms = int(per_owner.sum())
+        rng.integers(0, 1, size=(n_terms, 1))  # exponents
+        numerators = rng.integers(-9, 10, size=(n_terms, 2))
+        parts = numerators * (2520 // rng.integers(1, 10, (n_terms, 1)))
+        sums = np.add.reduceat(parts, np.cumsum(per_owner) - per_owner)
+        assert np.flatnonzero(~sums.any(axis=1)).tolist() == [3]
+        drawn = draw_wavefunctions(1, 0, 0, count, seed).unpack()
+        assert drawn[3].terms == {((0, 0),): (1, 0)}
+        assert not any(psi.is_zero() for psi in drawn)
 
 
 class TestSpinorStructure:
