@@ -9,7 +9,7 @@ symmetric on distinct pairs.
 
 One engine, ``certify_relation``, checks that pattern for either
 relation.  Each universally quantified relation is decided two ways:
-exactly, on the defining operator (scalar-identity / spectral check for
+exactly, on the defining operator (an integer spectral certificate for
 T, monomial basis check for C), and empirically, by seeded state
 sampling that produces witness states.  Reports record both routes.
 The decisions ``decide_T`` (from the eigen-residuals of many states)
@@ -45,8 +45,6 @@ from .matrix_core import (
     PureState,
     TOL_ABS,
     dimension_cap,
-    eigenvalue_levels,
-    is_scalar_identity,
 )
 from .multiparticle import (
     ParticleSystem,
@@ -66,7 +64,7 @@ from .schwartz import (
     pack,
     symmetric_product_state,
 )
-from .spin import SpinLabel, pair_operator
+from .spin import SpinLabel, pair_levels, pair_operator
 
 ALL_STATES = "all"
 
@@ -152,16 +150,18 @@ def relation_T_holds(a: int, b: int, state, label: SpinLabel,
     """The total-spin relation at the target value 4 s(s+1) hbar^2.
 
     state may be a PureState, a MixedState, or ALL_STATES for the
-    operator-level decision.  A state with no eigenproperty at all
-    counts as failing (the converse possession principle), as does a
-    present value differing from the target.
+    operator-level decision (``pair_levels``, as in ``certify_T``).  A
+    state with no eigenproperty at all counts as failing (the converse
+    possession principle), as does a present value off the target.
     """
     if label.two_s == 0:
         raise DegenerateSpinError("relation T is undefined for spin 0")
     k = pair_operator(label, a, b, system)
     target = float(4 * label.casimir_value())
     if state == ALL_STATES:
-        return is_scalar_identity(Operator(k.block), target, tol)
+        # T holds on every state iff K_ab has the one level target
+        levels = pair_levels(label.two_s)[a != b] or []
+        return [lam for lam, _ in levels] == [target]
     batch = state_batch(state, (system.single_dim,) * system.n_particles)
     value, residual = eigen_residuals(k.apply(batch.vectors), batch)
     return bool(decide_T(value, residual, target, tol)[0][0])
@@ -346,9 +346,9 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
               tol: float = 1e-8) -> DiscernibilityReport:
     """Full weak-discernibility certification of the total-spin relation.
 
-    Both routes work on the blocks of ``pair_operator``: the operator
-    route decides once on 4 S^2 and K_12, the sampled route applies each
-    K_ab to every sample at once.  No N-body operator is built.
+    Both routes read ``pair_bands``: the operator route decides on the
+    exact spectra of 4 S^2 and K_12, the sampled route applies each K_ab,
+    built once from them, to every sample at once.  No N-body operator.
     """
     if n_particles < 2:
         raise ArityError("need at least two particles to discern")
@@ -362,8 +362,6 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
             f"the {sector} sector of {n_particles} particles with "
             f"2s={two_s} is empty")
     target = float(4 * label.casimir_value())
-    # largest eigenvalue off-diagonal: S(S+1) at S = 2s, exactly 2s(2s+1)
-    max_allowed = float(two_s * (two_s + 1))
     rank = min(mixed_rank, sdim)
     # refused before any draw: the samples may hold as many amplitudes as
     # one d^N x d^N operator at the cap, and no more
@@ -396,23 +394,17 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
     names = [f"pure[{i}]" for i in range(n_pure_samples)]
     names += [f"mixed[{i}]" for i in range(n_mixed_samples)]
 
-    # every diagonal block is 4 S^2 and every off-diagonal one K_12
-    reflexive = is_scalar_identity(
-        Operator(operators[1, 1].block, hbar_power=2), target, tol)
-    k12 = Operator(operators[1, 2].block, hbar_power=2)
-    levels = eigenvalue_levels(k12)
-    top = levels[-1][0]
-    # not a scalar, and spectrally bounded away from the target
-    off_diagonal_fails = not is_scalar_identity(k12, target, tol) \
-        and top <= max_allowed + tol and top < target - tol
-
+    single, levels = pair_levels(two_s)  # of 4 S^2 and K_12, exact ints
+    exact = two_s * (two_s + 2)  # the target 4 s(s+1)
+    reflexive = [lam for lam, _ in single] == [exact]
+    off_diagonal_fails = levels is not None and levels[-1][0] < exact
     certify_relation(
         report, names,
         lambda a, b: reflexive if a == b else off_diagonal_fails,
         sampled_route_T(lambda a, b: operators[a, b], batches, target, tol))
     # K_ab is K_12 (x) 1 on the other N-2 slots, up to a slot relabeling
     report.spectrum = [[lam, mult * label.dim ** (n_particles - 2)]
-                       for lam, mult in levels]
+                       for lam, mult in levels or []]
     return report
 
 

@@ -18,6 +18,23 @@ def run(args):
     return main(args)
 
 
+# the spectrum of (S_a + S_b)^2 for two spin-63/2 particles, as JSON:
+# [S(S+1), 2S+1] for S = 0..63
+SPIN_63_SPECTRUM = (
+    "[[0, 1], [2, 3], [6, 5], [12, 7], [20, 9], [30, 11], [42, 13], "
+    "[56, 15], [72, 17], [90, 19], [110, 21], [132, 23], [156, 25], "
+    "[182, 27], [210, 29], [240, 31], [272, 33], [306, 35], [342, 37], "
+    "[380, 39], [420, 41], [462, 43], [506, 45], [552, 47], [600, 49], "
+    "[650, 51], [702, 53], [756, 55], [812, 57], [870, 59], [930, 61], "
+    "[992, 63], [1056, 65], [1122, 67], [1190, 69], [1260, 71], "
+    "[1332, 73], [1406, 75], [1482, 77], [1560, 79], [1640, 81], "
+    "[1722, 83], [1806, 85], [1892, 87], [1980, 89], [2070, 91], "
+    "[2162, 93], [2256, 95], [2352, 97], [2450, 99], [2550, 101], "
+    "[2652, 103], [2756, 105], [2862, 107], [2970, 109], [3080, 111], "
+    "[3192, 113], [3306, 115], [3422, 117], [3540, 119], [3660, 121], "
+    "[3782, 123], [3906, 125], [4032, 127]]")
+
+
 class TestVerifyT:
     def test_passing_run(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -334,6 +351,31 @@ class TestRender:
         capsys.readouterr()
         assert run(["render", str(out), "--format", "json"]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+
+class TestExactSpectrum:
+    """T reports carry the spectrum as exact ints: the same bytes anywhere."""
+
+    @pytest.mark.parametrize("n,two_s,sector,want", [
+        (2, 1, "full", "[[0, 1], [2, 3]]"),
+        (3, 2, "bose", "[[0, 3], [2, 9], [6, 15]]"),
+        (6, 1, "full", "[[0, 16], [2, 48]]"),
+        (2, 63, "full", SPIN_63_SPECTRUM),
+    ], ids=["2-1-full", "3-2-bose", "6-1-full", "2-63-full"])
+    def test_spectrum_bytes_and_render(self, tmp_path, capsys, n, two_s,
+                                       sector, want):
+        out = tmp_path / "t.json"
+        assert run(["verify", "--relation", "T", "--particles", str(n),
+                    "--two-s", str(two_s), "--sector", sector,
+                    "--pure-samples", "2", "--mixed-samples", "1",
+                    "--seed", "3", "--out", str(out)]) == EXIT_OK
+        spectrum = json.loads(out.read_text())["spectrum"]
+        assert json.dumps(spectrum) == want
+        assert all(type(x) is int for level in spectrum for x in level)
+        capsys.readouterr()
+        assert run(["render", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert all(f"- {lam} (x{mult})" in lines for lam, mult in spectrum)
 
 
 class TestMarkdownRenderer:

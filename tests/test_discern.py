@@ -265,8 +265,9 @@ class TestCertify:
         assert report.permutation_invariant
         assert all(p["off_diagonal_fails"] for p in report.pairs
                    if p["a"] != p["b"])
-        # spectrum frozen from the 4x4 oracle
-        assert [tuple(x) for x in report.spectrum] == [(0.0, 1), (2.0, 3)]
+        # spectrum frozen from the 4x4 oracle, as exact ints
+        assert report.spectrum == [[0, 1], [2, 3]]
+        assert all(type(x) is int for level in report.spectrum for x in level)
 
     def test_T_three_particles_sectors(self):
         for sector in ("full", "bose", "fermi"):
@@ -607,6 +608,59 @@ class TestOneImagePerPair:
         assert len(calls) == 9 * (1 + 2 + 1)
 
 
+class TestCertificateIsNotVacuous:
+    """certify_T's operator route reads the integer bands, and no eigh."""
+
+    @staticmethod
+    def corrupt(monkeypatch, band, index):
+        """pair_bands with entry index of one band off by one."""
+        import discernlab.spin as spin
+        bands = spin.pair_bands
+
+        def wrong(two_s):
+            out = bands(two_s)
+            out[band][index] += 1
+            return out
+        monkeypatch.setattr(spin, "pair_bands", wrong)
+
+    # band 1 is 4 K_12's diagonal, band 2 its off-diagonal products
+    @pytest.mark.parametrize("band,index", [(1, 4), (2, 1)])
+    def test_wrong_pair_band_is_violated(self, monkeypatch, band, index):
+        self.corrupt(monkeypatch, band, index)
+        report = certify_T(3, 2, n_pure_samples=3, n_mixed_samples=1)
+        assert report.verdict == "violated"
+        off = [p for p in report.pairs if p["a"] != p["b"]]
+        assert len(off) == 6 and not any(p["off_diagonal_fails"] for p in off)
+        assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
+        assert report.spectrum == []
+        assert relation_T_holds(1, 1, ALL_STATES, SpinLabel(2),
+                                ParticleSystem(3, 3))
+
+    def test_wrong_single_band_is_not_reflexive(self, monkeypatch):
+        self.corrupt(monkeypatch, 0, 1)
+        report = certify_T(3, 2, n_pure_samples=3, n_mixed_samples=1)
+        assert report.verdict == "violated"
+        assert not any(p["reflexive"] for p in report.pairs
+                       if p["a"] == p["b"])
+        assert not relation_T_holds(1, 1, ALL_STATES, SpinLabel(2),
+                                    ParticleSystem(3, 3))
+
+    def test_no_lapack_call_decides_T(self, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("LAPACK eigensolver called")
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, banned)
+        for n, two_s, sector in ((2, 1, "full"), (3, 2, "bose"),
+                                 (4, 3, "fermi")):
+            report = certify_T(n, two_s, sector, n_pure_samples=3,
+                               n_mixed_samples=2, mixed_rank=2)
+            assert report.verdict == "weakly_discerning"
+        label, system = SpinLabel(1), ParticleSystem(2, 2)
+        assert relation_T_holds(1, 1, ALL_STATES, label, system)
+        assert not relation_T_holds(1, 2, ALL_STATES, label, system)
+
+
 class TestInvarianceIsNotVacuous:
     """The state check catches a block applied on the wrong slots."""
 
@@ -649,9 +703,8 @@ class TestScale:
         report = certify_T(12, 1, sector, n_pure_samples=4,
                            n_mixed_samples=2, mixed_rank=2, seed=1)
         assert report.verdict == "weakly_discerning"
-        assert [m for _, m in report.spectrum] == [1024, 3 * 1024]
-        assert [lam for lam, _ in report.spectrum] == pytest.approx(
-            [0.0, 2.0], abs=1e-12)
+        assert report.spectrum == [[0, 1024], [2, 3 * 1024]]
+        assert all(type(x) is int for level in report.spectrum for x in level)
         off = [p for p in report.pairs if p["a"] != p["b"]]
         assert len(off) == 132 and all(p["off_diagonal_fails"] for p in off)
 

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from discernlab.errors import DomainError
-from discernlab.matrix_core import commutator, is_scalar_identity
+from discernlab.matrix_core import (
+    Operator,
+    commutator,
+    eigenvalue_levels,
+    is_scalar_identity,
+)
 from discernlab.multiparticle import ParticleSystem
 from discernlab.spin import (
     SpinLabel,
@@ -10,6 +15,9 @@ from discernlab.spin import (
     clebsch_gordan,
     clebsch_gordan_matrix,
     coupled_basis,
+    pair_bands,
+    pair_levels,
+    pair_operator,
     pair_total_spin_squared,
     spin_operators,
     total_sz,
@@ -103,6 +111,85 @@ class TestPairTotalSpin:
             for i in range(len(ops)):
                 for j in range(i + 1, len(ops)):
                     assert commutator(ops[i], ops[j]).max_norm() <= 1e-10
+
+
+class TestPairCertificate:
+    """The integer bands, the blocks built from them, and their spectra.
+
+    The float eigh of the dense oracle stays here, as a cross-check of
+    the integer certificate that certify_T decides on.
+    """
+
+    @pytest.mark.parametrize("two_s", range(1, 13))
+    def test_levels_match_eigh_of_the_dense_oracle(self, two_s):
+        label = SpinLabel(two_s)
+        system = ParticleSystem(2, label.dim)
+        single, levels = pair_levels(two_s)
+        want = eigenvalue_levels(pair_total_spin_squared(label, 1, 2, system))
+        assert [m for _, m in levels] == [m for _, m in want]
+        for (lam, _), (lam_e, _) in zip(levels, want):
+            assert abs(lam - lam_e) <= 1e-8
+        assert levels == [(S * (S + 1), 2 * S + 1) for S in range(two_s + 1)]
+        assert single == [(two_s * (two_s + 2), label.dim)]
+        assert all(type(x) is int for level in single + levels for x in level)
+
+    @pytest.mark.parametrize("two_s", range(1, 13))
+    def test_blocks_match_the_dense_oracle(self, two_s):
+        label = SpinLabel(two_s)
+        one, two = ParticleSystem(1, label.dim), ParticleSystem(2, label.dim)
+        for (a, b), system in (((1, 1), one), ((1, 2), two)):
+            got = pair_operator(label, a, b, system).block
+            want = pair_total_spin_squared(label, a, b, system).entries
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_band_products_are_the_squared_ladder_entries(self):
+        # 4 K_12 on (m1, m2) = (1/2, -1/2) and (-1/2, 1/2) is [[4, 4], [4, 4]]
+        single, diagonal, products = pair_bands(1)
+        assert single.tolist() == [3, 3]
+        assert diagonal.tolist() == [8, 4, 4, 8]
+        assert products.tolist() == [0, 16, 0]
+
+    def test_one_block_per_label(self):
+        label = SpinLabel(2)
+        system = ParticleSystem(3, label.dim)
+        blocks = {id(pair_operator(label, a, b, system).block)
+                  for a in (1, 2, 3) for b in (1, 2, 3)}
+        assert len(blocks) == 2
+        assert not pair_operator(label, 1, 2, system).block.flags.writeable
+
+    @pytest.mark.parametrize("band,index", [
+        (1, 4),  # a diagonal entry of 4 K_12
+        (2, 1),  # a product linking two states of 2M = 2
+        (2, 3),  # a product at k = 0 mod d, which links no two states
+    ])
+    def test_one_wrong_entry_is_refused(self, monkeypatch, band, index):
+        import discernlab.spin as spin
+        bands = spin.pair_bands
+
+        def wrong(two_s):
+            out = bands(two_s)
+            out[band][index] += 1
+            return out
+
+        monkeypatch.setattr(spin, "pair_bands", wrong)
+        single, levels = pair_levels(2)
+        assert single == [(8, 3)] and levels is None
+
+    def test_negative_product_is_refused(self, monkeypatch):
+        # 4 K_12 on 2M = 0 with diagonal (9, -1) and product -9 has the
+        # characteristic polynomial x(x - 8), the right roots, but no
+        # real symmetric block has these bands
+        import discernlab.spin as spin
+        bands = spin.pair_bands
+
+        def indefinite(two_s):
+            single, diagonal, products = bands(two_s)
+            diagonal[1:3] = 9, -1
+            products[1] = -9
+            return single, diagonal, products
+
+        monkeypatch.setattr(spin, "pair_bands", indefinite)
+        assert pair_levels(1)[1] is None
 
 
 class TestCoupledBasis:
