@@ -17,9 +17,15 @@ and ``decide_C`` (from the commutator image of a batch of wavefunctions)
 are the ones the public predicates ``relation_T_holds`` and
 ``relation_C_holds`` run, and the S_N check reads the same image of each
 pair operator.  Relation T never forms an N-body operator: K_ab is one
-two-slot block placed on slots (a, b) (``pair_operator``), applied to all
-sampled states together.  Relation C applies [P_a, Q_b] to all sampled
-wavefunctions together, as one ``TermBatch``.
+two-slot block placed on slots (a, b) (``pair_operator``).  One kernel
+(``block_kernel``) serves every sector: the samples are unfolded on the
+block's slots into d^k x rest matrices Phi, one matrix product gives
+K Phi for all of them, and value and residual are read off Phi and
+K Phi.  Bose and fermi samples stay in sector coordinates; their
+unfolding is one matrix for every pair, so one image per block serves
+all pairs.
+Relation C applies [P_a, Q_b] to all sampled wavefunctions together, as
+one ``TermBatch``.
 """
 
 from __future__ import annotations
@@ -51,9 +57,11 @@ from .multiparticle import (
     Permutation,
     SlotOperator,
     StateBatch,
+    fold,
     sample_states,
     sector_dimension,
     slot_axes,
+    unfold,
 )
 from .schwartz import (
     DEGREE_CAP,
@@ -64,7 +72,7 @@ from .schwartz import (
     pack,
     symmetric_product_state,
 )
-from .spin import SpinLabel, pair_levels, pair_operator
+from .spin import SpinLabel, check_pair, pair_levels, pair_operator
 
 ALL_STATES = "all"
 
@@ -72,8 +80,9 @@ VERDICT_PASS = "weakly_discerning"
 VERDICT_FAIL = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-#: amplitudes per batch a pair block is applied to, which bounds the
-#: temporaries of one application whatever the number of samples
+#: amplitudes of the pair unfoldings per batch a block is applied to,
+#: which bounds the temporaries of one application whatever the number
+#: of samples
 BATCH_ENTRIES = 4096
 
 #: a relation decided on every sample: (holds per sample, branch), with
@@ -102,13 +111,13 @@ def eigen_residuals(image: np.ndarray,
     v = tr(D F^dagger K F) / tr(D F^dagger F), and the Frobenius residual
     ||K W - v W|| = ||R D F^dagger|| with R = K F - v F, whose square
     tr(D R^dagger R D F^dagger F) takes only r x r products.  On a pure
-    state it is the 2-norm ||K psi - v psi||.  R is formed in place, so
-    image may be overwritten: the invariance check reads it first.
+    state it is the 2-norm ||K psi - v psi||.  The factors may be
+    unfoldings Phi, whose inner products are those of the states.
     """
     w, f = batch.weights, batch.flat
-    r = image.reshape(f.shape)  # K F, then R in place
-    value = np.einsum("mk,mki,mki->m", w, batch.flat_conj, r) / batch.trace
-    r -= value[:, None, None] * f
+    image = image.reshape(f.shape)
+    value = np.einsum("mk,mki,mki->m", w, batch.flat_conj, image) / batch.trace
+    r = image - value[:, None, None] * f
     rr = np.einsum("mji,mki->mjk", r.conj(), r)
     square = np.einsum("mj,mjk,mk,mkj->m", w, rr, w, batch.gram).real
     return value, np.sqrt(np.maximum(square, 0.0))
@@ -124,10 +133,20 @@ def eigenproperty(a: Operator, state, tol: float = TOL_ABS) -> Optional[complex]
     Returns None when the state is no eigenstate (no eigenstate, no
     property).  The same kernel as relation T, on a batch of one.
     """
-    batch = state_batch(state, (a.dim,))
-    value, residual = eigen_residuals(
-        SlotOperator(a.entries, (1,)).apply(batch.vectors), batch)
+    batch = state_batch(state, (1, a.dim))  # unfolded on its one slot
+    _, value, residual = block_kernel(SlotOperator(a.entries, (1,)), batch)
     return complex(value[0]) if residual[0] <= tol else None
+
+
+def block_kernel(k: SlotOperator, phi: StateBatch):
+    """(K Phi, value, residual) on samples unfolded on K's slots.
+
+    One matmul gives K Phi; ``eigen_residuals`` reads the value
+    tr(D Phi^dagger K Phi) / tr(D Phi^dagger Phi) and the residual
+    ||K Phi - v Phi||_F off Phi and K Phi, never as <K^2> - <K>^2.
+    """
+    image = k.image(phi.vectors)
+    return (image, *eigen_residuals(image, phi))
 
 
 def decide_T(value: np.ndarray, residual: np.ndarray, target: float,
@@ -156,14 +175,15 @@ def relation_T_holds(a: int, b: int, state, label: SpinLabel,
     """
     if label.two_s == 0:
         raise DegenerateSpinError("relation T is undefined for spin 0")
-    k = pair_operator(label, a, b, system)
     target = float(4 * label.casimir_value())
     if state == ALL_STATES:
         # T holds on every state iff K_ab has the one level target
+        check_pair(label, a, b, system)
         levels = pair_levels(label.two_s)[a != b] or []
         return [lam for lam, _ in levels] == [target]
+    k = pair_operator(label, a, b, system)
     batch = state_batch(state, (system.single_dim,) * system.n_particles)
-    value, residual = eigen_residuals(k.apply(batch.vectors), batch)
+    _, value, residual = block_kernel(k, batch.unfold(k.slots))
     return bool(decide_T(value, residual, target, tol)[0][0])
 
 
@@ -221,32 +241,81 @@ def permutation_invariance_check(k: SlotOperator, pi: Permutation,
 
     k is K_{pi(a) pi(b)}, states a batch shaped (count, d, ..., d), image
     the sampled route's K_ab applied to it, and U_pi the exact transpose
-    of the slot axes.  Checking states rather than (block, a, b)
+    of the slot axes.  Both sides are compared unfolded on k's slots, k
+    applied by one matmul.  Checking states rather than (block, a, b)
     descriptors catches a block applied on the wrong slots.
     """
     axes = (0,) + tuple(1 + j for j in slot_axes(pi))
-    diff = k.apply(states.transpose(axes))
-    diff -= image.transpose(axes)
+    diff = k.image(unfold(states.transpose(axes), k.slots))
+    diff -= unfold(image.transpose(axes), k.slots)
     return float(np.abs(diff).max(initial=0.0)) <= tol
+
+
+def swapped(k: SlotOperator) -> SlotOperator:
+    """K with its two slots exchanged: the same operator, block P K P."""
+    d = math.isqrt(len(k.block))
+    block = k.block.reshape(d, d, d, d).transpose(1, 0, 3, 2)
+    return SlotOperator(block.reshape(d * d, d * d), k.slots[::-1])
 
 
 def sampled_route_T(family: Callable[[int, int], SlotOperator],
                     batches: list[StateBatch], target: float, tol: float):
     """Relation T's decide_pair for ``certify_relation``.
 
-    For each batch piece, K_ab = family(a, b) is applied once.  The
-    generator checks read that image before ``eigen_residuals``, which
-    overwrites it.
+    K_ab = family(a, b) is applied to each batch piece unfolded on its
+    slots (``block_kernel``).
+
+    * Full sector: Phi differs per pair.  Per generator pi, K_{pi(a) pi(b)}
+      is applied to the unfolding of U_pi psi and compared with U_pi K_ab
+      psi (``permutation_invariance_check``): 1 + |generators| block
+      products per pair and piece.
+    * Bose and fermi: Phi is one matrix for every pair, up to a fermi
+      sign that value, residual and the check below do not see.  So a
+      block is applied to a piece once, and its value and residual,
+      cached by block object, serve every pair it is placed on.  U_pi psi
+      = +-psi, and the state check reduces to images: K_{pi(a) pi(b)} Phi
+      must equal K_ab Phi when K_{pi(a) pi(b)} sits on (pi(a), pi(b)) in
+      K_ab's slot order, and (P K_ab P) Phi when it sits on them
+      reversed, P the swap of the two slots.  The same block object in
+      the same order has the same image; any other pair of blocks, as in
+      a label-dependent or misplaced family, is applied and compared.
     """
+    kernels = [{} for _ in batches]  # per piece: id(block) -> block, v, r
+
+    def sector_kernel(i: int, k: SlotOperator):
+        if id(k.block) not in kernels[i]:
+            _, value, residual = block_kernel(k, batches[i].unfold(k.slots))
+            kernels[i][id(k.block)] = k.block, value, residual
+        return kernels[i][id(k.block)][1:]
+
+    def sector_invariant(i: int, k: SlotOperator, moved: SlotOperator,
+                         pi: Permutation) -> bool:
+        slots = tuple(pi(s) for s in k.slots)
+        if moved.slots != slots:
+            if moved.slots != slots[::-1] or len(slots) != 2:
+                return False
+            k = swapped(k)
+        if moved.block is k.block:
+            return True
+        diff = moved.image(batches[i].unfold(moved.slots).vectors)
+        diff -= k.image(batches[i].unfold(k.slots).vectors)
+        return float(np.abs(diff).max(initial=0.0)) <= tol
+
     def decide_pair(a: int, b: int, generators: list[Permutation]):
         k, values, residuals, invariant = family(a, b), [], [], True
-        for batch in batches:
-            image = k.apply(batch.vectors)
-            invariant = invariant and all(
-                permutation_invariance_check(family(pi(a), pi(b)), pi,
-                                             batch.vectors, image, tol)
-                for pi in generators)
-            value, residual = eigen_residuals(image, batch)
+        moved = [(pi, family(pi(a), pi(b))) for pi in generators]
+        for i, batch in enumerate(batches):
+            if batch.unfoldings:
+                value, residual = sector_kernel(i, k)
+                invariant = invariant and all(
+                    sector_invariant(i, k, k2, pi) for pi, k2 in moved)
+            else:
+                image, value, residual = block_kernel(k, batch.unfold(k.slots))
+                states = batch.vectors
+                image = fold(image, k.slots, states.shape)
+                invariant = invariant and all(
+                    permutation_invariance_check(k2, pi, states, image, tol)
+                    for pi, k2 in moved)
             values.append(value)
             residuals.append(residual)
         decision = decide_T(np.concatenate(values), np.concatenate(residuals),
@@ -348,7 +417,8 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
 
     Both routes read ``pair_bands``: the operator route decides on the
     exact spectra of 4 S^2 and K_12, the sampled route applies each K_ab,
-    built once from them, to every sample at once.  No N-body operator.
+    built once from them, to every sample at once.  No N-body operator,
+    and no d^N vector in the bose and fermi sectors.
     """
     if n_particles < 2:
         raise ArityError("need at least two particles to discern")
@@ -363,9 +433,12 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
             f"2s={two_s} is empty")
     target = float(4 * label.casimir_value())
     rank = min(mixed_rank, sdim)
-    # refused before any draw: the samples may hold as many amplitudes as
-    # one d^N x d^N operator at the cap, and no more
-    amplitudes = (n_pure_samples + n_mixed_samples * rank) * system.total_dim
+    # refused before any draw: the samples unfolded on a pair, d^2 D_{N-2}
+    # amplitudes each (d^N in the full sector), may hold as many amplitudes
+    # as one d^N x d^N operator at the cap, and no more
+    unfolded = label.dim ** 2 * sector_dimension(
+        system, n_particles=n_particles - 2)
+    amplitudes = (n_pure_samples + n_mixed_samples * rank) * unfolded
     if amplitudes > dimension_cap() ** 2:
         raise DimensionCapError(
             f"{amplitudes} sample amplitudes exceed the budget "

@@ -4,6 +4,18 @@ Slot embeddings, operators that act on a few slots (``SlotOperator``),
 permutation unitaries, symmetrizers / antisymmetrizers, orthonormal
 sector bases and sector-constrained random state sampling.
 
+A full-sector state is held as d^N product amplitudes, one axis per
+slot; a bose or fermi state as its D coordinates in the sector's
+occupation-number basis, never as d^N amplitudes.  Either unfolds on k
+slots into a d^k x rest matrix Phi (``StateBatch.unfold``), stored
+transposed so that one matrix product applies a block to every state
+(``SlotOperator.image``).  Its rows are the levels of the k slots; its
+columns are the other slots' axes in the full sector, and in bose and
+fermi the (N-k)-particle sector basis, with square-root occupation
+factors or sorting signs (``ParticleSystem.unfoldings``).  The d^N
+embedding of sector coordinates (``sector_basis``,
+``product_amplitudes``) is the dense oracle of that route.
+
 Permutation convention: U_pi moves the content of slot k to slot pi(k),
 i.e. on product vectors U_pi (phi_1 (x) ... (x) phi_N) =
 phi_{pi^-1(1)} (x) ... (x) phi_{pi^-1(N)}.  On a vector reshaped to one
@@ -50,13 +62,82 @@ class ParticleSystem:
             raise ValueError("single-particle dimension must be positive")
         if self.sector not in SECTORS:
             raise ValueError(f"unknown sector {self.sector!r}")
-        if self.single_dim ** self.n_particles > dimension_cap():
-            raise DimensionCapError(
-                f"{self.single_dim}^{self.n_particles} exceeds cap {dimension_cap()}")
+        # a state holds d^N amplitudes in the full sector, D in bose/fermi
+        size = sector_dimension(self)
+        if size > dimension_cap():
+            held = (f"{self.single_dim}^{self.n_particles}"
+                    if self.sector == "full"
+                    else f"{self.sector} sector dimension {size}")
+            raise DimensionCapError(f"{held} exceeds cap {dimension_cap()}")
 
     @property
     def total_dim(self) -> int:
         return self.single_dim ** self.n_particles
+
+    @cached_property
+    def unfoldings(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """How bose/fermi coordinates c unfold on k = 1, 2 slots; () for full.
+
+        Entry k-1 is (index, amp), both D_{N-k} x d^k: the unfolding is
+        Phi^T[m, i] = amp[m, i] c[index[m, i]], column i the levels of
+        the k slots, row m the (N-k)-particle basis.  By symmetry it is
+        the same matrix for any k slots (up to a fermi sign); these are
+        slots 1..k.  Two slots compose one-slot maps: Phi_2[(i, j), m] =
+        amp'[j, m] Phi_1[i, index'[j, m]].
+        """
+        if self.sector == "full":
+            return ()
+        d, n, fermi = self.single_dim, self.n_particles, self.sector == "fermi"
+        index, amp = _lowering(n, d, fermi)
+        maps = [(index, amp)]
+        if n >= 2:
+            rest, rest_amp = _lowering(n - 1, d, fermi)
+            maps.append((index[:, rest].reshape(d * d, -1),
+                         (amp[:, rest] * rest_amp).reshape(d * d, -1)))
+        return tuple((i.T.copy(), a.T.copy()) for i, a in maps)
+
+
+def _occupations(n: int, d: int, fermi: bool) -> np.ndarray:
+    """Occupation numbers of the n-particle sector basis, one row each.
+
+    Rows are in ``sector_basis``'s column order, ascending product index
+    of the sorted slot tuple, which is descending lexicographic order of
+    the rows.  Fermi rows are the n-subsets of the d levels; bose rows
+    come from the (d-1)-subsets of n+d-1 places (stars and bars).
+    """
+    if fermi:
+        levels = np.array(list(itertools.combinations(range(d), n)),
+                          dtype=np.intp).reshape(math.comb(d, n), n)
+        rows = np.zeros((len(levels), d), dtype=np.intp)
+        rows[np.arange(len(levels))[:, None], levels] = 1
+        return rows
+    bars = np.array(list(itertools.combinations(range(n + d - 1), d - 1)),
+                    dtype=np.intp).reshape(math.comb(n + d - 1, n), d - 1)
+    edges = np.hstack([np.full((len(bars), 1), -1), bars[::-1],
+                       np.full((len(bars), 1), n + d - 1)])
+    return np.diff(edges, axis=1) - 1
+
+
+def _lowering(n: int, d: int, fermi: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(index, amp), d x D_{n-1}: n-particle coordinates unfolded on a slot.
+
+    phi[i, m] = <i| (x) <m| psi> for the (n-1)-particle basis vector m is
+    c times sqrt((occupation of i in m + 1) / n) for bose, and
+    (-1)^(levels below i occupied in m) / sqrt(n) for fermi, with c the
+    coordinate of m plus one particle in level i.  Where that state does
+    not exist (a fermi level taken twice), amp is 0.
+    """
+    upper, lower = _occupations(n, d, fermi), _occupations(n - 1, d, fermi)
+    position = {row.tobytes(): k for k, row in enumerate(upper)}
+    raised = lower + np.eye(d, dtype=lower.dtype)[:, None]  # level i added
+    index = np.fromiter((position.get(row.tobytes(), -1)
+                         for row in raised.reshape(-1, d)),
+                        dtype=np.intp, count=d * len(lower)).reshape(d, -1)
+    if fermi:
+        amp = 1.0 - 2.0 * ((np.cumsum(lower, axis=1) - lower).T % 2)
+    else:
+        amp = np.sqrt(lower.T + 1.0)
+    return np.maximum(index, 0), np.where(index < 0, 0.0, amp / math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -166,16 +247,48 @@ def permutation_unitary(pi: Permutation, system: ParticleSystem) -> Operator:
     return Operator(rows.transpose(slot_axes(pi) + (n,)).reshape(dim, dim))
 
 
+def unfold(tensors: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
+    """A batch (count, d, ..., d) unfolded on slots: (count, d^(N-k), d^k).
+
+    Each state becomes Phi^T: rows run over the other slots in ascending
+    order, columns over the k slots' axes in the order of slots.
+    """
+    d, k = tensors.shape[-1], len(slots)
+    moved = tensors.transpose(_unfolding_axes(tensors.ndim, slots))
+    return moved.reshape(len(tensors), math.prod(tensors.shape[1:]) // d ** k,
+                         d ** k)
+
+
+def fold(matrices: np.ndarray, slots: tuple[int, ...],
+         shape: tuple[int, ...]) -> np.ndarray:
+    """The inverse of ``unfold`` into a batch of the given shape, as a view."""
+    axes = _unfolding_axes(len(shape), slots)
+    moved = matrices.reshape(tuple(shape[j] for j in axes))
+    return moved.transpose(np.argsort(axes))
+
+
+def _unfolding_axes(ndim: int, slots: tuple[int, ...]) -> list[int]:
+    """Axis 0, the other slots' axes in order, then the slots' axes."""
+    return [0, *(j for j in range(1, ndim) if j not in slots), *slots]
+
+
 @dataclass(frozen=True)
 class SlotOperator:
     """block (x) identity: a d^k x d^k block on the k slots in slots.
 
-    ``apply`` acts on a batch shaped (count, d, ..., d), axis k being
-    slot k, by contracting the block with those axes: no N-body matrix.
+    ``image`` applies it to states unfolded on those slots, all of them
+    by one matrix product: no N-body matrix.  ``apply``, which contracts
+    the block with the slot axes of a batch shaped (count, d, ..., d), is
+    its oracle.
     """
 
     block: np.ndarray
     slots: tuple[int, ...]
+
+    def image(self, unfolded: np.ndarray) -> np.ndarray:
+        """K Phi for every Phi^T in unfolded (..., rest, d^k): Phi^T K^T."""
+        rows = unfolded.reshape(-1, len(self.block))
+        return (rows @ self.block.T).reshape(unfolded.shape)
 
     def apply(self, states: np.ndarray) -> np.ndarray:
         k, d = len(self.slots), states.shape[1]
@@ -196,18 +309,20 @@ def symmetrizer(system: ParticleSystem, parity: str) -> Operator:
     return Operator(acc / math.factorial(n))
 
 
-def sector_dimension(system: ParticleSystem,
-                     parity: Optional[str] = None) -> int:
+def sector_dimension(system: ParticleSystem, parity: Optional[str] = None,
+                     n_particles: Optional[int] = None) -> int:
     """dim of the symmetric (+) or antisymmetric (-) subspace.
 
     Closed forms: the stars-and-bars count C(d+N-1, N) for + and the
     subset count C(d, N) for -.  With no parity, the dimension of the
-    system's own sector.
+    system's own sector; d^N in the full sector.  N is n_particles when
+    given, otherwise the system's.
     """
-    d, n = system.single_dim, system.n_particles
+    d = system.single_dim
+    n = system.n_particles if n_particles is None else n_particles
     if parity is None:
         if system.sector == "full":
-            return system.total_dim
+            return d ** n
         parity = _PARITY[system.sector]
     if parity == "+":
         return math.comb(d + n - 1, n)
@@ -217,13 +332,14 @@ def sector_dimension(system: ParticleSystem,
 
 
 def sector_basis(system: ParticleSystem) -> tuple[np.ndarray, ...]:
-    """Orthonormal bose or fermi basis (support, column, coef).
+    """Orthonormal bose or fermi basis (support, column, coef) in C^(d^N).
 
     Basis vector column[k] has entry coef[k] at product index support[k].
     Product indices are grouped by their sorted slot tuple: every group
     for bose (occupation-number multisets), the groups of N distinct
     levels for fermi (Slater determinants, signed by the parity of the
-    sorting permutation).  O(dim * N * d) work and no N!-term sum.
+    sorting permutation).  O(dim * N * d) work and no N!-term sum.  The
+    d^N oracle of the sector coordinates; the sampler never calls it.
     """
     d, n, dim = system.single_dim, system.n_particles, system.total_dim
     digits = np.indices((d,) * n).reshape(n, -1).T  # index -> slot tuple
@@ -249,23 +365,49 @@ def sector_basis(system: ParticleSystem) -> tuple[np.ndarray, ...]:
 class StateBatch:
     """States as rank-r factors: state m is sum_k weights[m, k] |f_mk><f_mk|.
 
-    factors has shape (states, r, d, ..., d), one axis per slot; weights
-    has shape (states, r).  A pure state has r = 1 and weight 1.  The
-    products that do not depend on an operator are cached.
+    factors has shape (states, r, d, ..., d), one axis per slot, in the
+    full sector, and (states, r, D) of sector coordinates in bose and
+    fermi, which unfold by the system's ``unfoldings``; weights has shape
+    (states, r).  A pure state has r = 1 and weight 1.  The products that
+    do not depend on an operator are cached.
     """
 
     factors: np.ndarray
     weights: np.ndarray
+    unfoldings: tuple = ()
 
     @property
     def vectors(self) -> np.ndarray:
-        """Every factor, as one batch shaped (states * r, d, ..., d)."""
+        """Every factor, as one batch shaped (states * r, ...)."""
         return self.factors.reshape((-1,) + self.factors.shape[2:])
 
+    def unfold(self, slots: tuple[int, ...]) -> "StateBatch":
+        """The factors unfolded on slots: (states, r, rest, d^k) matrices.
+
+        Full sector: ``unfold`` of the slot axes.  Bose and fermi: the
+        unfolding on k slots, one matrix for any k slots.  An unfolding
+        keeps inner products, Phi^dagger Phi = F^dagger F, so it shares
+        this batch's Gram matrix and trace.
+        """
+        if self.unfoldings:
+            index, amp = self.unfoldings[len(slots) - 1]
+            phi = self.factors[..., index] * amp
+        else:
+            phi = unfold(self.vectors, slots)
+            phi = phi.reshape(self.factors.shape[:2] + phi.shape[1:])
+        out = StateBatch(phi, self.weights)
+        # prefill the cached products that an unfolding keeps
+        out.__dict__.update(gram=self.gram, trace=self.trace)
+        return out
+
     def split(self, entries: int) -> list["StateBatch"]:
-        """Consecutive sub-batches of about entries amplitudes, at least one."""
-        step = max(1, entries // max(1, self.factors[0:1].size))
-        return [StateBatch(self.factors[i:i + step], self.weights[i:i + step])
+        """Consecutive sub-batches whose pair unfoldings hold about entries
+        amplitudes, at least one state each."""
+        size = (self.unfoldings[-1][0].size if self.unfoldings
+                else math.prod(self.factors.shape[2:]))
+        step = max(1, entries // max(1, self.factors.shape[1] * size))
+        return [StateBatch(self.factors[i:i + step], self.weights[i:i + step],
+                           self.unfoldings)
                 for i in range(0, max(len(self.weights), 1), step)]
 
     @cached_property
@@ -295,9 +437,10 @@ def sample_states(system: ParticleSystem, count: int, seed,
     Pure states without a rank; with one, mixtures of rank pure states,
     each drawing its weights and then its components.  A pure state is a
     complex Gaussian in the coordinates of the sector's orthonormal basis
-    (the product basis for full), normalized.  seed is an int or a numpy
-    Generator, drawn from in place; one draw of count states equals count
-    successive draws.
+    (the product basis for full), normalized, and is kept in those
+    coordinates: D of them for bose and fermi, in ``sector_basis``'s
+    column order.  seed is an int or a numpy Generator, drawn from in
+    place; one draw of count states equals count successive draws.
     """
     sdim = sector_dimension(system)
     if sdim < 1:
@@ -311,32 +454,46 @@ def sample_states(system: ParticleSystem, count: int, seed,
     else:
         weights = np.empty((count, rank))
         normals = np.empty((count, rank, 2, sdim))
-        for m in range(count):
-            weights[m] = rng.random(rank) + 1e-6
-            normals[m] = rng.standard_normal((rank, 2, sdim))
+        for m in range(count):  # in place: the same stream, no copies
+            rng.random(out=weights[m])
+            rng.standard_normal(out=normals[m])
+        weights += 1e-6
         weights /= weights.sum(axis=1, keepdims=True)
     vectors = normals[:, :, 1] * 1j
     vectors += normals[:, :, 0]
-    if system.sector != "full":
-        support, column, coef = sector_basis(system)
-        coords = vectors[:, :, column] * coef
-        vectors = np.zeros(coords.shape[:2] + (system.total_dim,), complex)
-        vectors[:, :, support] = coords
     squares = vectors.view(float)
     vectors /= np.sqrt(np.einsum("mki,mki->mk", squares, squares))[..., None]
-    return StateBatch(vectors.reshape(weights.shape + (system.single_dim,)
-                                      * system.n_particles), weights)
+    if system.sector == "full":
+        vectors = vectors.reshape(
+            weights.shape + (system.single_dim,) * system.n_particles)
+    return StateBatch(vectors, weights, system.unfoldings)
+
+
+def product_amplitudes(system: ParticleSystem,
+                       coords: np.ndarray) -> np.ndarray:
+    """Sector coordinates (..., D) as d^N product amplitudes (..., d^N).
+
+    The identity in the full sector, the ``sector_basis`` embedding in
+    bose and fermi: the dense oracle of the sector route.
+    """
+    if system.sector == "full":
+        return coords
+    support, column, coef = sector_basis(system)
+    out = np.zeros(coords.shape[:-1] + (system.total_dim,), complex)
+    out[..., support] = coords[..., column] * coef
+    return out
 
 
 def random_pure_state(system: ParticleSystem, seed) -> PureState:
     """Haar-uniform ray inside the system's sector (``sample_states``)."""
-    return PureState(sample_states(system, 1, seed).factors.ravel())
+    batch = sample_states(system, 1, seed)
+    return PureState(product_amplitudes(system, batch.flat[0, 0]))
 
 
 def random_mixed_state(system: ParticleSystem, rank: int, seed) -> MixedState:
     """One rank-r ``sample_states`` draw as a dense statistical operator."""
     batch = sample_states(system, 1, seed, rank)
-    f = batch.flat[0]
+    f = product_amplitudes(system, batch.flat[0])
     w = (f.T * batch.weights[0]) @ f.conj()
     # symmetrize away float round-off before the invariant check
     return MixedState((w + w.conj().T) / 2)

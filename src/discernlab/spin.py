@@ -90,7 +90,8 @@ def casimir(label: SpinLabel) -> Operator:
     return sx @ sx + sy @ sy + sz @ sz
 
 
-def _check_pair(label: SpinLabel, a: int, b: int, system: ParticleSystem):
+def check_pair(label: SpinLabel, a: int, b: int, system: ParticleSystem):
+    """Raise IndexRangeError unless the system has d = 2s+1 and slots a, b."""
     if system.single_dim != label.dim:
         raise IndexRangeError(
             f"system single_dim {system.single_dim} != 2s+1 = {label.dim}")
@@ -106,7 +107,7 @@ def pair_total_spin_squared(label: SpinLabel, a: int, b: int,
     For a == b this is 4 S_a^2 = 4 s(s+1) hbar^2 * identity.  The dense
     form of ``pair_operator``, kept as its oracle.
     """
-    _check_pair(label, a, b, system)
+    check_pair(label, a, b, system)
     total = None
     for w in spin_operators(label):
         comp = embed_at_slot(w, a, system) + embed_at_slot(w, b, system)
@@ -162,7 +163,7 @@ def pair_operator(label: SpinLabel, a: int, b: int,
     The block is (S_1 + S_2)^2 on C^d (x) C^d for every a != b, and the
     d x d block 4 S_a^2 = 4 s(s+1) hbar^2 on slot a for a == b.
     """
-    _check_pair(label, a, b, system)
+    check_pair(label, a, b, system)
     single, k12 = label.pair_blocks
     return SlotOperator(single, (a,)) if a == b else SlotOperator(k12, (a, b))
 

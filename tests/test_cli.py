@@ -259,6 +259,51 @@ class TestResourceCaps:
                                          "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["samples"]["pure"] == 24
 
+    def test_sector_dimension_cap_before_any_draw(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # 30 spin-3/2 bosons have C(33, 3) = 5456 states, above 4096
+        def drawn(*args):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr(discern, "sample_states", drawn)
+        err = self.assert_exits_3(["verify", "--sector", "bose",
+                                   "--particles", "30", "--two-s", "3"],
+                                  tmp_path / "r.json", capsys)
+        assert "bose sector dimension 5456 exceeds cap 4096" in err
+
+    # the same N=6 spin-1/2 samples in the bose sector unfold on a pair
+    # into 2^2 x C(5, 4) = 20 amplitudes each: 164 pure + 20 rank-2 mixed
+    # hold 4080, 165 pure 4100
+    def test_sector_sample_budget_before_any_draw(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setenv("DISCERNLAB_DIM_CAP", "64")
+        monkeypatch.setattr(discern, "sample_states", drawn)
+        err = self.assert_exits_3(
+            self.SAMPLE_BUDGET + ["--sector", "bose", "--pure-samples", "165"],
+            tmp_path / "r.json", capsys)
+        assert "4100 sample amplitudes exceed the budget 4096" in err
+
+    def test_sector_sample_budget_passes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DISCERNLAB_DIM_CAP", "64")
+        out = tmp_path / "r.json"
+        assert run(self.SAMPLE_BUDGET + ["--sector", "bose",
+                                         "--pure-samples", "164",
+                                         "--out", str(out)]) == EXIT_OK
+
+    def test_bose_far_beyond_the_product_cap(self, tmp_path):
+        # 2^100 product amplitudes, 101 bose coordinates
+        out = tmp_path / "r.json"
+        assert run(["verify", "--sector", "bose", "--particles", "100",
+                    "--two-s", "1", "--pure-samples", "3",
+                    "--mixed-samples", "1", "--out", str(out)]) == EXIT_OK
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "weakly_discerning"
+        assert data["spectrum"] == [[0, 2 ** 98], [2, 3 * 2 ** 98]]
+        assert main(["render", str(out)]) == EXIT_OK
+
 
 def test_internal_error_exits_5_with_traceback(tmp_path, capsys, monkeypatch):
     def broken(*args):

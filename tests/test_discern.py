@@ -6,11 +6,13 @@ import pytest
 from discernlab.discern import (
     ALL_STATES,
     DiscernibilityReport,
+    block_kernel,
     ccr_identity_on_monomials,
     certify_C,
     certify_relation,
     certify_T,
     decide_C,
+    eigen_residuals,
     eigenproperty,
     permutation_invariance_check,
     relation_C_holds,
@@ -29,7 +31,9 @@ from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
     SlotOperator,
+    StateBatch,
     permutation_unitary,
+    product_amplitudes,
     random_pure_state,
     sample_states,
 )
@@ -158,6 +162,15 @@ class TestRelationT:
         with pytest.raises(DegenerateSpinError):
             relation_T_holds(1, 2, ALL_STATES, SpinLabel(0),
                              ParticleSystem(2, 1))
+
+    def test_all_states_decides_without_the_float_blocks(self, monkeypatch):
+        def banned(self):
+            raise AssertionError("float pair block built")
+
+        monkeypatch.setattr(SpinLabel, "pair_blocks", property(banned))
+        label, system = SpinLabel(63), ParticleSystem(2, 64)
+        assert relation_T_holds(1, 1, ALL_STATES, label, system)
+        assert not relation_T_holds(1, 2, ALL_STATES, label, system)
 
     def test_sector_independent_failure(self):
         # N=3, s=1/2: off-diagonal failure in full, bose and fermi... the
@@ -487,11 +500,12 @@ def dense_certify_T(n, two_s, sector, n_pure, n_mixed, rank, seed, tol=1e-8):
     ops = {(a, b): pair_total_spin_squared(label, a, b, system)
            for a in slots for b in slots}
     rng = np.random.default_rng(np.random.SeedSequence([seed, two_s, n]))
-    pure = sample_states(system, n_pure, rng).flat[:, 0]
+    pure = product_amplitudes(system, sample_states(system, n_pure, rng).flat)
     mixed = sample_states(system, n_mixed, rng, rank)
     states = [(f"pure[{i}]", np.outer(v, v.conj()), v)
-              for i, v in enumerate(pure)]
-    for i, (f, w) in enumerate(zip(mixed.flat, mixed.weights)):
+              for i, v in enumerate(pure[:, 0])]
+    mixed_flat = product_amplitudes(system, mixed.flat)
+    for i, (f, w) in enumerate(zip(mixed_flat, mixed.weights)):
         states.append((f"mixed[{i}]", (f.T * w) @ f.conj(), None))
 
     def decide(k, w, psi):
@@ -569,21 +583,43 @@ class TestBlockRouteOracle:
 class TestOneImagePerPair:
     """The sampled route and the S_N check read one image per pair."""
 
+    @staticmethod
+    def count_block_products(monkeypatch):
+        """Every block times unfolded samples, as (slots, shape) entries."""
+        calls = []
+        image = SlotOperator.image
+
+        def counted(self, unfolded):
+            calls.append((self.slots, unfolded.shape))
+            return image(self, unfolded)
+
+        monkeypatch.setattr(SlotOperator, "image", counted)
+        return calls
+
     def test_T_applies_each_block_once_plus_once_per_generator(
             self, monkeypatch):
-        calls = []
-        apply = SlotOperator.apply
-
-        def counted(self, states):
-            calls.append(self.slots)
-            return apply(self, states)
-
-        monkeypatch.setattr(SlotOperator, "apply", counted)
+        calls = self.count_block_products(monkeypatch)
         # 5 pure states of 3 spin-1/2 particles: 40 amplitudes, one piece
         report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
         assert report.verdict == "weakly_discerning"
-        # per pair: K_ab psi, then K_{pi(a) pi(b)} U_pi psi per generator
+        # per pair: K_ab Phi_ab, then K_{pi(a) pi(b)} on the unfolding of
+        # U_pi psi per generator
         assert len(calls) == 9 * (1 + 2)
+
+    @pytest.mark.parametrize("n,two_s,sector", [
+        (2, 1, "bose"), (3, 1, "bose"), (4, 3, "fermi"), (12, 1, "bose")])
+    def test_bose_and_fermi_apply_each_block_once_per_piece(
+            self, monkeypatch, n, two_s, sector):
+        calls = self.count_block_products(monkeypatch)
+        # the pure and the mixed draw are one piece each
+        report = certify_T(n, two_s, sector, n_pure_samples=5,
+                           n_mixed_samples=2, mixed_rank=2)
+        assert report.verdict == "weakly_discerning"
+        pieces, blocks = 2, 2  # the blocks 4 S^2 and K_12
+        generators = len(Permutation.generators(n))
+        assert len(calls) == pieces * blocks \
+            <= pieces * blocks * (1 + generators)
+        assert sorted(len(slots) for slots, _ in calls) == [1, 1, 2, 2]
 
     def test_C_applies_the_kernel_once_per_pair_plus_once_per_generator(
             self, monkeypatch):
@@ -666,14 +702,12 @@ class TestInvarianceIsNotVacuous:
 
     def asymmetric(self, swap_pair):
         """K_ab plus S_z on slot a only, optionally misplaced on one pair."""
-        label = SpinLabel(1)
-        sz = np.diag([0.5, -0.5])
-
         def build(lab, a, b, system):
             k = pair_operator(lab, a, b, system)
             if a == b:
                 return k
-            block = k.block + np.kron(sz, np.eye(label.dim))
+            sz = np.diag(lab.two_s / 2 - np.arange(lab.dim))
+            block = k.block + np.kron(sz, np.eye(lab.dim))
             slots = (b, a) if (a, b) == swap_pair else (a, b)
             return SlotOperator(block, slots)
         return build
@@ -694,6 +728,117 @@ class TestInvarianceIsNotVacuous:
         for n in (2, 3, 4):
             report = certify_T(n, 1, n_pure_samples=3, n_mixed_samples=1)
             assert report.permutation_invariant
+
+
+    # (N, 2s) per sector: fermi needs d = 2s + 1 >= N
+    @pytest.mark.parametrize("sector,two_s", [("bose", 1), ("fermi", 3)])
+    def test_misplaced_block_breaks_invariance_in_sectors(
+            self, monkeypatch, sector, two_s):
+        import discernlab.discern as discern
+        monkeypatch.setattr(discern, "pair_operator",
+                            self.asymmetric(swap_pair=(1, 2)))
+        for n in (2, 3, 4):
+            report = certify_T(n, two_s, sector, n_pure_samples=3,
+                               n_mixed_samples=1)
+            assert not report.permutation_invariant
+            assert report.verdict == "violated"
+
+    @pytest.mark.parametrize("sector,two_s", [("bose", 1), ("fermi", 3)])
+    def test_correctly_placed_block_is_invariant_in_sectors(
+            self, monkeypatch, sector, two_s):
+        import discernlab.discern as discern
+        monkeypatch.setattr(discern, "pair_operator",
+                            self.asymmetric(swap_pair=None))
+        for n in (2, 3, 4):
+            report = certify_T(n, two_s, sector, n_pure_samples=3,
+                               n_mixed_samples=1)
+            assert report.permutation_invariant
+
+
+    @pytest.mark.parametrize("sector,two_s", [
+        ("full", 1), ("bose", 1), ("fermi", 3)])
+    def test_block_on_another_pair_breaks_invariance(self, monkeypatch,
+                                                     sector, two_s):
+        # K_12 placed on slots (1, 3): the right block, the wrong pair
+        import discernlab.discern as discern
+
+        def build(lab, a, b, system):
+            k = pair_operator(lab, a, b, system)
+            return SlotOperator(k.block, (1, 3)) if (a, b) == (1, 2) else k
+
+        monkeypatch.setattr(discern, "pair_operator", build)
+        report = certify_T(3, two_s, sector, n_pure_samples=3,
+                           n_mixed_samples=1)
+        assert not report.permutation_invariant
+        assert report.verdict == "violated"
+
+
+class TestNegativeControlsInSectors(TestNegativeControls):
+    """The same controls on bose and fermi states of three particles.
+
+    The sampled route decides on sector coordinates; the dense oracle
+    still checks the families on the whole tensor space.
+    """
+
+    @pytest.fixture(autouse=True, params=[("bose", 1), ("fermi", 3)],
+                    ids=["bose", "fermi"])
+    def sector(self, request):
+        sector, two_s = request.param
+        self.label = SpinLabel(two_s)
+        self.system = ParticleSystem(3, two_s + 1, sector)
+
+
+SECTOR_SHAPES = [(3, 1, "bose"), (5, 1, "bose"), (4, 2, "bose"),
+                 (6, 2, "bose"), (3, 3, "fermi"), (4, 4, "fermi"),
+                 (4, 5, "fermi")]
+
+
+class TestSectorKernelOracle:
+    """The kernel on sector unfoldings against the d^N embedding."""
+
+    @pytest.mark.parametrize("n,two_s,sector", SECTOR_SHAPES)
+    @pytest.mark.parametrize("rank", [None, 3])
+    def test_values_and_residuals_match_the_embedding(self, n, two_s, sector,
+                                                      rank):
+        label = SpinLabel(two_s)
+        system = ParticleSystem(n, label.dim, sector)
+        batch = sample_states(system, 4, n + two_s, rank)
+        dense = StateBatch(product_amplitudes(system, batch.factors).reshape(
+            batch.weights.shape + (label.dim,) * n), batch.weights)
+        rng = np.random.default_rng(n + two_s)
+        other = rng.standard_normal((label.dim ** 2,) * 2) + 0j
+        # K_ab on ascending and descending slots, 4 S_a^2, and a block
+        # with no symmetry under the swap of its slots
+        for k in (pair_operator(label, 1, 2, system),
+                  pair_operator(label, n, 1, system),
+                  pair_operator(label, 2, 2, system),
+                  SlotOperator(other, (n, 2)), SlotOperator(other, (1, n))):
+            _, value, residual = block_kernel(k, batch.unfold(k.slots))
+            want_value, want_residual = eigen_residuals(
+                k.apply(dense.vectors), dense)
+            assert np.abs(value - want_value).max() <= 1e-12
+            assert np.abs(residual - want_residual).max() <= 1e-12
+
+
+class TestSpinHalfBose:
+    """A symmetric pair of spin-1/2 particles is a triplet, S = 1."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 40])
+    def test_every_off_diagonal_witness_reads_value_2(self, n):
+        report = certify_T(n, 1, "bose", n_pure_samples=6, n_mixed_samples=3,
+                           seed=n)
+        assert report.verdict == "weakly_discerning"
+        off = [p for p in report.pairs if p["a"] != p["b"]]
+        assert len(off) == n * (n - 1)
+        assert {p["witness"] for p in off} == {"pure[0]:value=2"}
+        # every sample, pure and mixed, is an eigenstate of K_ab with value 2
+        label, system = SpinLabel(1), ParticleSystem(n, 2, "bose")
+        for rank in (None, 2):
+            batch = sample_states(system, 5, n, rank)
+            k = pair_operator(label, n, 1, system)
+            _, value, residual = block_kernel(k, batch.unfold(k.slots))
+            assert np.abs(value - 2).max() <= 1e-12
+            assert residual.max() <= 1e-12
 
 
 class TestScale:
@@ -728,3 +873,23 @@ class TestScale:
             report = certify_T(n, two_s, sector, n_pure_samples=3,
                                n_mixed_samples=2, mixed_rank=2)
             assert report.verdict == "weakly_discerning"
+
+    def test_certify_T_never_embeds_sector_states(self, monkeypatch):
+        from discernlab import multiparticle
+
+        def banned(*args, **kwargs):
+            raise AssertionError("d^N oracle called")
+
+        for name in ("sector_basis", "product_amplitudes"):
+            monkeypatch.setattr(multiparticle, name, banned)
+        monkeypatch.setattr(SlotOperator, "apply", banned)
+        # 2^100 and 12^6 product amplitudes; 101 and 924 sector coordinates
+        for n, two_s, sector in ((3, 1, "full"), (3, 1, "bose"),
+                                 (3, 2, "fermi"), (100, 1, "bose"),
+                                 (6, 11, "fermi")):
+            report = certify_T(n, two_s, sector, n_pure_samples=3,
+                               n_mixed_samples=2, mixed_rank=2)
+            assert report.verdict == "weakly_discerning"
+            assert report.spectrum[-1] == [two_s * (two_s + 1),
+                                           (2 * two_s + 1) * (two_s + 1)
+                                           ** (n - 2)]

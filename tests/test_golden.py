@@ -51,8 +51,9 @@ def report_text(args: list[str]) -> str:
     """The report of ``verify --relation T`` with args, minus its timestamp."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
+        argv = ["verify", "--relation", "T", *args, "--out", str(out)]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["verify", "--relation", "T", *args, "--out", str(out)])
+            code = main(argv)
         assert code == EXIT_OK, f"exit {code}"
         data = json.loads(out.read_text())
     del data["timestamp"]

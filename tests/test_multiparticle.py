@@ -3,20 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from discernlab.errors import EmptySectorError, IndexRangeError, RankError
+from discernlab.errors import (
+    DimensionCapError,
+    EmptySectorError,
+    IndexRangeError,
+    RankError,
+)
 from discernlab.matrix_core import Operator, commutator, identity
 from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
     SlotOperator,
     embed_at_slot,
+    fold,
     permutation_unitary,
+    product_amplitudes,
     random_mixed_state,
     random_pure_state,
     sample_states,
     sector_basis,
     sector_dimension,
     symmetrizer,
+    unfold,
 )
 
 SIGMA_Z = Operator([[1, 0], [0, -1]])
@@ -269,7 +277,8 @@ class TestSectorBasis:
         pure = sample_states(system, 4, 7)
         mixed = sample_states(system, 3, 8, rank=min(2, sector_dimension(system)))
         for batch in (pure, mixed):
-            states = batch.flat.reshape(-1, system.total_dim)
+            states = product_amplitudes(system, batch.flat).reshape(
+                -1, system.total_dim)
             for g in Permutation.generators(n):
                 u = permutation_unitary(g, ParticleSystem(n, d)).entries
                 sign = g.sign if sector == "fermi" else 1
@@ -322,3 +331,56 @@ class TestSlotOperator:
         states = rng.standard_normal((3,) + (d,) * n) + 0j
         got = SlotOperator(block, slots).apply(states).reshape(3, -1)
         assert np.abs(got - states.reshape(3, -1) @ want.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("slots", [(1,), (3,), (1, 2), (3, 1), (2, 4)])
+    def test_image_on_the_unfolding_equals_apply(self, slots):
+        n, d, k = 4, 3, len(slots)
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal((d ** k, d ** k)) + 0j
+        states = rng.standard_normal((5,) + (d,) * n) + 0j
+        op = SlotOperator(block, slots)
+        image = op.image(unfold(states, slots))
+        assert image.shape == (5, d ** (n - k), d ** k)
+        want = op.apply(states)
+        assert np.abs(fold(image, slots, states.shape) - want).max() <= 1e-12
+        assert np.array_equal(fold(unfold(states, slots), slots,
+                                   states.shape), states)
+
+
+class TestSectorCoordinates:
+    def test_cap_bounds_the_sector_dimension(self):
+        # 2^100 product amplitudes, 101 bose coordinates
+        assert sector_dimension(ParticleSystem(100, 2, "bose")) == 101
+        with pytest.raises(DimensionCapError):
+            ParticleSystem(100, 2)
+        with pytest.raises(DimensionCapError, match="bose sector dimension"):
+            ParticleSystem(30, 4, "bose")  # C(33, 3) = 5456
+
+    @pytest.mark.parametrize("n,d,sector", [(3, 2, "bose"), (4, 3, "bose"),
+                                            (3, 4, "fermi")])
+    def test_draws_keep_the_stream(self, n, d, sector):
+        # the normals of the full-sector draw, as sector coordinates
+        system = ParticleSystem(n, d, sector)
+        batch = sample_states(system, 5, np.random.default_rng(3))
+        sdim = sector_dimension(system)
+        assert batch.factors.shape == (5, 1, sdim)
+        normals = np.random.default_rng(3).standard_normal((5, 1, 2, sdim))
+        v = normals[:, :, 0] + 1j * normals[:, :, 1]
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        assert np.abs(batch.factors - v).max() <= 1e-15
+
+    @pytest.mark.parametrize("n,d,sector", [(3, 2, "bose"), (4, 3, "bose"),
+                                            (3, 3, "fermi"), (4, 5, "fermi")])
+    def test_unfoldings_are_those_of_the_embedding(self, n, d, sector):
+        # rows in the (N-k)-particle basis, embedded, give the unfolding of
+        # the embedded state on slots 1..k
+        system = ParticleSystem(n, d, sector)
+        batch = sample_states(system, 3, 5)
+        dense = product_amplitudes(system, batch.vectors).reshape(
+            (3,) + (d,) * n)
+        for slots in ((1,), (1, 2)):
+            rest = ParticleSystem(n - len(slots), d, sector)
+            got = product_amplitudes(
+                rest, batch.unfold(slots).vectors.swapaxes(1, 2))
+            want = unfold(dense, slots).swapaxes(1, 2)
+            assert np.abs(got - want).max() <= 1e-15
