@@ -25,12 +25,12 @@ K Phi.  Bose and fermi samples stay in sector coordinates; their
 unfolding is one matrix for every pair, so one image per block serves
 all pairs.
 Relation C applies [P_a, Q_b] to all sampled wavefunctions together, as
-one ``TermBatch``.
+one ``TermBatch`` that also carries U_pi psi of the first few, so that
+one image per pair serves both the relation and the S_N check.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -70,6 +70,7 @@ from .schwartz import (
     draw_wavefunctions,
     monomials,
     pack,
+    stack,
     symmetric_product_state,
 )
 from .spin import SpinLabel, check_pair, pair_levels, pair_operator
@@ -367,7 +368,9 @@ def certify_relation(
     * decide_pair(a, b, generators): the relation for the pair on every
       sample, a ``Decision``, and whether K_{pi(a) pi(b)} U_pi psi =
       U_pi (K_ab psi) holds for every pi in generators on the samples it
-      checks.  Both facts come from one image K_ab psi per sample.
+      checks.  Both facts come from one image K_ab psi per sample.  A
+      check that reads two pairs' images may be reported by either pair;
+      the verdict reads every pair's.
 
     names are the samples' names.  A diagonal pair is reflexive when both
     routes say the relation holds; an off-diagonal pair fails when the
@@ -483,7 +486,16 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
 
 def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
               max_degree: int = 8, seed: int = 0) -> DiscernibilityReport:
-    """Exact symbolic certification of the commutator relation."""
+    """Exact symbolic certification of the commutator relation.
+
+    After the drawn wavefunctions (and the product state at 2s = 0) the
+    batch carries U_pi psi of the first h = min(3, owners) of them, one
+    block of h owners per generator pi.  [P_a, Q_b] is applied to the
+    whole batch once per pair: the drawn owners decide the relation, and
+    the S_N check compares U_pi applied to the first h owners of
+    image(a, b) with the pi block of image(pi(a), pi(b)).  That is N^2
+    commutators on the batch per cell, and N^2 on monomials.
+    """
     if n_particles < 2:
         raise ArityError("need at least two particles to discern")
     if max_degree + 2 > DEGREE_CAP:  # refused before any draw
@@ -505,33 +517,40 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
     if two_s == 0:
         # the bosonic direct-product case phi(q_1)...phi(q_N), with
         # phi = 1 + q/2 scaled by 2, as owner n_samples
-        product = pack([symmetric_product_state({0: (2, 0), 1: (1, 0)},
-                                                n_particles)])
-        product.rows[:, 0] = n_samples
-        batch = TermBatch(n_particles, 0, n_samples + 1,
-                          np.concatenate([batch.rows, product.rows]),
-                          np.concatenate([batch.coeffs, product.coeffs]))
+        batch = stack([batch, pack([symmetric_product_state(
+            {0: (2, 0), 1: (1, 0)}, n_particles)])])
+    owners = batch.n_owners
+    h = min(3, owners)
+    first = batch.head(h)
+    # one block per generator, in the order certify_relation passes them
+    batch = stack([batch] + [first.permute_slots(pi.mapping)
+                             for pi in Permutation.generators(n_particles)])
     # -i psi once per batch, not once per pair
     target = batch.mul_minus_i()
-    head = batch.head(3)  # the samples the invariance check reads
-
-    @functools.cache
-    def moved(pi: Permutation) -> TermBatch:
-        """U_pi psi for the samples of head."""
-        return head.permute_slots(pi.mapping)
+    # U_pi [P_a, Q_b] psi = [P_c, Q_d] U_pi psi with (c, d) = (pi(a), pi(b))
+    # reads the images of two pairs; per (generator, c, d), the side that
+    # came first waits here, an h-owner slice and never a whole image
+    sides: dict[tuple[int, int, int], TermBatch] = {}
 
     def decide_pair(a: int, b: int, generators: list[Permutation]):
         image = batch.commutator_PQ(a, b)
-        # symbolic invariance via slot relabeling on a few samples
-        first = image.head(3)
-        invariant = all(
-            first.permute_slots(pi.mapping)
-            .minus(moved(pi).commutator_PQ(pi(a), pi(b))).is_zero()
-            for pi in generators)
-        return decide_C(image, target), invariant
+        head = image.head(h)
+        invariant = True
+        for j, pi in enumerate(generators):
+            moved = image.owners(owners + j * h, owners + (j + 1) * h)
+            for key, side in (((j, pi(a), pi(b)),
+                               head.permute_slots(pi.mapping)),
+                              ((j, a, b), moved)):
+                other = sides.pop(key, None)
+                if other is None:
+                    sides[key] = side
+                else:
+                    invariant = invariant and other.minus(side).is_zero()
+        holds, branch = decide_C(image, target)
+        return (holds[:owners], branch), invariant
 
     return certify_relation(
-        report, [f"wavefunction[{i}]" for i in range(batch.n_owners)],
+        report, [f"wavefunction[{i}]" for i in range(owners)],
         # the identity proves [P_a,Q_a] = -i and [P_a,Q_b] = 0 != -i
         lambda a, b: ccr_identity_on_monomials(n_particles, max_degree, a, b),
         decide_pair)

@@ -16,9 +16,11 @@ Configuration space is one-dimensional per particle, which makes the
 commutator constant exactly -i hbar (hbar = 1).
 
 P, Q and the commutator have one implementation, ``TermBatch``: the
-terms of many wavefunctions as rows of integers, with like terms merged
-by sorting on a packed integer key.  ``apply_P``, ``apply_Q`` and
-``commutator_PQ_apply`` run it on a batch of one.
+terms of many wavefunctions as integer columns, one contiguous row per
+field (owner, then spin index and exponent per slot) and one per
+coefficient part, with like terms merged by sorting on a packed integer
+key.  ``apply_P``, ``apply_Q`` and ``commutator_PQ_apply`` run it on a
+batch of one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import DegreeCapError, IndexRangeError, ShapeError
 
 #: largest exponent of any q_k that a wavefunction may carry
 DEGREE_CAP = 32
-#: dtype of TermBatch rows; ``pack`` reads spin indices and exponents with
+#: dtype of TermBatch.rows; ``pack`` reads spin indices and exponents with
 #: np.fromiter, which refuses a value past int32 rather than wrap it
 _ROW_DTYPE = np.int32
 #: radix of an exponent digit in a packed term key: exponents run 0..DEGREE_CAP
@@ -44,10 +46,6 @@ _EXPONENT_RADIX = DEGREE_CAP + 1
 _INT64_FACTOR = 4 * (DEGREE_CAP + 1)
 #: largest coefficient part the kernel computes with in int64
 _INT64_SAFE = np.iinfo(np.int64).max // _INT64_FACTOR
-#: i (re + i im) = -im + i re and -i (re + i im) = im - i re, as factors
-#: of the swapped parts (im, re)
-_TIMES_I = np.array([-1, 1], dtype=np.int64)
-_TIMES_MINUS_I = np.array([1, -1], dtype=np.int64)
 #: lcm(1, ..., 9), a multiple of every denominator draw_wavefunctions draws
 _DRAW_LCM = 2520
 
@@ -135,29 +133,29 @@ def _exact(coeffs: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _key_layout(n_owners: int, n_particles: int,
-                two_s: int) -> list[tuple[slice, np.ndarray]]:
-    """The run of row columns each key word packs, and their place values.
+                two_s: int) -> list[list[tuple[int, int]]]:
+    """Per key word, the (row, radix) of each ``TermBatch`` row it packs.
 
     Digits are the owner, then (m_k, e_k) per slot, with radix n_owners,
     2s + 1 and _EXPONENT_RADIX; a word takes digits while their radices
-    multiply to at most 2^63, so it holds in int64.
+    multiply to at most 2^63, so it holds in int64.  A digit of radix 1
+    is always 0 and is left out.  A word is built by Horner's rule: its
+    first row, then times each next radix plus that row.
     """
     radices = [n_owners] + [two_s + 1, _EXPONENT_RADIX] * n_particles
-    words, start, size = [], 0, 1
-    # a radix past 2^63 at the end closes the last word
-    for col, radix in enumerate(radices + [2 ** 63 + 1]):
-        if size * radix > 2 ** 63 and col > start:
-            weights = [math.prod(radices[c + 1:col])
-                       for c in range(start, col)]
-            words.append((slice(start, col),
-                          np.array(weights, dtype=np.int64)))
-            start, size = col, 1
+    words, size = [[]], 1
+    for row, radix in enumerate(radices):
+        if size * radix > 2 ** 63:
+            words.append([])
+            size = 1
         size *= radix
-    return words
+        if radix > 1:
+            words[-1].append((row, radix))
+    return [word for word in words if word]
 
 
-def _exponent_column(n_particles: int, slot: int) -> int:
-    """Column of a 1-based slot's exponent in a ``TermBatch`` row."""
+def _exponent_row(n_particles: int, slot: int) -> int:
+    """Row of a 1-based slot's exponents in a ``TermBatch``."""
     if not 1 <= slot <= n_particles:
         raise IndexRangeError(f"slot {slot} out of range 1..{n_particles}")
     return 2 * slot
@@ -165,14 +163,17 @@ def _exponent_column(n_particles: int, slot: int) -> int:
 
 @dataclass(eq=False)
 class TermBatch:
-    """The terms of many wavefunctions, as integer rows: one exact kernel.
+    """The terms of many wavefunctions, as integer columns: one exact kernel.
 
-    Row t is (owner, m_1, e_1, ..., m_N, e_N): the index of the
-    wavefunction it belongs to, then the spin index and the exponent of
-    each slot.  coeffs[t] is its (re, im) coefficient, int64, or Python
-    ints (``dtype=object``) when int64 could overflow (``_exact``).  The
-    operators return row sets in which a term may repeat; ``merged`` sums
-    like terms and drops zeros.  No float enters any operation.
+    Term t is column t of ``rows``, (owner, m_1, e_1, ..., m_N, e_N): the
+    index of the wavefunction it belongs to, then the spin index and the
+    exponent of each slot.  ``rows`` is (2N + 1, n_terms) and ``coeffs``
+    (2, n_terms), coeffs[0] the real and coeffs[1] the imaginary parts,
+    int64, or Python ints (``dtype=object``) when int64 could overflow
+    (``_exact``).  Every row is contiguous, so gathers, masks and segment
+    sums run over one row at a time.  The operators return batches in
+    which a term may repeat; ``merged`` sums like terms and drops zeros.
+    No float enters any operation.
     """
 
     n_particles: int
@@ -188,14 +189,14 @@ class TermBatch:
                          rows, coeffs)
 
     def _raised(self, slot: int) -> tuple[int, np.ndarray]:
-        """The exponent column of slot, and the rows with it raised by 1."""
-        col = _exponent_column(self.n_particles, slot)
-        if self.rows[:, col].max(initial=0) >= DEGREE_CAP:
+        """The exponent row of slot, and the rows with it raised by 1."""
+        row = _exponent_row(self.n_particles, slot)
+        if self.rows[row].max(initial=0) >= DEGREE_CAP:
             raise DegreeCapError(
                 f"exponent of slot {slot} exceeds cap {DEGREE_CAP}")
         rows = self.rows.copy()
-        rows[:, col] += 1
-        return col, rows
+        rows[row] += 1
+        return row, rows
 
     def q(self, slot: int) -> "TermBatch":
         """Position operator: multiply every wavefunction by q_slot."""
@@ -206,19 +207,22 @@ class TermBatch:
 
         On q^e exp(-q^2/2) the derivative is (e q^(e-1) - q^(e+1))
         exp(-q^2/2), so c q^e maps to i c q^(e+1) - i e c q^(e-1): the
-        raised row with coefficient (-im, re) and, where e > 0, the
-        lowered row with (e im, -e re).
+        raised term with coefficient (-im, re) and, where e > 0, the
+        lowered term with (e im, -e re).
         """
-        col, up = self._raised(slot)
-        lower = self.rows[:, col] > 0
-        down = self.rows[lower]
-        e = down[:, col:col + 1].copy()
-        down[:, col] -= 1
-        swapped = _exact(self.coeffs)[:, ::-1]  # (im, re)
-        return self._with(
-            np.concatenate([up, down]),
-            np.concatenate([swapped * _TIMES_I,
-                            swapped[lower] * e * _TIMES_MINUS_I]))
+        row, up = self._raised(slot)
+        lower = np.flatnonzero(self.rows[row])
+        down = self.rows.take(lower, axis=1)
+        e = down[row].copy()
+        down[row] -= 1
+        re, im = _exact(self.coeffs)
+        coeffs = np.empty((2, len(re) + len(lower)), dtype=re.dtype)
+        raised, lowered = coeffs[:, :len(re)], coeffs[:, len(re):]
+        np.negative(im, out=raised[0])
+        raised[1] = re
+        np.multiply(e, im.take(lower), out=lowered[0])
+        np.multiply(-e, re.take(lower), out=lowered[1])
+        return self._with(np.concatenate([up, down], axis=1), coeffs)
 
     def commutator_PQ(self, a: int, b: int) -> "TermBatch":
         """[P_a, Q_b] psi = P_a Q_b psi - Q_b P_a psi on every psi, merged.
@@ -227,14 +231,15 @@ class TermBatch:
         zero wavefunction when a != b.
         """
         pq, qp = self.q(b).p(a), self.p(a).q(b)
-        both = self._with(np.concatenate([pq.rows, qp.rows]),
-                          np.concatenate([pq.coeffs, -qp.coeffs]))
+        both = self._with(np.concatenate([pq.rows, qp.rows], axis=1),
+                          np.concatenate([pq.coeffs, -qp.coeffs], axis=1))
         del pq, qp  # freed before the merge, where memory peaks
         return both.merged()
 
     def mul_minus_i(self) -> "TermBatch":
         """-i psi on every psi: (re + i im)(-i) = im - i re."""
-        return self._with(self.rows, self.coeffs[:, ::-1] * _TIMES_MINUS_I)
+        re, im = self.coeffs
+        return self._with(self.rows, np.stack([im, -re]))
 
     def minus(self, other: "TermBatch") -> "TermBatch":
         """self - other, owner by owner, merged."""
@@ -242,56 +247,75 @@ class TermBatch:
                 (self.n_particles, self.two_s, self.n_owners):
             raise ShapeError("term batch shape mismatch")
         return self._with(
-            np.concatenate([self.rows, other.rows]),
-            np.concatenate([_exact(self.coeffs), -_exact(other.coeffs)]),
+            np.concatenate([self.rows, other.rows], axis=1),
+            np.concatenate([_exact(self.coeffs), -_exact(other.coeffs)],
+                           axis=1),
         ).merged()
 
+    def owners(self, start: int, stop: int) -> "TermBatch":
+        """The terms of wavefunctions start..stop-1, renumbered from 0."""
+        keep = np.flatnonzero((self.rows[0] >= start)
+                              & (self.rows[0] < stop))
+        rows = self.rows.take(keep, axis=1)
+        rows[0] -= start
+        return self._with(rows, self.coeffs.take(keep, axis=1),
+                          max(0, min(stop, self.n_owners) - start))
+
     def head(self, count: int) -> "TermBatch":
-        """The rows of the first count wavefunctions."""
-        keep = self.rows[:, 0] < count
-        return self._with(self.rows[keep], self.coeffs[keep],
-                          min(count, self.n_owners))
+        """The terms of the first count wavefunctions."""
+        return self.owners(0, count)
 
     def permute_slots(self, mapping: tuple[int, ...]) -> "TermBatch":
         """Permute particles: slot k's (m_k, e_k) moves to slot mapping[k]."""
         source = [0] * self.n_particles
         for k, target in enumerate(mapping):
             source[target - 1] = k
-        columns = [0] + [2 * k + j for k in source for j in (1, 2)]
-        return self._with(self.rows[:, columns], self.coeffs)
+        rows = [0] + [2 * k + j for k in source for j in (1, 2)]
+        return self._with(self.rows.take(rows, axis=0), self.coeffs)
 
     def nonzero_owners(self) -> np.ndarray:
-        """Per wavefunction, whether it has a row (on a merged batch: is
+        """Per wavefunction, whether it has a term (on a merged batch: is
         nonzero)."""
         found = np.zeros(self.n_owners, dtype=bool)
-        found[self.rows[:, 0]] = True
+        found[self.rows[0]] = True
         return found
 
     def is_zero(self) -> bool:
-        return not len(self.rows)
+        return not self.rows.shape[1]
 
     def merged(self) -> "TermBatch":
         """Like terms of each owner summed, zero coefficients dropped.
 
-        Sorts on the packed key words, sums each run of equal keys with
-        ``np.add.reduceat``.
+        Sorts on the packed key words and adds every coefficient into
+        the sum of its run of equal keys (``np.add.at``).
         """
-        if not len(self.rows):
+        n_terms = self.rows.shape[1]
+        if not n_terms:
             return self
         # owner and term packed into int64 words: equal in every word means
         # the same owner and term
-        words = [np.einsum("ij,j->i", self.rows[:, cols], weights)
-                 for cols, weights
-                 in _key_layout(self.n_owners, self.n_particles, self.two_s)]
+        words = []
+        for (first, _), *digits in _key_layout(
+                self.n_owners, self.n_particles, self.two_s):
+            word = self.rows[first].astype(np.int64)
+            for row, radix in digits:
+                word *= radix
+                word += self.rows[row]
+            words.append(word)
         order = np.lexsort(words[::-1])
-        same = np.ones(len(order) - 1, dtype=bool)  # row i + 1 repeats row i
+        fresh = np.zeros(n_terms, dtype=bool)  # sorted term i starts a run
+        fresh[0] = True
         for word in words:
-            word = word[order]
-            same &= word[1:] == word[:-1]
-        starts = np.flatnonzero(np.concatenate([[True], ~same]))
-        coeffs = np.add.reduceat(self.coeffs[order], starts, axis=0)
-        keep = (coeffs != 0).any(axis=1)
-        return self._with(self.rows[order[starts[keep]]], coeffs[keep])
+            word = word.take(order)
+            fresh[1:] |= word[1:] != word[:-1]
+        run = np.cumsum(fresh) - 1  # the run of each sorted term
+        sums = np.zeros((2, run[-1] + 1), dtype=self.coeffs.dtype)
+        for total, part in zip(sums, self.coeffs):
+            np.add.at(total, run, part.take(order))
+        keep = np.flatnonzero((sums[0] != 0) | (sums[1] != 0))
+        kept = order.take(np.flatnonzero(fresh).take(keep))
+        return self._with(self.rows.take(kept, axis=1),
+                          sums.take(keep, axis=1))
 
     def unpack(self) -> list[SpinorWavefunction]:
         """One wavefunction per owner, from a batch with no repeated term.
@@ -300,8 +324,9 @@ class TermBatch:
         degree cap, so the results skip ``__post_init__``.
         """
         terms: list[dict[Term, Coeff]] = [{} for _ in range(self.n_owners)]
-        for row, (re, im) in zip(self.rows.tolist(), self.coeffs.tolist()):
-            terms[row[0]][tuple(zip(row[1::2], row[2::2]))] = (re, im)
+        re, im = self.coeffs.tolist()
+        for row, c in zip(self.rows.T.tolist(), zip(re, im)):
+            terms[row[0]][tuple(zip(row[1::2], row[2::2]))] = c
         out = [object.__new__(SpinorWavefunction) for _ in terms]
         for wf, t in zip(out, terms):
             wf.__dict__.update(n_particles=self.n_particles,
@@ -315,13 +340,13 @@ def pack(wavefunctions: Sequence[SpinorWavefunction]) -> TermBatch:
     if any((wf.n_particles, wf.two_s) != (n, two_s) for wf in wavefunctions):
         raise ShapeError("spinor shape mismatch")
     count = sum(len(wf.terms) for wf in wavefunctions)
-    rows = np.empty((count, 2 * n + 1), dtype=_ROW_DTYPE)
-    rows[:, 0] = np.repeat(np.arange(len(wavefunctions)),
-                           [len(wf.terms) for wf in wavefunctions])
+    rows = np.empty((2 * n + 1, count), dtype=_ROW_DTYPE)
+    rows[0] = np.repeat(np.arange(len(wavefunctions)),
+                        [len(wf.terms) for wf in wavefunctions])
     flat = itertools.chain.from_iterable
-    rows[:, 1:] = np.fromiter(
+    rows[1:] = np.fromiter(
         flat(flat(flat(wf.terms for wf in wavefunctions))),
-        dtype=_ROW_DTYPE, count=count * 2 * n).reshape(count, 2 * n)
+        dtype=_ROW_DTYPE, count=count * 2 * n).reshape(count, 2 * n).T
 
     def parts():
         return flat(flat(wf.terms.values() for wf in wavefunctions))
@@ -329,7 +354,22 @@ def pack(wavefunctions: Sequence[SpinorWavefunction]) -> TermBatch:
         else object
     coeffs = np.fromiter(parts(), dtype=dtype, count=2 * count)
     return TermBatch(n, two_s, len(wavefunctions), rows,
-                     coeffs.reshape(count, 2))
+                     np.stack([coeffs[0::2], coeffs[1::2]]))
+
+
+def stack(batches: Sequence[TermBatch]) -> TermBatch:
+    """One batch of every batch's wavefunctions, in order: the owners of
+    batches[k] follow those of batches[k - 1]."""
+    first = batches[0]
+    if any((b.n_particles, b.two_s) != (first.n_particles, first.two_s)
+           for b in batches):
+        raise ShapeError("term batch shape mismatch")
+    offsets = np.cumsum([0] + [b.n_owners for b in batches])
+    rows = np.concatenate([b.rows for b in batches], axis=1)
+    rows[0] += np.repeat(offsets[:-1].astype(_ROW_DTYPE),
+                         [b.rows.shape[1] for b in batches])
+    return first._with(rows, np.concatenate([b.coeffs for b in batches],
+                                            axis=1), int(offsets[-1]))
 
 
 def monomials(n_particles: int, slots: Sequence[int],
@@ -339,14 +379,15 @@ def monomials(n_particles: int, slots: Sequence[int],
     if max_degree > DEGREE_CAP:
         raise DegreeCapError(
             f"max_degree {max_degree} exceeds cap {DEGREE_CAP}")
-    cols = [_exponent_column(n_particles, slot) for slot in slots]
-    exps = np.indices([max_degree + 1] * len(cols)).reshape(len(cols), -1)
+    exponent_rows = [_exponent_row(n_particles, slot) for slot in slots]
+    exps = np.indices([max_degree + 1] * len(slots)).reshape(len(slots), -1)
     count = exps.shape[1]
-    rows = np.zeros((count, 2 * n_particles + 1), dtype=_ROW_DTYPE)
-    rows[:, 0] = np.arange(count)
-    rows[:, cols] = exps.T
-    return TermBatch(n_particles, 0, count, rows,
-                     np.tile(np.array([1, 0], np.int64), (count, 1)))
+    rows = np.zeros((2 * n_particles + 1, count), dtype=_ROW_DTYPE)
+    rows[0] = np.arange(count)
+    rows[exponent_rows] = exps
+    coeffs = np.zeros((2, count), dtype=np.int64)
+    coeffs[0] = 1
+    return TermBatch(n_particles, 0, count, rows, coeffs)
 
 
 def apply_Q(psi: SpinorWavefunction, slot: int) -> SpinorWavefunction:
@@ -380,7 +421,7 @@ def draw_wavefunctions(n_particles: int, max_degree: int, two_s: int,
     Generator, seeded by SeedSequence([seed, two_s, n_particles]), draws
     the spins (count * 4, N), the monomial counts (count * 4), the
     exponents (terms, N), the numerators (terms, 2) and the denominators
-    (terms, 1), in that order.  A wavefunction whose terms all cancel
+    (terms), in that order.  A wavefunction whose terms all cancel
     gets the constant term with every spin index 0, so none is zero: the
     zero wavefunction would satisfy relation C on every pair.  Each is
     returned scaled to coprime Gaussian integers.
@@ -393,26 +434,27 @@ def draw_wavefunctions(n_particles: int, max_degree: int, two_s: int,
     spins = rng.integers(0, two_s + 1, size=(4 * count, n_particles))
     per_config = rng.integers(1, 5, size=4 * count)
     n_terms = int(per_config.sum())
-    rows = np.empty((n_terms, 2 * n_particles + 1), dtype=_ROW_DTYPE)
-    rows[:, 0] = np.repeat(np.arange(4 * count) // 4, per_config)
-    rows[:, 1::2] = np.repeat(spins, per_config, axis=0)
-    rows[:, 2::2] = rng.integers(0, max_degree + 1,
-                                 size=(n_terms, n_particles))
+    rows = np.empty((2 * n_particles + 1, n_terms), dtype=_ROW_DTYPE)
+    rows[0] = np.repeat(np.arange(4 * count) // 4, per_config)
+    rows[1::2] = np.repeat(spins.T, per_config, axis=1)
+    rows[2::2] = rng.integers(0, max_degree + 1,
+                              size=(n_terms, n_particles)).T
     # coefficients are held exactly as numerators over _DRAW_LCM
     numerators = rng.integers(-9, 10, size=(n_terms, 2))
-    coeffs = numerators * (_DRAW_LCM // rng.integers(1, 10, (n_terms, 1)))
+    scale = _DRAW_LCM // rng.integers(1, 10, n_terms)
+    coeffs = np.stack([numerators[:, 0], numerators[:, 1]]) * scale
     batch = TermBatch(n_particles, two_s, count, rows, coeffs).merged()
-    # rows are sorted by owner, and an owner left with none gets its
+    # terms are sorted by owner, and an owner left with none gets its
     # constant term in its place
     empty = np.flatnonzero(~batch.nonzero_owners())
-    at = np.searchsorted(batch.rows[:, 0], empty)
-    constant = np.zeros((len(empty), 2 * n_particles + 1), dtype=_ROW_DTYPE)
-    constant[:, 0] = empty
-    rows = np.insert(batch.rows, at, constant, axis=0)
-    coeffs = np.insert(batch.coeffs, at, [1, 0], axis=0)
-    starts = np.searchsorted(rows[:, 0], np.arange(count))
-    g = np.gcd.reduceat(np.gcd(coeffs[:, 0], coeffs[:, 1]), starts)
-    return batch._with(rows, coeffs // g[rows[:, 0], None])
+    at = np.searchsorted(batch.rows[0], empty)
+    constant = np.zeros((2 * n_particles + 1, len(empty)), dtype=_ROW_DTYPE)
+    constant[0] = empty
+    rows = np.insert(batch.rows, at, constant, axis=1)
+    coeffs = np.insert(batch.coeffs, at, [[1], [0]], axis=1)
+    starts = np.searchsorted(rows[0], np.arange(count))
+    g = np.gcd.reduceat(np.gcd(coeffs[0], coeffs[1]), starts)
+    return batch._with(rows, coeffs // g.take(rows[0]))
 
 
 def random_wavefunction(n_particles: int, max_degree: int, spin_two_s: int,

@@ -43,6 +43,7 @@ from discernlab.schwartz import (
     draw_wavefunctions,
     pack,
     random_wavefunction,
+    stack,
 )
 from discernlab.spin import (
     SpinLabel,
@@ -306,6 +307,23 @@ class TestCertify:
             assert all(p["witness"] is None
                        for p in report.pairs if p["a"] == p["b"])
 
+    # perfbench's warmup cell is (N=2, 2s=1, 2 wavefunctions, degree 2)
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    @pytest.mark.parametrize("n,two_s,degree", [
+        (2, 0, 2), (3, 0, 4), (2, 1, 2), (3, 2, 4), (4, 1, 3)])
+    def test_C_small_batches(self, n, two_s, degree, n_samples):
+        # fewer owners than the 3 the S_N check reads: at 2s = 0 the
+        # product state is appended, so 2 or 3 owners, otherwise 1 or 2
+        report = certify_C(n, two_s, n_samples, degree, seed=3)
+        assert report.verdict == "weakly_discerning"
+        assert report.permutation_invariant
+        assert report.pairs == [
+            {"a": a, "b": b, "reflexive": True if a == b else None,
+             "off_diagonal_fails": None if a == b else True,
+             "witness": None if a == b
+             else "wavefunction[0]:commutator_zero"}
+            for a in range(1, n + 1) for b in range(1, n + 1)]
+
     # the six c-exact cells and the n-scale C cell of perfbench/run.py
     @pytest.mark.parametrize("n,two_s,samples,degree", [
         (2, 0, 200, 8), (2, 1, 200, 8), (2, 3, 200, 8), (3, 0, 200, 8),
@@ -444,21 +462,21 @@ class TestWrongMomentumIsCaught:
         """P_a with its lowering row dropped (None), or with factor
         e + lowering in place of e (0 is the true operator)."""
         def p(self, slot):
-            col = 2 * slot  # a row is (owner, m_1, e_1, ..., m_N, e_N)
-            re, im = self.coeffs[:, 0], self.coeffs[:, 1]
+            row = 2 * slot  # a column is (owner, m_1, e_1, ..., m_N, e_N)
+            re, im = self.coeffs
             up = self.rows.copy()
-            up[:, col] += 1
-            rows, coeffs = [up], [np.stack([-im, re], axis=1)]
-            lower = self.rows[:, col] > 0
+            up[row] += 1
+            rows, coeffs = [up], [np.stack([-im, re])]
+            lower = self.rows[row] > 0
             if lowering is not None:
-                down = self.rows[lower]
-                down[:, col] -= 1
-                f = down[:, col] + 1 + lowering
+                down = self.rows[:, lower]
+                down[row] -= 1
+                f = down[row] + 1 + lowering
                 rows.append(down)
-                coeffs.append(np.stack([f * im[lower], -f * re[lower]],
-                                       axis=1))
+                coeffs.append(np.stack([f * im[lower], -f * re[lower]]))
             return TermBatch(self.n_particles, self.two_s, self.n_owners,
-                             np.concatenate(rows), np.concatenate(coeffs))
+                             np.concatenate(rows, axis=1),
+                             np.concatenate(coeffs, axis=1))
         return p
 
     @pytest.mark.parametrize("lowering, branch", [
@@ -621,27 +639,28 @@ class TestOneImagePerPair:
             <= pieces * blocks * (1 + generators)
         assert sorted(len(slots) for slots, _ in calls) == [1, 1, 2, 2]
 
-    def test_C_applies_the_kernel_once_per_pair_plus_once_per_generator(
-            self, monkeypatch):
+    def test_C_applies_the_kernel_once_per_pair(self, monkeypatch):
         calls = []
         kernel = TermBatch.commutator_PQ
 
         def counted(self, a, b):
-            calls.append((self.n_owners, a, b))
+            calls.append((self.n_owners, a, b, set(self.rows[0].tolist())))
             return kernel(self, a, b)
 
         monkeypatch.setattr(TermBatch, "commutator_PQ", counted)
-        # 4 drawn wavefunctions and the bosonic product state
+        # 4 drawn wavefunctions and the bosonic product state, then U_pi
+        # psi of the first 3 for each of the 2 generators
         report = certify_C(3, 0, n_samples=4, max_degree=3, seed=1)
         assert report.verdict == "weakly_discerning"
         pairs = sorted((a, b) for a in range(1, 4) for b in range(1, 4))
-        # per pair: the sampled route on all 5 at once, the S_N check on
-        # the first 3 per generator, and the monomial route on the 4 or
-        # 16 monomials in q_a, q_b of degree at most 3
-        assert sorted(c[1:] for c in calls if c[0] == 5) == pairs
-        assert len([c for c in calls if c[0] == 3]) == 9 * 2
-        assert sorted(c[1:] for c in calls if c[0] in (4, 16)) == pairs
-        assert len(calls) == 9 * (1 + 2 + 1)
+        # per pair: the sampled route and the S_N check on all 11 at
+        # once, and the monomial route on the 4 or 16 monomials in q_a,
+        # q_b of degree at most 3
+        assert sorted(c[1:3] for c in calls if c[0] == 5 + 2 * 3) == pairs
+        assert sorted(c[1:3] for c in calls if c[0] in (4, 16)) == pairs
+        assert len(calls) == 9 + 9
+        # every pair's image reads the moved owners 5..10
+        assert all(c[3] == set(range(11)) for c in calls if c[0] == 11)
 
 
 class TestCertificateIsNotVacuous:
@@ -771,6 +790,70 @@ class TestInvarianceIsNotVacuous:
                            n_mixed_samples=1)
         assert not report.permutation_invariant
         assert report.verdict == "violated"
+
+
+class TestCInvarianceIsNotVacuous:
+    """Relation C's S_N check compares two different pairs' images."""
+
+    @staticmethod
+    def plus_psi(monkeypatch, pairs):
+        """[P_a, Q_b] psi + psi on the given pairs, on the sampled batch
+        only (2s = 1; the monomial route's batches have 2s = 0)."""
+        kernel = TermBatch.commutator_PQ
+
+        def wrong(self, a, b):
+            image = kernel(self, a, b)
+            if self.two_s == 0 or (a, b) not in pairs:
+                return image
+            minus_psi = TermBatch(self.n_particles, self.two_s,
+                                  self.n_owners, self.rows, -self.coeffs)
+            return image.minus(minus_psi)
+
+        monkeypatch.setattr(TermBatch, "commutator_PQ", wrong)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_pair_set_breaks_invariance(self, monkeypatch, n):
+        self.plus_psi(monkeypatch, {(1, 2), (2, 1)})
+        report = certify_C(n, 1, n_samples=5, max_degree=4, seed=0)
+        assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
+        assert all(p["off_diagonal_fails"] for p in report.pairs
+                   if p["a"] != p["b"])
+        assert report.pairs[1]["witness"] == "wavefunction[0]:commutator_other"
+        assert not report.permutation_invariant
+        assert report.verdict == "violated"
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_pair_alike_stays_invariant(self, monkeypatch, n):
+        self.plus_psi(monkeypatch, {(a, b) for a in range(1, n + 1)
+                                    for b in range(1, n + 1) if a != b})
+        report = certify_C(n, 1, n_samples=5, max_degree=4, seed=0)
+        assert report.permutation_invariant
+        assert report.verdict == "weakly_discerning"
+
+    def test_moved_owners_are_not_samples(self, monkeypatch):
+        # on the 4 drawn and 2 * 3 moved owners, the moved owners' images
+        # fail C on the diagonal and satisfy it off it: only the S_N check
+        # reads them
+        kernel = TermBatch.commutator_PQ
+
+        def wrong(self, a, b):
+            image = kernel(self, a, b)
+            if self.n_owners != 10:
+                return image
+            moved = self.owners(4, 10).mul_minus_i()
+            if a == b:
+                moved = TermBatch(3, 1, 6, moved.rows[:, :0],
+                                  moved.coeffs[:, :0])
+            return stack([image.head(4), moved])
+
+        monkeypatch.setattr(TermBatch, "commutator_PQ", wrong)
+        report = certify_C(3, 1, n_samples=4, max_degree=3, seed=1)
+        assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
+        off = [p for p in report.pairs if p["a"] != p["b"]]
+        assert all(p["off_diagonal_fails"] for p in off)
+        assert {p["witness"] for p in off} == \
+            {"wavefunction[0]:commutator_zero"}
+        assert not report.permutation_invariant
 
 
 class TestNegativeControlsInSectors(TestNegativeControls):

@@ -170,10 +170,9 @@ class TestDrawWavefunctions:
         batch = draw_wavefunctions(n, 5, two_s, 40, 7)
         assert batch.n_owners == 40 and batch.coeffs.dtype == np.int64
         assert batch.nonzero_owners().all()
-        assert 0 <= batch.rows[:, 1::2].min() <= batch.rows[:, 1::2].max() \
+        assert 0 <= batch.rows[1::2].min() <= batch.rows[1::2].max() \
             <= two_s
-        assert 0 <= batch.rows[:, 2::2].min() <= batch.rows[:, 2::2].max() \
-            <= 5
+        assert 0 <= batch.rows[2::2].min() <= batch.rows[2::2].max() <= 5
         for psi in batch.unpack():
             # the unpacked terms pass the constructor's checks unchanged
             assert SpinorWavefunction(n, two_s, psi.terms) == psi
@@ -186,7 +185,7 @@ class TestDrawWavefunctions:
                    for seed in (5, 5, 6))
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.coeffs, b.coeffs)
-        assert not np.array_equal(a.coeffs[:10], c.coeffs[:10])
+        assert not np.array_equal(a.coeffs[:, :10], c.coeffs[:, :10])
 
     def test_cancelled_draw_gets_the_constant_term(self):
         # found by search: at 2s = 0 and degree 0 every term of a draw is
