@@ -308,6 +308,7 @@ class TermBatch:
         for word in words:
             word = word.take(order)
             fresh[1:] |= word[1:] != word[:-1]
+        del words, word  # freed before the sums, where memory peaks
         run = np.cumsum(fresh) - 1  # the run of each sorted term
         sums = np.zeros((2, run[-1] + 1), dtype=self.coeffs.dtype)
         for total, part in zip(sums, self.coeffs):
