@@ -191,13 +191,16 @@ def relation_T_holds(a: int, b: int, state, label: SpinLabel,
 def decide_C(image: TermBatch, target: TermBatch) -> Decision:
     """Relation C on every wavefunction psi of a batch.
 
-    image is [P_a, Q_b] psi, merged, and target is -i psi, passed in so
-    that a caller deciding many pairs on one batch computes it once.
+    image is [P_a, Q_b] psi, merged, and target is -i psi, merged, passed
+    in so that a caller deciding many pairs on one batch computes it once.
     Exact, zero tolerance: C holds on psi when image - target leaves no
-    term of psi.  On failure the branch is "commutator_zero" when the
-    image of psi is zero, otherwise "commutator_other".
+    term of psi; on an empty image (a != b) that is -target, already
+    merged, so no merge runs.  On failure the branch is
+    "commutator_zero" when the image of psi is zero, otherwise
+    "commutator_other".
     """
-    holds = ~image.minus(target).nonzero_owners()
+    holds = ~(target if image.is_zero()
+              else image.minus(target)).nonzero_owners()
     nonzero = image.nonzero_owners()
     return holds, lambda i: ("commutator_other" if nonzero[i]
                              else "commutator_zero")
@@ -243,8 +246,9 @@ def permutation_invariance_check(k: SlotOperator, pi: Permutation,
     k is K_{pi(a) pi(b)}, states a batch shaped (count, d, ..., d), image
     the sampled route's K_ab applied to it, and U_pi the exact transpose
     of the slot axes.  Both sides are compared unfolded on k's slots, k
-    applied by one matmul.  Checking states rather than (block, a, b)
-    descriptors catches a block applied on the wrong slots.
+    applied by one matmul.  The full sector's check when k is not K_ab's
+    block on pi's image of its slots (``sampled_route_T``), and the
+    oracle of the identity that makes that case hold with no product.
     """
     axes = (0,) + tuple(1 + j for j in slot_axes(pi))
     diff = k.image(unfold(states.transpose(axes), k.slots))
@@ -264,22 +268,20 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
     """Relation T's decide_pair for ``certify_relation``.
 
     K_ab = family(a, b) is applied to each batch piece unfolded on its
-    slots (``block_kernel``).
+    slots (``block_kernel``).  Bose and fermi unfold every pair to one
+    matrix Phi, up to a fermi sign that value, residual and the S_N check
+    do not see, so value and residual, cached by block object, serve
+    every pair the block is placed on.
 
-    * Full sector: Phi differs per pair.  Per generator pi, K_{pi(a) pi(b)}
-      is applied to the unfolding of U_pi psi and compared with U_pi K_ab
-      psi (``permutation_invariance_check``): 1 + |generators| block
-      products per pair and piece.
-    * Bose and fermi: Phi is one matrix for every pair, up to a fermi
-      sign that value, residual and the check below do not see.  So a
-      block is applied to a piece once, and its value and residual,
-      cached by block object, serve every pair it is placed on.  U_pi psi
-      = +-psi, and the state check reduces to images: K_{pi(a) pi(b)} Phi
-      must equal K_ab Phi when K_{pi(a) pi(b)} sits on (pi(a), pi(b)) in
-      K_ab's slot order, and (P K_ab P) Phi when it sits on them
-      reversed, P the swap of the two slots.  The same block object in
-      the same order has the same image; any other pair of blocks, as in
-      a label-dependent or misplaced family, is applied and compared.
+    One S_N rule serves every sector.  U_pi transposes slot axes, so
+    U_pi K U_pi^dagger is K's block on the slots pi(s), s in K's slots:
+    when K_{pi(a) pi(b)} is that block object on those slots, the check
+    holds with no product, which leaves the certifier's own family one
+    block product per pair and piece.  Any other block is applied: the
+    full sector compares states (``permutation_invariance_check``); bose
+    and fermi, where U_pi psi = +-psi, compare K_{pi(a) pi(b)} Phi with
+    K_ab Phi on (pi(a), pi(b)) in K_ab's slot order, with (P K_ab P) Phi
+    on them reversed (P the slot swap), and fail on any other slots.
     """
     kernels = [{} for _ in batches]  # per piece: id(block) -> block, v, r
 
@@ -289,17 +291,22 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
             kernels[i][id(k.block)] = k.block, value, residual
         return kernels[i][id(k.block)][1:]
 
-    def sector_invariant(i: int, k: SlotOperator, moved: SlotOperator,
-                         pi: Permutation) -> bool:
+    def commutes(i: int, k: SlotOperator, image, pi: Permutation,
+                 moved: SlotOperator) -> bool:
         slots = tuple(pi(s) for s in k.slots)
+        if moved.slots == slots and moved.block is k.block:
+            return True
+        batch = batches[i]
+        if not batch.unfoldings:  # image is K_ab Phi
+            states = batch.vectors
+            return permutation_invariance_check(
+                moved, pi, states, fold(image, k.slots, states.shape), tol)
         if moved.slots != slots:
             if moved.slots != slots[::-1] or len(slots) != 2:
                 return False
             k = swapped(k)
-        if moved.block is k.block:
-            return True
-        diff = moved.image(batches[i].unfold(moved.slots).vectors)
-        diff -= k.image(batches[i].unfold(k.slots).vectors)
+        diff = moved.image(batch.unfold(moved.slots).vectors)
+        diff -= k.image(batch.unfold(k.slots).vectors)
         return float(np.abs(diff).max(initial=0.0)) <= tol
 
     def decide_pair(a: int, b: int, generators: list[Permutation]):
@@ -307,16 +314,11 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
         moved = [(pi, family(pi(a), pi(b))) for pi in generators]
         for i, batch in enumerate(batches):
             if batch.unfoldings:
-                value, residual = sector_kernel(i, k)
-                invariant = invariant and all(
-                    sector_invariant(i, k, k2, pi) for pi, k2 in moved)
+                image, (value, residual) = None, sector_kernel(i, k)
             else:
                 image, value, residual = block_kernel(k, batch.unfold(k.slots))
-                states = batch.vectors
-                image = fold(image, k.slots, states.shape)
-                invariant = invariant and all(
-                    permutation_invariance_check(k2, pi, states, image, tol)
-                    for pi, k2 in moved)
+            invariant = invariant and all(
+                commutes(i, k, image, pi, k2) for pi, k2 in moved)
             values.append(value)
             residuals.append(residual)
         decision = decide_T(np.concatenate(values), np.concatenate(residuals),
@@ -368,9 +370,10 @@ def certify_relation(
     * decide_pair(a, b, generators): the relation for the pair on every
       sample, a ``Decision``, and whether K_{pi(a) pi(b)} U_pi psi =
       U_pi (K_ab psi) holds for every pi in generators on the samples it
-      checks.  Both facts come from one image K_ab psi per sample.  A
-      check that reads two pairs' images may be reported by either pair;
-      the verdict reads every pair's.
+      checks.  Both facts come from one image K_ab psi per sample, and
+      T's check takes no other when K_{pi(a) pi(b)} is K_ab's block
+      moved by pi.  A check that reads two pairs' images may be reported
+      by either pair; the verdict reads every pair's.
 
     names are the samples' names.  A diagonal pair is reflexive when both
     routes say the relation holds; an off-diagonal pair fails when the

@@ -216,6 +216,25 @@ class TestRelationC:
         assert list(holds) == [False, True]
         assert branch(0) == "commutator_other"
 
+    @pytest.mark.parametrize("n,two_s", [(2, 1), (3, 0), (3, 2)])
+    def test_decide_C_on_an_empty_image_equals_the_merge(self, n, two_s):
+        # drawn wavefunctions around the zero one, which holds on every pair
+        batch = stack([draw_wavefunctions(n, 4, two_s, 4, 0),
+                       pack([SpinorWavefunction(n, two_s, {})]),
+                       draw_wavefunctions(n, 4, two_s, 3, 1)])
+        want = [False] * 4 + [True] + [False] * 3
+        for target in (batch.mul_minus_i(), batch):
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    image = batch.commutator_PQ(a, b)
+                    assert image.is_zero() == (a != b)
+                    holds, branch = decide_C(image, target)
+                    merge = ~image.minus(target).nonzero_owners()
+                    assert list(holds) == list(merge)
+                    if a != b:
+                        assert list(holds) == want
+                        assert branch(0) == "commutator_zero"
+
 
 class TestPermutationInvariance:
     def test_pair_operator_family(self):
@@ -269,6 +288,35 @@ class TestPermutationInvariance:
         family = lambda a, b: pair_total_spin_squared(label, a, b, system)
         assert report.permutation_invariant
         assert invariant_on_all_of_s_n(family, system, 1e-8)
+
+    @pytest.mark.parametrize("two_s", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_skipped_products_hold_on_sampled_states(self, n, two_s):
+        # the pipeline skips K_{pi(a) pi(b)} U_pi psi for its own family,
+        # whose moved operator is K_ab's block on pi's image of its slots;
+        # the state check, computed anyway, holds on every pair
+        label = SpinLabel(two_s)
+        system = ParticleSystem(n, label.dim)
+        states = np.concatenate([sample_states(system, 3, 0).vectors,
+                                 sample_states(system, 2, 1, 2).vectors])
+        slots = range(1, n + 1)
+        family = {(a, b): pair_operator(label, a, b, system)
+                  for a in slots for b in slots}
+        for pi in Permutation.generators(n):
+            for (a, b), k in family.items():
+                moved = family[pi(a), pi(b)]
+                assert moved.block is k.block
+                assert moved.slots == tuple(pi(s) for s in k.slots)
+                assert permutation_invariance_check(moved, pi, states,
+                                                    k.apply(states))
+        # K_ab plus S_z on slot a, misplaced on (1, 2), fails under (1 2)
+        build = TestInvarianceIsNotVacuous().asymmetric(swap_pair=(1, 2))
+        wrong = {(a, b): build(label, a, b, system)
+                 for a, b in ((1, 2), (2, 1))}
+        swap = Permutation.generators(n)[0]
+        for a, b in wrong:
+            assert not permutation_invariance_check(
+                wrong[b, a], swap, states, wrong[a, b].apply(states))
 
 
 class TestCertify:
@@ -614,15 +662,30 @@ class TestOneImagePerPair:
         monkeypatch.setattr(SlotOperator, "image", counted)
         return calls
 
-    def test_T_applies_each_block_once_plus_once_per_generator(
-            self, monkeypatch):
+    def test_T_applies_each_block_once_per_pair(self, monkeypatch):
         calls = self.count_block_products(monkeypatch)
         # 5 pure states of 3 spin-1/2 particles: 40 amplitudes, one piece
         report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
         assert report.verdict == "weakly_discerning"
-        # per pair: K_ab Phi_ab, then K_{pi(a) pi(b)} on the unfolding of
-        # U_pi psi per generator
-        assert len(calls) == 9 * (1 + 2)
+        assert report.permutation_invariant
+        # per pair: K_ab Phi_ab only; K_{pi(a) pi(b)} is K_ab's block on
+        # pi's image of its slots, so U_pi makes the S_N check hold
+        assert sorted(slots for slots, _ in calls) == sorted(
+            (a,) if a == b else (a, b) for a in range(1, 4)
+            for b in range(1, 4))
+
+    def test_T_applies_distinct_blocks_once_per_generator(self, monkeypatch):
+        import discernlab.discern as discern
+        monkeypatch.setattr(discern, "pair_operator",
+                            TestInvarianceIsNotVacuous().asymmetric(
+                                swap_pair=None))
+        calls = self.count_block_products(monkeypatch)
+        report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
+        assert report.permutation_invariant
+        # a block object per off-diagonal pair: K_{pi(a) pi(b)} is applied
+        # to the unfolding of U_pi psi per generator; the diagonal pairs
+        # share the one block 4 S^2 and need no product for the check
+        assert len(calls) == 6 * (1 + 2) + 3
 
     @pytest.mark.parametrize("n,two_s,sector", [
         (2, 1, "bose"), (3, 1, "bose"), (4, 3, "fermi"), (12, 1, "bose")])
