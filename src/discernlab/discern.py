@@ -26,7 +26,12 @@ unfolding is one matrix for every pair, so one image per block serves
 all pairs.
 Relation C applies [P_a, Q_b] to all sampled wavefunctions together, as
 one ``TermBatch`` that also carries U_pi psi of the first few, so that
-one image per pair serves both the relation and the S_N check.
+one image per pair serves both the relation and the S_N check.  Each
+image comes from a slot-local pass (``TermBatch.ccr_residuals``): one
+commutator call on the slots a and b of every term serves many pairs,
+and only the terms that break the relation are lifted back to full
+terms.  The monomial proof runs once per pair class, on that local
+operator.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 
 from .errors import (
     ArityError,
+    ConfigError,
     DegenerateSpinError,
     DegreeCapError,
     DimensionCapError,
@@ -85,6 +91,11 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 #: which bounds the temporaries of one application whatever the number
 #: of samples
 BATCH_ENTRIES = 4096
+#: terms of the sampled batch times pairs per slot-local pass of relation
+#: C (at least one pair), which bounds the temporaries of one commutator
+#: call whatever the number of pairs: a pass on a 200-wavefunction batch
+#: (about 2000 terms) holds one pair, as the full-row kernel did
+BATCH_TERMS = 2048
 
 #: a relation decided on every sample: (holds per sample, branch), with
 #: branch(i) the reason it fails on sample i
@@ -188,19 +199,22 @@ def relation_T_holds(a: int, b: int, state, label: SpinLabel,
     return bool(decide_T(value, residual, target, tol)[0][0])
 
 
-def decide_C(image: TermBatch, target: TermBatch) -> Decision:
+def decide_C(image: TermBatch, target: TermBatch,
+             residual: TermBatch | None = None) -> Decision:
     """Relation C on every wavefunction psi of a batch.
 
     image is [P_a, Q_b] psi, merged, and target is -i psi, merged, passed
     in so that a caller deciding many pairs on one batch computes it once.
-    Exact, zero tolerance: C holds on psi when image - target leaves no
-    term of psi; on an empty image (a != b) that is -target, already
-    merged, so no merge runs.  On failure the branch is
-    "commutator_zero" when the image of psi is zero, otherwise
-    "commutator_other".
+    Exact, zero tolerance: C holds on psi when the residual image -
+    target, merged, leaves no term of psi.  A caller that has the
+    residual passes it (``certify_C`` on the diagonal); on an empty image
+    (a != b) it is -target, already merged, so no merge runs.  On failure
+    the branch is "commutator_zero" when the image of psi is zero,
+    otherwise "commutator_other".
     """
-    holds = ~(target if image.is_zero()
-              else image.minus(target)).nonzero_owners()
+    if residual is None:
+        residual = target if image.is_zero() else image.minus(target)
+    holds = ~residual.nonzero_owners()
     nonzero = image.nonzero_owners()
     return holds, lambda i: ("commutator_other" if nonzero[i]
                              else "commutator_zero")
@@ -229,7 +243,11 @@ def ccr_identity_on_monomials(n_particles: int, max_degree: int,
     so by linearity and factorization over untouched variables it
     suffices to check every monomial in q_a, q_b alone up to max_degree.
     Verifies [P_a, Q_a] m = -i m and [P_a, Q_b] m = 0 for a != b, on all
-    the monomials as one batch.
+    the monomials as one batch.  The same argument makes the result
+    depend only on whether a == b: on 1 particle with (1, 1) and on 2
+    with (1, 2) it proves the local operator of ``TermBatch.slot_view``,
+    which every pair of that class applies, so ``certify_C`` runs it
+    twice per cell.
     """
     batch = monomials(n_particles, sorted({a, b}), max_degree)
     image = batch.commutator_PQ(a, b)
@@ -356,7 +374,7 @@ class DiscernibilityReport:
 
 
 def certify_relation(
-        report: DiscernibilityReport, names: list[str],
+        report: DiscernibilityReport, name: Callable[[int], str],
         operator_route: Callable[[int, int], bool],
         decide_pair: Callable[[int, int, list[Permutation]],
                               tuple[Decision, bool]]) -> DiscernibilityReport:
@@ -372,13 +390,16 @@ def certify_relation(
       U_pi (K_ab psi) holds for every pi in generators on the samples it
       checks.  Both facts come from one image K_ab psi per sample, and
       T's check takes no other when K_{pi(a) pi(b)} is K_ab's block
-      moved by pi.  A check that reads two pairs' images may be reported
-      by either pair; the verdict reads every pair's.
+      moved by pi.  C computes its images many pairs at a time, and
+      reads an image equal to its pair class's image once per class.  A
+      check that reads two pairs' images may be reported by either
+      pair; the verdict reads every pair's.
 
-    names are the samples' names.  A diagonal pair is reflexive when both
-    routes say the relation holds; an off-diagonal pair fails when the
-    operator route proves it and no sample satisfies the relation.  Its
-    witness is the first sample on which the relation fails.
+    name(i) is the name of sample i, formed only for a witness.  A
+    diagonal pair is reflexive when both routes say the relation holds;
+    an off-diagonal pair fails when the operator route proves it and no
+    sample satisfies the relation.  Its witness is the first sample on
+    which the relation fails.
 
     Permutation invariance is checked on the two generators of S_N
     (``Permutation.generators``): the transposition (1 2) and the N-cycle
@@ -408,7 +429,7 @@ def certify_relation(
                 pair["off_diagonal_fails"] = bool(proved and not any(holds))
                 first = next((i for i, h in enumerate(holds) if not h), None)
                 if first is not None:
-                    pair["witness"] = f"{names[first]}:{branch(first)}"
+                    pair["witness"] = f"{name(first)}:{branch(first)}"
             report.pairs.append(pair)
     report.permutation_invariant = all(invariant)
     report.compute_verdict()
@@ -430,6 +451,9 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
         raise ArityError("need at least two particles to discern")
     if two_s < 1:
         raise DegenerateSpinError("relation T is undefined for spin 0")
+    if n_pure_samples + n_mixed_samples < 1:  # refused before any draw
+        raise ConfigError("relation T needs at least one pure or mixed "
+                          "sample to decide on")
     label = SpinLabel(two_s)
     system = ParticleSystem(n_particles, label.dim, sector)
     sdim = sector_dimension(system)
@@ -470,15 +494,15 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
     if n_mixed_samples:
         drawn.append(sample_states(system, n_mixed_samples, rng, rank))
     batches = [piece for batch in drawn for piece in batch.split(BATCH_ENTRIES)]
-    names = [f"pure[{i}]" for i in range(n_pure_samples)]
-    names += [f"mixed[{i}]" for i in range(n_mixed_samples)]
 
     single, levels = pair_levels(two_s)  # of 4 S^2 and K_12, exact ints
     exact = two_s * (two_s + 2)  # the target 4 s(s+1)
     reflexive = [lam for lam, _ in single] == [exact]
     off_diagonal_fails = levels is not None and levels[-1][0] < exact
     certify_relation(
-        report, names,
+        report,
+        lambda i: f"pure[{i}]" if i < n_pure_samples
+        else f"mixed[{i - n_pure_samples}]",
         lambda a, b: reflexive if a == b else off_diagonal_fails,
         sampled_route_T(lambda a, b: operators[a, b], batches, target, tol))
     # K_ab is K_12 (x) 1 on the other N-2 slots, up to a slot relabeling
@@ -493,11 +517,23 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
 
     After the drawn wavefunctions (and the product state at 2s = 0) the
     batch carries U_pi psi of the first h = min(3, owners) of them, one
-    block of h owners per generator pi.  [P_a, Q_b] is applied to the
-    whole batch once per pair: the drawn owners decide the relation, and
-    the S_N check compares U_pi applied to the first h owners of
-    image(a, b) with the pi block of image(pi(a), pi(b)).  That is N^2
-    commutators on the batch per cell, and N^2 on monomials.
+    block of h owners per generator pi.  image(a, b) = [P_a, Q_b] on the
+    whole batch is read once per pair: the drawn owners decide the
+    relation, and the S_N check compares U_pi applied to the first h
+    owners of image(a, b) with the pi block of image(pi(a), pi(b)).
+
+    The images come from slot-local passes (``TermBatch.ccr_residuals``),
+    each on as many pairs of one class, diagonal or off-diagonal, as fit
+    BATCH_TERMS source terms: one commutator call per pass.  image(a, b)
+    is -i psi (a == b) or zero (a != b), plus the pair's lifted residual,
+    exactly.  A pair with no residual has its class's image, so its
+    decision and S_N sides are read once per class, and two such pairs'
+    sides compare by identity.  The monomial proof runs once per class,
+    on the local operator of the passes: 2 proofs per cell, not N^2.
+
+    The product state at 2s = 0 is a nonzero wavefunction checked on
+    every pair like a drawn one, so it alone is a sample to decide on:
+    n_samples = 0 is accepted there and refused at 2s > 0.
     """
     if n_particles < 2:
         raise ArityError("need at least two particles to discern")
@@ -505,6 +541,9 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         raise DegreeCapError(
             f"max_degree {max_degree} plus the 2 that [P_a, Q_b] adds "
             f"exceeds cap {DEGREE_CAP}")
+    if n_samples < (0 if two_s == 0 else 1):
+        raise ConfigError("relation C needs at least one wavefunction to "
+                          "decide on")
     report = DiscernibilityReport(
         relation="C",
         mode="symbolic_exact",
@@ -530,30 +569,66 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
                              for pi in Permutation.generators(n_particles)])
     # -i psi once per batch, not once per pair
     target = batch.mul_minus_i()
+    # pairs not yet passed, per class (a == b), in certify_relation's order
+    slots = range(1, n_particles + 1)
+    todo = {diagonal: [(a, b) for a in slots for b in slots
+                       if (a == b) == diagonal] for diagonal in (True, False)}
+    per_pass = max(1, BATCH_TERMS // batch.rows.shape[1])
+    residuals: dict[tuple[int, int], TermBatch] = {}  # passed, not decided
     # U_pi [P_a, Q_b] psi = [P_c, Q_d] U_pi psi with (c, d) = (pi(a), pi(b))
     # reads the images of two pairs; per (generator, c, d), the side that
     # came first waits here, an h-owner slice and never a whole image
-    sides: dict[tuple[int, int, int], TermBatch] = {}
+    waiting: dict[tuple[int, int, int], TermBatch] = {}
+    # with no residual, image(a, b) is its class's image: -i psi on the
+    # diagonal, no term off it.  Its decision and sides are read once per
+    # class, the two sides of a generator kept as one object where they
+    # are equal, so that two such pairs compare by identity
+    shared = {}  # a == b -> (decision, sides)
+
+    def read(residual, diagonal, generators):
+        """decide_C on image(a, b), and per generator pi its S_N sides:
+        U_pi of its first h owners, and its pi block."""
+        if diagonal:  # image - target is the residual
+            image = target if residual.is_zero() else target.plus(residual)
+        else:
+            image, residual = residual, None
+        head = image.head(h)
+        return decide_C(image, target, residual), [
+            (head.permute_slots(pi.mapping),
+             image.owners(owners + j * h, owners + (j + 1) * h))
+            for j, pi in enumerate(generators)]
 
     def decide_pair(a: int, b: int, generators: list[Permutation]):
-        image = batch.commutator_PQ(a, b)
-        head = image.head(h)
+        diagonal = a == b
+        while (a, b) not in residuals:
+            pending = todo[diagonal]
+            chunk, pending[:per_pass] = pending[:per_pass], []
+            residuals.update(zip(chunk, batch.ccr_residuals(chunk)))
+        residual = residuals.pop((a, b))
+        plain = residual.is_zero()  # image(a, b) is its class's image
+        if plain and diagonal in shared:
+            (holds, branch), sides = shared[diagonal]
+        else:
+            (holds, branch), sides = read(residual, diagonal, generators)
+            if plain:
+                sides = [(turned, turned if turned.minus(moved).is_zero()
+                          else moved) for turned, moved in sides]
+                shared[diagonal] = (holds, branch), sides
         invariant = True
-        for j, pi in enumerate(generators):
-            moved = image.owners(owners + j * h, owners + (j + 1) * h)
-            for key, side in (((j, pi(a), pi(b)),
-                               head.permute_slots(pi.mapping)),
-                              ((j, a, b), moved)):
-                other = sides.pop(key, None)
+        for j, (pi, (turned, moved)) in enumerate(zip(generators, sides)):
+            for key, side in (((j, pi(a), pi(b)), turned), ((j, a, b), moved)):
+                other = waiting.pop(key, None)
                 if other is None:
-                    sides[key] = side
+                    waiting[key] = side
                 else:
-                    invariant = invariant and other.minus(side).is_zero()
-        holds, branch = decide_C(image, target)
+                    invariant = invariant and (
+                        other is side or other.minus(side).is_zero())
         return (holds[:owners], branch), invariant
 
+    # the identity on the 1- and the 2-slot view: [P_a, Q_a] = -i and
+    # [P_a, Q_b] = 0 != -i, for every pair of the class
+    proved = {True: ccr_identity_on_monomials(1, max_degree, 1, 1),
+              False: ccr_identity_on_monomials(2, max_degree, 1, 2)}
     return certify_relation(
-        report, [f"wavefunction[{i}]" for i in range(owners)],
-        # the identity proves [P_a,Q_a] = -i and [P_a,Q_b] = 0 != -i
-        lambda a, b: ccr_identity_on_monomials(n_particles, max_degree, a, b),
-        decide_pair)
+        report, lambda i: f"wavefunction[{i}]",
+        lambda a, b: proved[a == b], decide_pair)

@@ -20,7 +20,8 @@ terms of many wavefunctions as integer columns, one contiguous row per
 field (owner, then spin index and exponent per slot) and one per
 coefficient part, with like terms merged by sorting on a packed integer
 key.  ``apply_P``, ``apply_Q`` and ``commutator_PQ_apply`` run it on a
-batch of one.
+batch of one, and ``TermBatch.ccr_residuals`` on a slot-local view of
+many pairs at once.
 """
 
 from __future__ import annotations
@@ -116,14 +117,14 @@ def _nonzero(terms: dict[Term, Coeff]) -> dict[Term, Coeff]:
 def _exact(coeffs: np.ndarray) -> np.ndarray:
     """coeffs, as Python ints when int64 could overflow in a kernel step.
 
-    ``p``, the one step that multiplies, and ``minus`` bound their
-    operands here before any arithmetic.  From parts at most _INT64_SAFE
-    no result reaches int64's limit: p multiplies a part by an exponent
-    of at most DEGREE_CAP, [P_a, Q_b] sums at most four products of p
-    into one term, and minus sums two terms, all within _INT64_FACTOR
-    times the largest part.  Larger parts run the same code on
-    ``dtype=object`` arrays, which numpy sums and multiplies as Python
-    ints.
+    ``p``, the one step that multiplies, and ``plus`` and ``minus``
+    bound their operands here before any arithmetic.  From parts at most
+    _INT64_SAFE no result reaches int64's limit: p multiplies a part by
+    an exponent of at most DEGREE_CAP, [P_a, Q_b] sums at most four
+    products of p into one term, and plus and minus sum two terms, all
+    within _INT64_FACTOR times the largest part.  Larger parts run the
+    same code on ``dtype=object`` arrays, which numpy sums and multiplies
+    as Python ints.
     """
     if coeffs.dtype == object or \
             int(np.abs(coeffs).max(initial=0)) <= _INT64_SAFE:
@@ -236,21 +237,102 @@ class TermBatch:
         del pq, qp  # freed before the merge, where memory peaks
         return both.merged()
 
+    def slot_view(self, pairs: Sequence[tuple[int, int]]) -> "TermBatch":
+        """Slots a and b of every term, once per pair (a, b): the operand
+        of [P_a, Q_b] for all the pairs at once.
+
+        The pairs are all diagonal or all off-diagonal.  With T terms,
+        owner p T + t of the view is term t as pairs[p] sees it: a 1-slot
+        term (m_a, e_a) when a == b and a 2-slot term (m_a, e_a, m_b, e_b)
+        otherwise, with term t's coefficient.  [P_a, Q_b] acts on slots a
+        and b alone, so on every pair it is [P_1, Q_1] or [P_1, Q_2] on
+        the view; ``lift`` takes the view's terms back to full terms.
+        """
+        slots = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        diagonal = slots[0] == slots[1]
+        if not len(pairs) or diagonal.any() != diagonal.all():
+            raise ShapeError("a slot view takes one or more pairs, all "
+                             "diagonal or all off-diagonal")
+        if slots.min() < 1 or slots.max() > self.n_particles:
+            raise IndexRangeError(
+                f"slot out of range 1..{self.n_particles} in {pairs}")
+        slots = slots[:1 if diagonal[0] else 2]
+        n_slots, count = len(slots), len(pairs) * self.rows.shape[1]
+        rows = np.empty((1 + 2 * n_slots, count), dtype=_ROW_DTYPE)
+        rows[0] = np.arange(count)
+        rows[1::2] = self.rows[2 * slots - 1].reshape(n_slots, count)
+        rows[2::2] = self.rows[2 * slots].reshape(n_slots, count)
+        return TermBatch(n_slots, self.two_s, count, rows,
+                         np.tile(self.coeffs, len(pairs)))
+
+    def lift(self, view: "TermBatch",
+             pairs: Sequence[tuple[int, int]]) -> "TermBatch":
+        """Terms of ``slot_view(pairs)``'s owners, back on full terms,
+        merged.
+
+        A term of view owner p T + t becomes term t of self with the
+        view's spin indices and exponents on slots pairs[p], owned by
+        p O + (term t's owner), O = n_owners: pair p's terms are owners
+        p O .. (p + 1) O - 1.
+        """
+        if view.n_owners != len(pairs) * self.rows.shape[1]:
+            raise ShapeError("not a slot view of this batch for these pairs")
+        pair, term = np.divmod(view.rows[0], self.rows.shape[1])
+        rows = self.rows.take(term, axis=1)
+        rows[0] += pair * self.n_owners
+        columns = np.arange(len(term))
+        for k, slots in enumerate(np.array(pairs).T[:view.n_particles]):
+            spin = 2 * slots.take(pair) - 1
+            rows[spin, columns] = view.rows[2 * k + 1]
+            rows[spin + 1, columns] = view.rows[2 * k + 2]
+        return self._with(rows, view.coeffs,
+                          len(pairs) * self.n_owners).merged()
+
+    def ccr_residuals(
+            self, pairs: Sequence[tuple[int, int]]) -> list["TermBatch"]:
+        """[P_a, Q_b] psi - delta_ab (-i psi) on every psi, merged, for
+        each pair (a, b): one slot-local pass for all of them.
+
+        The pairs are all diagonal or all off-diagonal.  The commutator
+        runs once, on ``slot_view(pairs)``, where like terms merge within
+        (pair, term).  The terms left, the image off the diagonal and
+        image - (-i psi) on it, are lifted to full terms and merged
+        exactly per pair (``lift``), so each residual equals the one the
+        full-row ``commutator_PQ`` gives, term for term.  A kernel that
+        keeps the canonical commutation relation leaves no term to lift.
+        """
+        view = self.slot_view(pairs)
+        if view.n_particles == 1:
+            residual = view.commutator_PQ(1, 1).minus(view.mul_minus_i())
+        else:
+            residual = view.commutator_PQ(1, 2)
+        lifted = self.lift(residual, pairs)
+        return [lifted.owners(p * self.n_owners, (p + 1) * self.n_owners)
+                for p in range(len(pairs))]
+
     def mul_minus_i(self) -> "TermBatch":
         """-i psi on every psi: (re + i im)(-i) = im - i re."""
         re, im = self.coeffs
         return self._with(self.rows, np.stack([im, -re]))
 
-    def minus(self, other: "TermBatch") -> "TermBatch":
-        """self - other, owner by owner, merged."""
+    def _joined(self, other: "TermBatch", sign: int) -> "TermBatch":
+        """self + sign * other, owner by owner, merged."""
         if (other.n_particles, other.two_s, other.n_owners) != \
                 (self.n_particles, self.two_s, self.n_owners):
             raise ShapeError("term batch shape mismatch")
         return self._with(
             np.concatenate([self.rows, other.rows], axis=1),
-            np.concatenate([_exact(self.coeffs), -_exact(other.coeffs)],
+            np.concatenate([_exact(self.coeffs), sign * _exact(other.coeffs)],
                            axis=1),
         ).merged()
+
+    def plus(self, other: "TermBatch") -> "TermBatch":
+        """self + other, owner by owner, merged."""
+        return self._joined(other, 1)
+
+    def minus(self, other: "TermBatch") -> "TermBatch":
+        """self - other, owner by owner, merged."""
+        return self._joined(other, -1)
 
     def owners(self, start: int, stop: int) -> "TermBatch":
         """The terms of wavefunctions start..stop-1, renumbered from 0."""

@@ -1,3 +1,4 @@
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -19,7 +20,7 @@ from discernlab.discern import (
     relation_T_holds,
     sampled_route_T,
 )
-from discernlab.errors import ArityError, DegenerateSpinError
+from discernlab.errors import ArityError, ConfigError, DegenerateSpinError
 from discernlab.matrix_core import (
     MixedState,
     Operator,
@@ -388,6 +389,66 @@ class TestCertify:
 
         assert report(1) == report(999)
 
+    @pytest.mark.parametrize("n,two_s,samples,degree", [
+        (2, 0, 20, 8), (3, 1, 20, 8), (3, 3, 50, 8), (4, 1, 10, 4),
+        (5, 2, 6, 3), (8, 63, 5, 4)])
+    def test_C_report_does_not_depend_on_the_budget(
+            self, monkeypatch, n, two_s, samples, degree):
+        import discernlab.discern as discern
+
+        def report():
+            return json.dumps(asdict(certify_C(n, two_s, samples, degree, 2)))
+
+        full = report()
+        monkeypatch.setattr(discern, "BATCH_TERMS", 1)  # one pair per pass
+        assert report() == full
+
+    def test_no_sample_is_refused_before_any_draw(self, monkeypatch):
+        import discernlab.discern as discern
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(discern, "sample_states", no_draw)
+        monkeypatch.setattr(discern, "draw_wavefunctions", no_draw)
+        with pytest.raises(ConfigError):
+            certify_T(2, 1, "full", 0, 0)
+        with pytest.raises(ConfigError):
+            certify_T(3, 1, "bose", 0, 0)
+        for two_s in (1, 3):
+            with pytest.raises(ConfigError):
+                certify_C(2, two_s, 0, 4)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_C_product_state_alone_is_a_sample(self, n):
+        # at 2s = 0 the product state is owner 0 when nothing is drawn
+        report = certify_C(n, 0, 0, 4, seed=1)
+        assert report.verdict == "weakly_discerning"
+        assert report.permutation_invariant
+        assert {p["witness"] for p in report.pairs if p["a"] != p["b"]} \
+            == {"wavefunction[0]:commutator_zero"}
+
+    def test_T_sample_names(self, monkeypatch):
+        import discernlab.discern as discern
+        names = []
+
+        def recorded(report, name, *routes):
+            names.extend(name(i) for i in range(5))
+            return certify_relation(report, name, *routes)
+
+        monkeypatch.setattr(discern, "certify_relation", recorded)
+        certify_T(2, 1, "full", 3, 2, 2)
+        assert names == ["pure[0]", "pure[1]", "pure[2]", "mixed[0]",
+                         "mixed[1]"]
+
+    def test_T_mixed_witness_names(self):
+        # with no pure sample the witnesses are mixed states, named from 0
+        report = certify_T(3, 1, "full", 0, 3, 2, seed=4)
+        pairs, _, _ = dense_certify_T(3, 1, "full", 0, 3, 2, seed=4)
+        assert report.pairs == pairs
+        assert {p["witness"].split(":")[0] for p in report.pairs
+                if p["a"] != p["b"]} == {"mixed[0]"}
+
     def test_arity_error(self):
         with pytest.raises(ArityError):
             certify_T(1, 1)
@@ -431,7 +492,7 @@ class TestNegativeControls:
             two_s=1, sector="full", samples={}, seed=0, tolerances={})
         batch = sample_states(self.system, 5, 0)
         return certify_relation(
-            report, [f"pure[{k}]" for k in range(5)], operator_route,
+            report, lambda k: f"pure[{k}]", operator_route,
             sampled_route_T(family, [batch], target, self.tol))
 
     def shifted_T(self, shifted):
@@ -550,6 +611,15 @@ class TestWrongMomentumIsCaught:
             assert report.verdict == "violated"
             assert not any(diagonal)
             assert failed and {why(i) for i in failed} == {branch}
+        # the patched p reaches each route on its own: the once-per-class
+        # monomial proof, and the sampled route's slot views
+        assert ccr_identity_on_monomials(1, 4, 1, 1) == (branch is None)
+        import discernlab.discern as discern
+        monkeypatch.setattr(discern, "ccr_identity_on_monomials",
+                            lambda *args: True)
+        sampled = certify_C(2, 1, 5, 4, 0)
+        assert [p["reflexive"] for p in sampled.pairs if p["a"] == p["b"]] \
+            == [branch is None] * 2
 
 
 def dense_certify_T(n, two_s, sector, n_pure, n_mixed, rank, seed, tol=1e-8):
@@ -702,28 +772,59 @@ class TestOneImagePerPair:
             <= pieces * blocks * (1 + generators)
         assert sorted(len(slots) for slots, _ in calls) == [1, 1, 2, 2]
 
-    def test_C_applies_the_kernel_once_per_pair(self, monkeypatch):
+    @staticmethod
+    def count_C_kernel_calls(monkeypatch):
+        """Every commutator call, as (n_particles, n_owners, n_terms, a, b)."""
         calls = []
         kernel = TermBatch.commutator_PQ
 
         def counted(self, a, b):
-            calls.append((self.n_owners, a, b, set(self.rows[0].tolist())))
+            calls.append((self.n_particles, self.n_owners, self.rows.shape[1],
+                          a, b))
             return kernel(self, a, b)
 
         monkeypatch.setattr(TermBatch, "commutator_PQ", counted)
-        # 4 drawn wavefunctions and the bosonic product state, then U_pi
-        # psi of the first 3 for each of the 2 generators
+        return calls
+
+    # certify_C(3, 0, 4, 3, seed=1)'s batch: 4 drawn wavefunctions and the
+    # bosonic product state, then U_pi psi of the first 3 for each of the
+    # 2 generators, 11 owners in all
+    @staticmethod
+    def batch_terms():
+        batch = draw_wavefunctions(3, 3, 0, 4, 1)
+        product = 2 ** 3  # (2 + q)^3 over the three slots
+        return batch.rows.shape[1] + product + 2 * batch.head(3).rows.shape[1]
+
+    def test_C_applies_the_kernel_once_per_pair(self, monkeypatch):
+        calls = self.count_C_kernel_calls(monkeypatch)
         report = certify_C(3, 0, n_samples=4, max_degree=3, seed=1)
         assert report.verdict == "weakly_discerning"
-        pairs = sorted((a, b) for a in range(1, 4) for b in range(1, 4))
-        # per pair: the sampled route and the S_N check on all 11 at
-        # once, and the monomial route on the 4 or 16 monomials in q_a,
-        # q_b of degree at most 3
-        assert sorted(c[1:3] for c in calls if c[0] == 5 + 2 * 3) == pairs
-        assert sorted(c[1:3] for c in calls if c[0] in (4, 16)) == pairs
-        assert len(calls) == 9 + 9
-        # every pair's image reads the moved owners 5..10
-        assert all(c[3] == set(range(11)) for c in calls if c[0] == 11)
+        terms = self.batch_terms()
+        # one pass for the 6 off-diagonal pairs on the 2-slot view, one
+        # for the 3 diagonal pairs on the 1-slot view, each on every term
+        # of the batch, the moved owners included; and the monomial proof
+        # once per class, on the 16 or 4 monomials in q_1, q_2 of degree
+        # at most 3: 2 passes and 2 proofs, not 9 and 9
+        assert sorted(calls) == sorted([
+            (2, 6 * terms, 6 * terms, 1, 2), (1, 3 * terms, 3 * terms, 1, 1),
+            (2, 16, 16, 1, 2), (1, 4, 4, 1, 1)])
+
+    @pytest.mark.parametrize("pairs_per_pass, off, diagonal", [
+        (1, [1] * 6, [1] * 3), (2, [2] * 3, [2, 1]), (4, [4, 2], [3])])
+    def test_C_passes_follow_the_budget(self, monkeypatch, pairs_per_pass,
+                                        off, diagonal):
+        import discernlab.discern as discern
+        terms = self.batch_terms()
+        monkeypatch.setattr(discern, "BATCH_TERMS",
+                            pairs_per_pass * terms + terms - 1)
+        calls = self.count_C_kernel_calls(monkeypatch)
+        certify_C(3, 0, n_samples=4, max_degree=3, seed=1)
+        # (slots of the view, pairs in the pass), per pass
+        passes = [(n, owners // terms) for n, owners, _, _, _ in calls
+                  if owners >= terms]
+        assert sorted(passes) == sorted([(1, k) for k in diagonal]
+                                        + [(2, k) for k in off])
+        assert len(calls) == len(passes) + 2
 
 
 class TestCertificateIsNotVacuous:
@@ -859,20 +960,43 @@ class TestCInvarianceIsNotVacuous:
     """Relation C's S_N check compares two different pairs' images."""
 
     @staticmethod
-    def plus_psi(monkeypatch, pairs):
-        """[P_a, Q_b] psi + psi on the given pairs, on the sampled batch
-        only (2s = 1; the monomial route's batches have 2s = 0)."""
-        kernel = TermBatch.commutator_PQ
+    def on_views(monkeypatch, fault):
+        """[P_a, Q_b] on the sampled batch's slot views replaced by
+        fault(view, image, source, pairs), image the true one and view
+        ``source.slot_view(pairs)``: view owner p T + t is term t of
+        source for pairs[p].  The monomial proofs are left alone."""
+        kernel, slot_view = TermBatch.commutator_PQ, TermBatch.slot_view
+
+        def view(self, pairs):
+            out = slot_view(self, pairs)
+            out.seen = self, list(pairs)
+            return out
 
         def wrong(self, a, b):
             image = kernel(self, a, b)
-            if self.two_s == 0 or (a, b) not in pairs:
+            if not hasattr(self, "seen"):
                 return image
-            minus_psi = TermBatch(self.n_particles, self.two_s,
-                                  self.n_owners, self.rows, -self.coeffs)
+            return fault(self, image, *self.seen)
+
+        monkeypatch.setattr(TermBatch, "slot_view", view)
+        monkeypatch.setattr(TermBatch, "commutator_PQ", wrong)
+
+    @staticmethod
+    def select(batch, keep):
+        """The terms of batch where keep is true."""
+        return TermBatch(batch.n_particles, batch.two_s, batch.n_owners,
+                         batch.rows[:, keep], batch.coeffs[:, keep])
+
+    def plus_psi(self, monkeypatch, pairs):
+        """[P_a, Q_b] psi + psi on the given pairs."""
+        def fault(view, image, source, passed):
+            pair = view.rows[0] // source.rows.shape[1]
+            hit = np.array([p in pairs for p in passed])[pair]
+            minus_psi = self.select(view, hit)
+            minus_psi.coeffs = -minus_psi.coeffs
             return image.minus(minus_psi)
 
-        monkeypatch.setattr(TermBatch, "commutator_PQ", wrong)
+        self.on_views(monkeypatch, fault)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_one_pair_set_breaks_invariance(self, monkeypatch, n):
@@ -881,9 +1005,23 @@ class TestCInvarianceIsNotVacuous:
         assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
         assert all(p["off_diagonal_fails"] for p in report.pairs
                    if p["a"] != p["b"])
-        assert report.pairs[1]["witness"] == "wavefunction[0]:commutator_other"
+        # the fault reaches (1, 2) and (2, 1) alone, whatever pass they
+        # share with other pairs
+        assert [p["witness"] for p in report.pairs if p["a"] != p["b"]] == [
+            "wavefunction[0]:commutator_" +
+            ("other" if {p["a"], p["b"]} == {1, 2} else "zero")
+            for p in report.pairs if p["a"] != p["b"]]
         assert not report.permutation_invariant
         assert report.verdict == "violated"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_diagonal_pair_breaks_invariance(self, monkeypatch, n):
+        # the S_N check reads a diagonal pair's own image, not -i psi
+        self.plus_psi(monkeypatch, {(1, 1)})
+        report = certify_C(n, 1, n_samples=5, max_degree=4, seed=0)
+        assert [p["reflexive"] for p in report.pairs if p["a"] == p["b"]] \
+            == [False] + [True] * (n - 1)
+        assert not report.permutation_invariant
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_pair_alike_stays_invariant(self, monkeypatch, n):
@@ -897,19 +1035,17 @@ class TestCInvarianceIsNotVacuous:
         # on the 4 drawn and 2 * 3 moved owners, the moved owners' images
         # fail C on the diagonal and satisfy it off it: only the S_N check
         # reads them
-        kernel = TermBatch.commutator_PQ
+        def fault(view, image, source, pairs):
+            def moved(batch):
+                term = batch.rows[0] % source.rows.shape[1]
+                return source.rows[0].take(term) >= 4
 
-        def wrong(self, a, b):
-            image = kernel(self, a, b)
-            if self.n_owners != 10:
-                return image
-            moved = self.owners(4, 10).mul_minus_i()
-            if a == b:
-                moved = TermBatch(3, 1, 6, moved.rows[:, :0],
-                                  moved.coeffs[:, :0])
-            return stack([image.head(4), moved])
+            kept = self.select(image, ~moved(image))
+            if view.n_particles == 1:
+                return kept
+            return kept.plus(self.select(view, moved(view)).mul_minus_i())
 
-        monkeypatch.setattr(TermBatch, "commutator_PQ", wrong)
+        self.on_views(monkeypatch, fault)
         report = certify_C(3, 1, n_samples=4, max_degree=3, seed=1)
         assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
         off = [p for p in report.pairs if p["a"] != p["b"]]
@@ -917,6 +1053,27 @@ class TestCInvarianceIsNotVacuous:
         assert {p["witness"] for p in off} == \
             {"wavefunction[0]:commutator_zero"}
         assert not report.permutation_invariant
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unmoved_owners_break_invariance(self, monkeypatch, n):
+        # the owners meant to be U_pi psi left as psi: every image is its
+        # class's image, and the diagonal class's two sides differ
+        import discernlab.discern as discern
+
+        def unmoved(batches):
+            if len(batches) == 1 + len(Permutation.generators(n)):
+                batches = [batches[0]] + [batches[0].head(
+                    batches[1].n_owners)] * (len(batches) - 1)
+            return stack(batches)
+
+        monkeypatch.setattr(discern, "stack", unmoved)
+        report = certify_C(n, 1, n_samples=4, max_degree=3, seed=1)
+        assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
+        assert all(p["off_diagonal_fails"] for p in report.pairs
+                   if p["a"] != p["b"])
+        assert not report.permutation_invariant
+        assert report.verdict == "violated"
 
 
 class TestNegativeControlsInSectors(TestNegativeControls):

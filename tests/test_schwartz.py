@@ -14,11 +14,14 @@ from discernlab.multiparticle import (
 from discernlab.schwartz import (
     DEGREE_CAP,
     SpinorWavefunction,
+    TermBatch,
     apply_P,
     apply_Q,
     commutator_PQ_apply,
     draw_wavefunctions,
+    pack,
     random_wavefunction,
+    stack,
     symmetric_product_state,
 )
 
@@ -288,3 +291,138 @@ class TestPermuteSlots:
             u = permutation_unitary(Permutation(mapping), system).entries
             assert np.array_equal(vector(psi.permute_slots(mapping)),
                                   (u @ vector(psi)).real)
+
+
+def same_terms(x, y):
+    """Whether two batches hold the same terms in the same order: the same
+    rows and coefficients, column for column."""
+    return (x.n_owners, x.n_particles) == (y.n_owners, y.n_particles) \
+        and np.array_equal(x.rows, y.rows) \
+        and np.array_equal(x.coeffs, y.coeffs)
+
+
+class TestSlotLocalPass:
+    """ccr_residuals and lift against the full-row kernel."""
+
+    @staticmethod
+    def sampled(n, two_s, degree, count, seed):
+        """Drawn wavefunctions, then the first 3 under the N-cycle, as
+        certify_C's batch carries them (not merged into key order)."""
+        batch = draw_wavefunctions(n, degree, two_s, count, seed)
+        cycle = tuple(range(2, n + 1)) + (1,)
+        return stack([batch, batch.head(3).permute_slots(cycle)])
+
+    @staticmethod
+    def colliding():
+        """Terms x and x + 2 e_a, and x and x + 2 e_b, in one wavefunction
+        (two pairs with equal coefficients), and a spin-1 wavefunction with
+        repeated slots."""
+        first = SpinorWavefunction(3, 2, {
+            ((0, 1), (1, 2), (2, 0)): (3, 1),
+            ((0, 3), (1, 2), (2, 0)): (3, 1),
+            ((0, 1), (1, 4), (2, 0)): (-2, 5),
+            ((0, 1), (1, 2), (2, 2)): (-2, 5),
+            ((0, 5), (1, 2), (2, 0)): (7, 0)})
+        second = SpinorWavefunction(3, 2, {
+            ((1, 0), (1, 0), (1, 0)): (1, 0),
+            ((1, 2), (1, 0), (1, 2)): (0, -4),
+            ((1, 2), (1, 2), (1, 0)): (6, 6)})
+        return stack([pack([first, second]), pack([second])])
+
+    @staticmethod
+    def images(batch, pairs, per_pass):
+        """Each pair's image from the slot-local passes, merged: -i psi
+        plus the residual on the diagonal, the residual off it."""
+        target, out = batch.mul_minus_i(), []
+        for start in range(0, len(pairs), per_pass):
+            chunk = pairs[start:start + per_pass]
+            for (a, b), residual in zip(chunk, batch.ccr_residuals(chunk)):
+                out.append(target.plus(residual) if a == b else residual)
+        return out
+
+    def assert_images_match(self, batch):
+        n = batch.n_particles
+        slots = range(1, n + 1)
+        for diagonal in (True, False):
+            pairs = [(a, b) for a in slots for b in slots
+                     if (a == b) == diagonal]
+            for per_pass in (1, 2, len(pairs)):
+                for (a, b), image in zip(pairs,
+                                         self.images(batch, pairs, per_pass)):
+                    assert same_terms(image, batch.commutator_PQ(a, b)), \
+                        (a, b, per_pass)
+
+    @pytest.mark.parametrize("n,two_s,degree,count", [
+        (2, 0, 8, 20), (2, 1, 6, 20), (3, 0, 8, 20), (3, 3, 8, 20),
+        (4, 1, 4, 10), (4, 2, 6, 20),
+        # the multi-word key layout, as in CI's N=8 2s=63 run
+        (8, 63, 4, 20)])
+    def test_images_equal_the_full_kernel(self, n, two_s, degree, count):
+        batch = self.sampled(n, two_s, degree, count, seed=n + two_s)
+        self.assert_images_match(batch)
+        slots = range(1, n + 1)
+        for diagonal in (True, False):
+            pairs = [(a, b) for a in slots for b in slots
+                     if (a == b) == diagonal]
+            assert all(r.is_zero() for r in batch.ccr_residuals(pairs))
+
+    @staticmethod
+    def skewed(monkeypatch):
+        """P_a with its raised terms times e + 1 and its lowered terms
+        times 2: the residual of [P_a, Q_a] on x is i x + 2 e_a - i x,
+        which meets that of x + 2 e_a on x + 2 e_a."""
+        p = TermBatch.p
+
+        def wrong(self, slot):
+            out = p(self, slot)
+            n = self.rows.shape[1]
+            out.coeffs[:, :n] *= self.rows[2 * slot] + 1
+            out.coeffs[:, n:] *= 2
+            return out
+
+        monkeypatch.setattr(TermBatch, "p", wrong)
+
+    def test_colliding_residuals_are_lifted_and_merged(self, monkeypatch):
+        self.skewed(monkeypatch)
+        batch = self.colliding()
+        target = batch.mul_minus_i()
+        pairs = [(1, 1), (2, 2), (3, 3)]
+        residuals = batch.ccr_residuals(pairs)
+        for (a, b), residual in zip(pairs, residuals):
+            full = batch.commutator_PQ(a, b).minus(target)
+            assert not residual.is_zero()
+            assert same_terms(residual, full)
+        # x + 2 e_1 cancels: the residuals of x and x + 2 e_1 meet there
+        # with opposite coefficients, and the lifted merge drops the term
+        first = residuals[0].unpack()[0].terms
+        assert ((0, 3), (1, 2), (2, 0)) not in first
+        self.assert_images_match(batch)
+
+    def test_lift_inverts_the_view(self):
+        # any slot-local product on the view, lifted, is the full one
+        for batch in (self.colliding(), self.sampled(4, 2, 6, 5, 1)):
+            n = batch.n_particles
+            pairs = [(a, b) for a in range(1, n + 1)
+                     for b in range(1, n + 1) if a != b]
+            view = batch.slot_view(pairs)
+            lifted = batch.lift(view.p(1).q(2).p(2), pairs)
+            o = batch.n_owners
+            for k, (a, b) in enumerate(pairs):
+                assert same_terms(lifted.owners(k * o, (k + 1) * o),
+                                  batch.p(a).q(b).p(b).merged())
+            one = pairs[-1:]
+            assert same_terms(batch.lift(batch.slot_view(one), one),
+                              batch.merged())
+            with pytest.raises(ShapeError):
+                batch.lift(view, one)
+
+    def test_slot_view_rejects_mixed_or_bad_pairs(self):
+        batch = self.colliding()
+        with pytest.raises(ShapeError):
+            batch.slot_view([(1, 1), (1, 2)])
+        with pytest.raises(ShapeError):
+            batch.slot_view([])
+        with pytest.raises(IndexRangeError):
+            batch.slot_view([(1, 4)])
+        with pytest.raises(IndexRangeError):
+            batch.slot_view([(0, 0)])
