@@ -12,8 +12,9 @@ Exit codes:
        above the sector dimension is lowered to it, and
        samples.mixed_rank records the rank used)
     3  resource limit exceeded: the dimension cap, relation T samples
-       holding more than cap^2 amplitudes, or a relation C --max-degree
-       above 30 (the degree cap 32 less the 2 [P_a, Q_b] adds)
+       holding more than cap^2 amplitudes, a relation T pair block with
+       more than cap^2 entries (d^4), or a relation C --max-degree above
+       30 (the degree cap 32 less the 2 [P_a, Q_b] adds)
     4  input error (missing or corrupt report file, or not a report,
        including a spectrum that is not [eigenvalue, multiplicity] pairs)
     5  internal error: any other exception; its traceback goes to stderr
@@ -31,6 +32,7 @@ symmetry sectors).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,7 +40,7 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .discern import VERDICT_PASS, DiscernibilityReport, certify_C, certify_T
 from .errors import (
@@ -134,7 +136,10 @@ class RunConfig:
         dimension_cap()  # raises on a malformed DISCERNLAB_DIM_CAP
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process at its first use: parsing keeps
+    no state in it, and ``main`` may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog="discernlab",
         description="Certify weak-discernibility relations between "
@@ -235,7 +240,9 @@ def run_verify(cfg: RunConfig) -> int:
     else:
         report = certify_C(cfg.n_particles, cfg.two_s, cfg.n_pure_samples,
                            cfg.max_degree, cfg.seed)
-    data = asdict(report)
+    # the report's fields hold no dataclass, so a shallow dict gives the
+    # JSON of dataclasses.asdict without its deep copy
+    data = {f.name: getattr(report, f.name) for f in fields(report)}
     data["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     atomic_write(cfg.out, json.dumps(data, indent=2, sort_keys=True) + "\n")
     if report.verdict == VERDICT_PASS:

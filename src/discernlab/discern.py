@@ -22,8 +22,9 @@ two-slot block placed on slots (a, b) (``pair_operator``).  One kernel
 block's slots into d^k x rest matrices Phi, one matrix product gives
 K Phi for all of them, and value and residual are read off Phi and
 K Phi.  Bose and fermi samples stay in sector coordinates; their
-unfolding is one matrix for every pair, so one image per block serves
-all pairs.
+unfolding is one matrix for every pair, so one image and one decision
+per block serve all pairs.  In the full sector the unfoldings of many
+pairs of one block are stacked, so one product serves them all.
 Relation C applies [P_a, Q_b] to all sampled wavefunctions together, as
 one ``TermBatch`` that also carries U_pi psi of the first few, so that
 one image per pair serves both the relation and the S_N check.  Each
@@ -87,9 +88,11 @@ VERDICT_PASS = "weakly_discerning"
 VERDICT_FAIL = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-#: amplitudes of the pair unfoldings per batch a block is applied to,
-#: which bounds the temporaries of one application whatever the number
-#: of samples
+#: amplitudes of the pair unfoldings per product of a block, which bounds
+#: the temporaries of one application whatever the numbers of samples and
+#: pairs: ``certify_T`` splits its samples into pieces of about this many,
+#: and a full-sector pass of relation T stacks the unfoldings of
+#: max(1, BATCH_ENTRIES // amplitudes of the largest piece) pairs
 BATCH_ENTRIES = 4096
 #: terms of the sampled batch times pairs per slot-local pass of relation
 #: C (at least one pair), which bounds the temporaries of one commutator
@@ -285,63 +288,113 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
                     batches: list[StateBatch], target: float, tol: float):
     """Relation T's decide_pair for ``certify_relation``.
 
-    K_ab = family(a, b) is applied to each batch piece unfolded on its
-    slots (``block_kernel``).  Bose and fermi unfold every pair to one
-    matrix Phi, up to a fermi sign that value, residual and the S_N check
-    do not see, so value and residual, cached by block object, serve
-    every pair the block is placed on.
+    K_ab = family(a, b) is applied to the batch pieces unfolded on its
+    slots (``block_kernel``) per class of pairs that share its block
+    object, not per pair.  Bose and fermi unfold every pair to one matrix
+    Phi, up to a fermi sign that value, residual and the S_N check do
+    not see, so one product per block and piece, and one ``decide_T`` per
+    block, serve every pair the block is placed on.  In the full sector
+    each pair has its own unfolding.  A pass stacks those of up to
+    max(1, BATCH_ENTRIES // amplitudes of the largest piece) pairs of one
+    block (``StateBatch.unfold``), in certify_relation's order, and takes
+    one product and one ``eigen_residuals`` per piece, whose Gram matrix
+    and trace are the piece's, repeated per pair.  Those pairs are
+    decided before the next pass of the block runs, and their value
+    arrays are dropped as they are read.
 
-    One S_N rule serves every sector.  U_pi transposes slot axes, so
-    U_pi K U_pi^dagger is K's block on the slots pi(s), s in K's slots:
-    when K_{pi(a) pi(b)} is that block object on those slots, the check
-    holds with no product, which leaves the certifier's own family one
-    block product per pair and piece.  Any other block is applied: the
-    full sector compares states (``permutation_invariance_check``); bose
-    and fermi, where U_pi psi = +-psi, compare K_{pi(a) pi(b)} Phi with
-    K_ab Phi on (pi(a), pi(b)) in K_ab's slot order, with (P K_ab P) Phi
-    on them reversed (P the slot swap), and fail on any other slots.
+    One S_N rule serves every sector, decided once per pair and
+    generator.  U_pi transposes slot axes, so U_pi K U_pi^dagger is K's
+    block on the slots pi(s), s in K's slots: when K_{pi(a) pi(b)} is
+    that block object on those slots, the check holds with no product,
+    which leaves the certifier's own family no product for it.  Any other
+    block is applied on every piece: the full sector compares states
+    (``permutation_invariance_check``) against K_ab's image, formed again;
+    bose and fermi, where U_pi psi = +-psi, compare K_{pi(a) pi(b)} Phi
+    with K_ab Phi on (pi(a), pi(b)) in K_ab's slot order, with
+    (P K_ab P) Phi on them reversed (P the slot swap), and fail on any
+    other slots.  The class decision does not depend on the generators
+    passed.
     """
-    kernels = [{} for _ in batches]  # per piece: id(block) -> block, v, r
+    full = not batches[0].unfoldings
+    per_pass = max(1, BATCH_ENTRIES // max(p.vectors.size for p in batches))
+    classes = {}  # bose and fermi: id(block) -> (block, Decision)
+    # full sector, with more than one pair per pass: (a, b) -> (K_ab, its
+    # place among its block's pairs), and per block the pairs it is
+    # placed on, in certify_relation's order
+    places: dict[tuple[int, int], tuple[SlotOperator, int]] = {}
+    members: dict[int, list[tuple[int, int]]] = {}
+    decided: dict[tuple[int, int], Decision] = {}  # passed, not yet read
 
-    def sector_kernel(i: int, k: SlotOperator):
-        if id(k.block) not in kernels[i]:
-            _, value, residual = block_kernel(k, batches[i].unfold(k.slots))
-            kernels[i][id(k.block)] = k.block, value, residual
-        return kernels[i][id(k.block)][1:]
+    def decide(k: SlotOperator, *slots: tuple[int, ...]) -> list[Decision]:
+        """decide_T of k's block on every piece unfolded on each slots."""
+        values, residuals = [], []
+        for piece in batches:
+            _, value, residual = block_kernel(k, piece.unfold(*slots))
+            values.append(value.reshape(len(slots), -1))
+            residuals.append(residual.reshape(len(slots), -1))
+        return [decide_T(value, residual, target, tol) for value, residual
+                in zip(np.concatenate(values, axis=1),
+                       np.concatenate(residuals, axis=1))]
 
-    def commutes(i: int, k: SlotOperator, image, pi: Permutation,
-                 moved: SlotOperator) -> bool:
-        slots = tuple(pi(s) for s in k.slots)
-        if moved.slots == slots and moved.block is k.block:
-            return True
-        batch = batches[i]
-        if not batch.unfoldings:  # image is K_ab Phi
-            states = batch.vectors
+    def chunk(a: int, b: int) -> list[tuple[int, int]]:
+        """The pairs passed with (a, b): per_pass pairs of its block."""
+        if not places:  # every pair's block, grouped by block object
+            n = batches[0].vectors.ndim - 1
+            for pair in ((i, j) for i in range(1, n + 1)
+                         for j in range(1, n + 1)):
+                k = family(*pair)
+                pairs = members.setdefault(id(k.block), [])
+                places[pair] = k, len(pairs)
+                pairs.append(pair)
+        k, place = places[a, b]
+        start = place // per_pass * per_pass
+        return members[id(k.block)][start:start + per_pass]
+
+    def decision(a: int, b: int, k: SlotOperator) -> Decision:
+        if not full:
+            if id(k.block) not in classes:
+                classes[id(k.block)] = k.block, decide(k, k.slots)[0]
+            return classes[id(k.block)][1]
+        if per_pass == 1:
+            return decide(k, k.slots)[0]
+        if (a, b) not in decided:
+            pairs = chunk(a, b)
+            decided.update(zip(pairs, decide(
+                k, *(places[pair][0].slots for pair in pairs))))
+        return decided.pop((a, b))
+
+    def commutes(piece: StateBatch, k: SlotOperator, image: np.ndarray,
+                 pi: Permutation, moved: SlotOperator) -> bool:
+        """The S_N check by products on one piece; image is K_ab Phi."""
+        if full:
+            states = piece.vectors
             return permutation_invariance_check(
                 moved, pi, states, fold(image, k.slots, states.shape), tol)
+        slots = tuple(pi(s) for s in k.slots)
         if moved.slots != slots:
             if moved.slots != slots[::-1] or len(slots) != 2:
                 return False
             k = swapped(k)
-        diff = moved.image(batch.unfold(moved.slots).vectors)
-        diff -= k.image(batch.unfold(k.slots).vectors)
+            image = k.image(piece.unfold(k.slots).vectors)
+        diff = moved.image(piece.unfold(moved.slots).vectors) - image
         return float(np.abs(diff).max(initial=0.0)) <= tol
 
     def decide_pair(a: int, b: int, generators: list[Permutation]):
-        k, values, residuals, invariant = family(a, b), [], [], True
-        moved = [(pi, family(pi(a), pi(b))) for pi in generators]
-        for i, batch in enumerate(batches):
-            if batch.unfoldings:
-                image, (value, residual) = None, sector_kernel(i, k)
-            else:
-                image, value, residual = block_kernel(k, batch.unfold(k.slots))
-            invariant = invariant and all(
-                commutes(i, k, image, pi, k2) for pi, k2 in moved)
-            values.append(value)
-            residuals.append(residual)
-        decision = decide_T(np.concatenate(values), np.concatenate(residuals),
-                            target, tol)
-        return decision, invariant
+        k = family(a, b)
+        failing = []  # (pi, K_{pi(a) pi(b)}) that the rule does not settle
+        for pi in generators:
+            moved = family(pi(a), pi(b))
+            if moved.block is not k.block \
+                    or moved.slots != tuple(pi(s) for s in k.slots):
+                failing.append((pi, moved))
+        invariant = True
+        for piece in batches if failing else ():
+            image = k.image(piece.unfold(k.slots).vectors)
+            if not all(commutes(piece, k, image, pi, moved)
+                       for pi, moved in failing):
+                invariant = False
+                break
+        return decision(a, b, k), invariant
     return decide_pair
 
 
@@ -388,12 +441,13 @@ def certify_relation(
     * decide_pair(a, b, generators): the relation for the pair on every
       sample, a ``Decision``, and whether K_{pi(a) pi(b)} U_pi psi =
       U_pi (K_ab psi) holds for every pi in generators on the samples it
-      checks.  Both facts come from one image K_ab psi per sample, and
-      T's check takes no other when K_{pi(a) pi(b)} is K_ab's block
-      moved by pi.  C computes its images many pairs at a time, and
-      reads an image equal to its pair class's image once per class.  A
-      check that reads two pairs' images may be reported by either
-      pair; the verdict reads every pair's.
+      checks.  Both relations decide many pairs per kernel call, in
+      this order, and may hand several pairs one ``Decision``: T one
+      per block object in bose and fermi, C one per pair class for the
+      pairs whose image is the class's.  T's check takes no product
+      when K_{pi(a) pi(b)} is K_ab's block moved by pi, and C's reads
+      the images it already has.  A check that reads two pairs' images
+      may be reported by either pair; the verdict reads every pair's.
 
     name(i) is the name of sample i, formed only for a witness.  A
     diagonal pair is reflexive when both routes say the relation holds;
@@ -443,9 +497,16 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
     """Full weak-discernibility certification of the total-spin relation.
 
     Both routes read ``pair_bands``: the operator route decides on the
-    exact spectra of 4 S^2 and K_12, the sampled route applies each K_ab,
-    built once from them, to every sample at once.  No N-body operator,
-    and no d^N vector in the bose and fermi sectors.
+    exact spectra of 4 S^2 and K_12, the sampled route
+    (``sampled_route_T``) applies each block, built once from them, to
+    every sample at once, per class of pairs on one block.  No N-body
+    operator, and no d^N vector in the bose and fermi sectors.
+
+    Refused before any block or draw (``DimensionCapError``): samples
+    whose pair unfoldings hold more than DISCERNLAB_DIM_CAP^2 amplitudes,
+    and a dense K_12 of more than that many entries, d^4.  At the default
+    cap the second refuses only N = 2 bose at 2s = 64..89 and N = 2
+    fermi at 2s = 64..90, whose D_2 passes the cap.
     """
     if n_particles < 2:
         raise ArityError("need at least two particles to discern")
@@ -473,6 +534,13 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
         raise DimensionCapError(
             f"{amplitudes} sample amplitudes exceed the budget "
             f"{dimension_cap() ** 2} (DISCERNLAB_DIM_CAP squared)")
+    # and the dense pair block K_12, d^2 x d^2, no more entries than that
+    # operator: in bose and fermi D_N may be at the cap while d^4 is not
+    if label.dim ** 4 > dimension_cap() ** 2:
+        raise DimensionCapError(
+            f"the pair block of 2s={two_s} holds {label.dim ** 4} entries, "
+            f"above the budget {dimension_cap() ** 2} (DISCERNLAB_DIM_CAP "
+            f"squared)")
 
     report = DiscernibilityReport(
         relation="T",

@@ -381,23 +381,34 @@ class StateBatch:
         """Every factor, as one batch shaped (states * r, ...)."""
         return self.factors.reshape((-1,) + self.factors.shape[2:])
 
-    def unfold(self, slots: tuple[int, ...]) -> "StateBatch":
-        """The factors unfolded on slots: (states, r, rest, d^k) matrices.
+    def unfold(self, *slots: tuple[int, ...]) -> "StateBatch":
+        """The factors unfolded on each k-tuple of slots, stacked.
 
-        Full sector: ``unfold`` of the slot axes.  Bose and fermi: the
-        unfolding on k slots, one matrix for any k slots.  An unfolding
-        keeps inner products, Phi^dagger Phi = F^dagger F, so it shares
-        this batch's Gram matrix and trace.
+        (P states, r, rest, d^k) matrices for P tuples: tuple p's block
+        of states after tuple p-1's, so that one matrix product applies
+        a block on k slots to all of them.  Full sector: ``unfold`` of
+        the slot axes.  Bose and fermi: the unfolding on k slots, one
+        matrix for any k slots.  An unfolding keeps inner products,
+        Phi^dagger Phi = F^dagger F, so it shares this batch's Gram
+        matrix and trace, repeated per tuple.
         """
+        count = len(slots)
         if self.unfoldings:
-            index, amp = self.unfoldings[len(slots) - 1]
+            index, amp = self.unfoldings[len(slots[0]) - 1]
             phi = self.factors[..., index] * amp
+            if count > 1:
+                phi = np.concatenate([phi] * count)
         else:
-            phi = unfold(self.vectors, slots)
-            phi = phi.reshape(self.factors.shape[:2] + phi.shape[1:])
-        out = StateBatch(phi, self.weights)
+            phi = (unfold(self.vectors, slots[0]) if count == 1 else
+                   np.concatenate([unfold(self.vectors, s) for s in slots]))
+            phi = phi.reshape((-1,) + self.factors.shape[1:2] + phi.shape[1:])
+        weights, gram, trace = self.weights, self.gram, self.trace
+        if count > 1:
+            weights, gram, trace = (np.concatenate([x] * count)
+                                    for x in (weights, gram, trace))
+        out = StateBatch(phi, weights)
         # prefill the cached products that an unfolding keeps
-        out.__dict__.update(gram=self.gram, trace=self.trace)
+        out.__dict__.update(gram=gram, trace=trace)
         return out
 
     def split(self, entries: int) -> list["StateBatch"]:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from discernlab import cli, discern
+from discernlab.spin import SpinLabel
 from discernlab.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -293,6 +294,36 @@ class TestResourceCaps:
                                          "--pure-samples", "164",
                                          "--out", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("sector,two_s", [("bose", "89"),
+                                              ("fermi", "90")])
+    def test_pair_block_cap_before_the_block(self, tmp_path, capsys,
+                                             monkeypatch, sector, two_s):
+        # D_2 = 4095 states pass the cap, but K_12 would hold d^4 = 90^4
+        # or 91^4 entries, above 4096^2
+        def built(*args):
+            raise AssertionError("the dense pair block was built")
+
+        monkeypatch.setattr(SpinLabel, "pair_blocks", property(built))
+        monkeypatch.setattr(discern, "sample_states", built)
+        err = self.assert_exits_3(["verify", "--sector", sector,
+                                   "--particles", "2", "--two-s", two_s],
+                                  tmp_path / "r.json", capsys)
+        assert "pair block" in err
+
+    def test_pair_block_at_the_cap_passes(self, tmp_path, capsys,
+                                          monkeypatch):
+        # at cap 16 the pair block may hold 16^2 entries: d = 4 fills it
+        # and d = 5 is refused
+        monkeypatch.setenv("DISCERNLAB_DIM_CAP", "16")
+        flags = ["verify", "--sector", "bose", "--particles", "2",
+                 "--pure-samples", "3", "--mixed-samples", "1"]
+        out = tmp_path / "r.json"
+        assert run(flags + ["--two-s", "3", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["verdict"] == "weakly_discerning"
+        err = self.assert_exits_3(flags + ["--two-s", "4"],
+                                  tmp_path / "r4.json", capsys)
+        assert "625 entries" in err
+
     def test_bose_far_beyond_the_product_cap(self, tmp_path):
         # 2^100 product amplitudes, 101 bose coordinates
         out = tmp_path / "r.json"
@@ -303,6 +334,42 @@ class TestResourceCaps:
         assert data["verdict"] == "weakly_discerning"
         assert data["spectrum"] == [[0, 2 ** 98], [2, 3 * 2 ** 98]]
         assert main(["render", str(out)]) == EXIT_OK
+
+
+class TestVerifyFixedCost:
+    """What ``main`` does once per process, and the report it writes."""
+
+    def test_parser_is_built_once(self, tmp_path):
+        parser = cli.build_parser()
+        for _ in range(2):
+            assert run(["render", str(tmp_path / "missing.json")]) \
+                == EXIT_INPUT
+        assert cli.build_parser() is parser
+
+    @pytest.mark.parametrize("argv", [
+        ["--relation", "T", "--particles", "3", "--sector", "bose",
+         "--pure-samples", "4", "--mixed-samples", "2"],
+        ["--relation", "C", "--particles", "2", "--pure-samples", "3",
+         "--max-degree", "4"]])
+    def test_report_is_the_json_of_asdict(self, tmp_path, monkeypatch,
+                                          argv):
+        from dataclasses import asdict
+        reports = []
+
+        def recorded(certify):
+            def wrapper(*args):
+                reports.append(certify(*args))
+                return reports[-1]
+            return wrapper
+
+        for name in ("certify_T", "certify_C"):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+        out = tmp_path / "r.json"
+        assert run(["verify", *argv, "--out", str(out)]) == EXIT_OK
+        data = asdict(reports[0])
+        data["timestamp"] = json.loads(out.read_text())["timestamp"]
+        assert out.read_text() == json.dumps(data, indent=2,
+                                             sort_keys=True) + "\n"
 
 
 def test_internal_error_exits_5_with_traceback(tmp_path, capsys, monkeypatch):

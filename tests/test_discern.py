@@ -37,6 +37,7 @@ from discernlab.multiparticle import (
     product_amplitudes,
     random_pure_state,
     sample_states,
+    sector_dimension,
 )
 from discernlab.schwartz import (
     SpinorWavefunction,
@@ -738,11 +739,12 @@ class TestOneImagePerPair:
         report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
         assert report.verdict == "weakly_discerning"
         assert report.permutation_invariant
-        # per pair: K_ab Phi_ab only; K_{pi(a) pi(b)} is K_ab's block on
-        # pi's image of its slots, so U_pi makes the S_N check hold
-        assert sorted(slots for slots, _ in calls) == sorted(
-            (a,) if a == b else (a, b) for a in range(1, 4)
-            for b in range(1, 4))
+        # one product per block class: 4 S^2 on the unfoldings of the 3
+        # diagonal pairs stacked, K_12 on those of the 6 off-diagonal
+        # pairs; K_{pi(a) pi(b)} is K_ab's block on pi's image of its
+        # slots, so U_pi makes the S_N check hold with no product
+        assert sorted(calls) == [((1,), (3 * 5, 4, 2)),
+                                 ((1, 2), (6 * 5, 2, 4))]
 
     def test_T_applies_distinct_blocks_once_per_generator(self, monkeypatch):
         import discernlab.discern as discern
@@ -752,10 +754,15 @@ class TestOneImagePerPair:
         calls = self.count_block_products(monkeypatch)
         report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
         assert report.permutation_invariant
-        # a block object per off-diagonal pair: K_{pi(a) pi(b)} is applied
-        # to the unfolding of U_pi psi per generator; the diagonal pairs
-        # share the one block 4 S^2 and need no product for the check
-        assert len(calls) == 6 * (1 + 2) + 3
+        # a block object per off-diagonal pair, so a class each: 6 passes
+        # of one pair, and one pass of the 3 diagonal pairs, which share
+        # the one block 4 S^2 and need no product for the check.  The
+        # rule cannot settle an off-diagonal pair, so its S_N check forms
+        # K_ab psi once more and applies K_{pi(a) pi(b)} to the unfolding
+        # of U_pi psi per generator
+        assert len(calls) == 6 + 1 + 6 * (1 + 2)
+        assert sorted(shape for slots, shape in calls if len(slots) == 1) \
+            == [(3 * 5, 4, 2)]
 
     @pytest.mark.parametrize("n,two_s,sector", [
         (2, 1, "bose"), (3, 1, "bose"), (4, 3, "fermi"), (12, 1, "bose")])
@@ -825,6 +832,86 @@ class TestOneImagePerPair:
         assert sorted(passes) == sorted([(1, k) for k in diagonal]
                                         + [(2, k) for k in off])
         assert len(calls) == len(passes) + 2
+
+
+class TestClassPass:
+    """Relation T's pairs decided per block class, many pairs per pass."""
+
+    @staticmethod
+    def pieces(system, seed, entries):
+        """certify_T's draws: pure, then rank-2 mixed, split into pieces."""
+        rng = np.random.default_rng(seed)
+        rank = min(2, sector_dimension(system))
+        drawn = [sample_states(system, 7, rng),
+                 sample_states(system, 5, rng, rank)]
+        return [piece for batch in drawn for piece in batch.split(entries)]
+
+    # fermi needs d = 2s + 1 > N for more than one state
+    @pytest.mark.parametrize("sector", ["full", "bose", "fermi"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("entries", [1, 200, 4096])
+    def test_every_pair_reads_its_own_kernel(self, monkeypatch, sector, n,
+                                             entries):
+        import discernlab.discern as discern
+        two_s = n if sector == "fermi" else 1
+        label = SpinLabel(two_s)
+        system = ParticleSystem(n, label.dim, sector)
+        monkeypatch.setattr(discern, "BATCH_ENTRIES", entries)
+        batches = self.pieces(system, n, entries)
+        # the pass's value and residual per pair, in place of a Decision
+        monkeypatch.setattr(discern, "decide_T",
+                            lambda value, residual, target, tol:
+                            (value, residual))
+        family = lambda a, b: pair_operator(label, a, b, system)  # noqa: E731
+        decide_pair = sampled_route_T(family, batches, 0.0, 1e-8)
+        slots = range(1, n + 1)
+        for a in slots:
+            for b in slots:
+                (value, residual), invariant = decide_pair(
+                    a, b, Permutation.generators(n))
+                k = family(a, b)
+                want = [block_kernel(k, piece.unfold(k.slots))[1:]
+                        for piece in batches]
+                assert np.array_equal(value, np.concatenate(
+                    [v for v, _ in want]))
+                assert np.array_equal(residual, np.concatenate(
+                    [r for _, r in want]))
+                assert invariant
+
+    @pytest.mark.parametrize("n,two_s,sector", [
+        (2, 1, "full"), (3, 1, "full"), (4, 2, "full"), (6, 1, "full"),
+        (3, 1, "bose"), (6, 1, "bose"), (4, 3, "fermi")])
+    def test_reports_do_not_depend_on_the_budget(self, monkeypatch, n,
+                                                 two_s, sector):
+        import discernlab.discern as discern
+
+        def report():
+            return json.dumps(asdict(certify_T(
+                n, two_s, sector, n_pure_samples=9, n_mixed_samples=4,
+                mixed_rank=2, seed=n)), sort_keys=True)
+
+        want = report()
+        for entries in (1, 2 ** 16):
+            monkeypatch.setattr(discern, "BATCH_ENTRIES", entries)
+            assert report() == want
+
+    # 5 pure states of 3 spin-1/2 particles: 40 amplitudes, one piece
+    # (all pairs of a class in one pass: TestOneImagePerPair).  A class's
+    # next chunk is passed when the first of its pairs is asked
+    # for, in certify_relation's order: (1, 1) passes the diagonal pairs
+    # (1, 1) and (2, 2), (1, 2) passes (1, 2) and (1, 3), and so on
+    @pytest.mark.parametrize("entries, passes", [
+        (40, [(1, 1)] + [(2, 1)] * 3 + [(1, 1)] + [(2, 1)] * 3 + [(1, 1)]),
+        (80, [(1, 2), (2, 2), (2, 2), (2, 2), (1, 1)])])
+    def test_passes_follow_the_budget(self, monkeypatch, entries, passes):
+        import discernlab.discern as discern
+        monkeypatch.setattr(discern, "BATCH_ENTRIES", entries)
+        calls = TestOneImagePerPair.count_block_products(monkeypatch)
+        report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
+        assert report.verdict == "weakly_discerning"
+        # (slots of the block, pairs in the pass), per pass
+        assert [(len(slots), shape[0] // 5) for slots, shape in calls] \
+            == passes
 
 
 class TestCertificateIsNotVacuous:
@@ -954,6 +1041,25 @@ class TestInvarianceIsNotVacuous:
                            n_mixed_samples=1)
         assert not report.permutation_invariant
         assert report.verdict == "violated"
+
+    @pytest.mark.parametrize("sector,two_s", [
+        ("full", 1), ("bose", 1), ("fermi", 3)])
+    def test_rule_reads_the_block_s_own_slots(self, sector, two_s):
+        # K_12 on slots (1, 3): (1 2) moves it to (2, 3), and K_21 is the
+        # same block object on (2, 1), pi's image of the requested pair
+        # but not of the block's slots, so the rule must not settle it
+        label = SpinLabel(two_s)
+        system = ParticleSystem(3, label.dim, sector)
+
+        def family(a, b):
+            k = pair_operator(label, a, b, system)
+            return SlotOperator(k.block, (1, 3)) if (a, b) == (1, 2) else k
+
+        batch = sample_states(system, 3, 0)
+        decide_pair = sampled_route_T(family, [batch], 2.0, 1e-8)
+        swap, _ = Permutation.generators(3)
+        assert family(2, 1).block is family(1, 2).block
+        assert not decide_pair(1, 2, [swap])[1]
 
 
 class TestCInvarianceIsNotVacuous:

@@ -347,6 +347,20 @@ class TestSlotOperator:
                                    states.shape), states)
 
 
+    @pytest.mark.parametrize("sector,d", [("full", 3), ("bose", 3),
+                                          ("fermi", 5)])
+    def test_unfoldings_on_several_slots_are_stacked(self, sector, d):
+        # tuple p's unfoldings after tuple p-1's, the Gram matrix and
+        # trace repeated per tuple
+        batch = sample_states(ParticleSystem(4, d, sector), 3, 2, rank=2)
+        for tuples in [((1, 2), (3, 1), (2, 4)), ((1,), (4,))]:
+            stacked = batch.unfold(*tuples)
+            parts = [batch.unfold(slots) for slots in tuples]
+            for name in ("factors", "weights", "gram", "trace"):
+                assert np.array_equal(getattr(stacked, name), np.concatenate(
+                    [getattr(part, name) for part in parts]))
+
+
 class TestSectorCoordinates:
     def test_cap_bounds_the_sector_dimension(self):
         # 2^100 product amplitudes, 101 bose coordinates
