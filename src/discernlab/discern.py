@@ -318,9 +318,8 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
     full = not batches[0].unfoldings
     per_pass = max(1, BATCH_ENTRIES // max(p.vectors.size for p in batches))
     classes = {}  # bose and fermi: id(block) -> (block, Decision)
-    # full sector, with more than one pair per pass: (a, b) -> (K_ab, its
-    # place among its block's pairs), and per block the pairs it is
-    # placed on, in certify_relation's order
+    # full sector: (a, b) -> (K_ab, its place among its block's pairs),
+    # and per block the pairs it is placed on, in certify_relation's order
     places: dict[tuple[int, int], tuple[SlotOperator, int]] = {}
     members: dict[int, list[tuple[int, int]]] = {}
     decided: dict[tuple[int, int], Decision] = {}  # passed, not yet read
@@ -355,8 +354,6 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
             if id(k.block) not in classes:
                 classes[id(k.block)] = k.block, decide(k, k.slots)[0]
             return classes[id(k.block)][1]
-        if per_pass == 1:
-            return decide(k, k.slots)[0]
         if (a, b) not in decided:
             pairs = chunk(a, b)
             decided.update(zip(pairs, decide(

@@ -388,16 +388,15 @@ class StateBatch:
         of states after tuple p-1's, so that one matrix product applies
         a block on k slots to all of them.  Full sector: ``unfold`` of
         the slot axes.  Bose and fermi: the unfolding on k slots, one
-        matrix for any k slots.  An unfolding keeps inner products,
-        Phi^dagger Phi = F^dagger F, so it shares this batch's Gram
-        matrix and trace, repeated per tuple.
+        matrix for any k slots, so they take a single tuple.  An
+        unfolding keeps inner products, Phi^dagger Phi = F^dagger F, so
+        it shares this batch's Gram matrix and trace, repeated per tuple.
         """
         count = len(slots)
         if self.unfoldings:
+            assert count == 1, "one matrix serves any k slots"
             index, amp = self.unfoldings[len(slots[0]) - 1]
             phi = self.factors[..., index] * amp
-            if count > 1:
-                phi = np.concatenate([phi] * count)
         else:
             phi = (unfold(self.vectors, slots[0]) if count == 1 else
                    np.concatenate([unfold(self.vectors, s) for s in slots]))
