@@ -13,9 +13,7 @@ from .matrix_core import (
     MixedState,
     Operator,
     PureState,
-    commutator,
     hermitian_eigensystem,
-    is_scalar_identity,
     kron,
 )
 from .multiparticle import (
@@ -23,26 +21,17 @@ from .multiparticle import (
     Permutation,
     embed_at_slot,
     permutation_unitary,
-    random_mixed_state,
-    random_pure_state,
     sector_dimension,
     symmetrizer,
 )
 from .spin import (
     SpinLabel,
-    casimir,
     clebsch_gordan,
     coupled_basis,
     pair_total_spin_squared,
     spin_operators,
 )
-from .schwartz import (
-    SpinorWavefunction,
-    apply_P,
-    apply_Q,
-    commutator_PQ_apply,
-    random_wavefunction,
-)
+from .schwartz import SpinorWavefunction
 from .discern import (
     DiscernibilityReport,
     certify_C,

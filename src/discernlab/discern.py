@@ -228,14 +228,20 @@ def relation_C_holds(a: int, b: int, psi) -> bool:
 
     psi may be a single spinor wavefunction or an iterable of them; the
     relation must hold for every member.  Decided in exact Gaussian-integer
-    arithmetic, zero tolerance, by the batch kernel on all of them at once.
+    arithmetic, zero tolerance, on all of them at once by the pass that
+    ``certify_C`` runs: one slot-local ``TermBatch.ccr_residuals`` call,
+    whose residual ``decide_C`` reads as ``certify_C`` does.
     """
     psi = [psi] if isinstance(psi, SpinorWavefunction) else list(psi)
     if not psi:
         return True
     batch = pack(psi)
-    return bool(all(decide_C(batch.commutator_PQ(a, b),
-                             batch.mul_minus_i())[0]))
+    residual = batch.ccr_residuals([(a, b)])[0]
+    target = batch.mul_minus_i()
+    if a == b:  # image - target is the residual
+        image = target if residual.is_zero() else target.plus(residual)
+        return bool(all(decide_C(image, target, residual)[0]))
+    return bool(all(decide_C(residual, target)[0]))  # the image
 
 
 def ccr_identity_on_monomials(n_particles: int, max_degree: int,

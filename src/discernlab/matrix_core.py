@@ -2,12 +2,11 @@
 
 Operators, pure states and statistical operators as immutable wrappers
 around numpy arrays, plus the handful of primitives everything else is
-built from: tensor products, commutators, Hermitian eigensystems and
-scalar-identity tests.
+built from: tensor products and Hermitian eigensystems.
 
 hbar is 1 internally.  Eigenvalue claims elsewhere are stated in units
 of hbar or hbar^2 and carry their unit exponent as metadata, which
-sums and differences check.
+sums check.
 """
 
 from __future__ import annotations
@@ -71,34 +70,19 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_self_adjoint(self, tol: float = TOL_ABS) -> bool:
-        return float(np.abs(self.entries - self.entries.conj().T).max()) <= tol
-
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise ShapeError(f"dim mismatch {self.dim} vs {other.dim}")
         return Operator(self.entries @ other.entries,
                         self.hbar_power + other.hbar_power)
 
-    def _check_summand(self, other: "Operator"):
+    def __add__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise ShapeError(f"dim mismatch {self.dim} vs {other.dim}")
         if self.hbar_power != other.hbar_power:
             raise UnitError(f"cannot add hbar^{self.hbar_power} "
                             f"and hbar^{other.hbar_power}")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_summand(other)
         return Operator(self.entries + other.entries, self.hbar_power)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_summand(other)
-        return Operator(self.entries - other.entries, self.hbar_power)
-
-    def __mul__(self, c: complex) -> "Operator":
-        return Operator(self.entries * c, self.hbar_power)
-
-    __rmul__ = __mul__
 
     def max_norm(self) -> float:
         return float(np.abs(self.entries).max()) if self.dim else 0.0
@@ -161,14 +145,6 @@ def kron(a: Operator, b: Operator) -> Operator:
                     a.hbar_power + b.hbar_power)
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    """AB - BA."""
-    if a.dim != b.dim:
-        raise ShapeError(f"dim mismatch {a.dim} vs {b.dim}")
-    return Operator(a.entries @ b.entries - b.entries @ a.entries,
-                    a.hbar_power + b.hbar_power)
-
-
 def _hermitian_eigh(a: Operator) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of A, after checking that A is self-adjoint.
 
@@ -204,15 +180,3 @@ def eigenvalue_levels(a: Operator) -> list[tuple[float, int]]:
         else:
             levels.append([lam])
     return [(sum(lv) / len(lv), len(lv)) for lv in levels]
-
-
-def is_scalar_identity(a: Operator, c: complex, tol: float = TOL_ABS) -> bool:
-    """True iff A equals c * identity within tol in max-entry norm.
-
-    This decides "A psi = c psi for every psi" exactly: the operator
-    equation holds iff the eigenvalue equation holds on all states.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    diff = a.entries - c * np.eye(a.dim)
-    return float(np.abs(diff).max()) <= tol

@@ -1,8 +1,8 @@
 """N-fold tensor-product spaces.
 
 Slot embeddings, operators that act on a few slots (``SlotOperator``),
-permutation unitaries, symmetrizers / antisymmetrizers, orthonormal
-sector bases and sector-constrained random state sampling.
+permutation unitaries, symmetrizers / antisymmetrizers and
+sector-constrained random state sampling.
 
 A full-sector state is held as d^N product amplitudes, one axis per
 slot; a bose or fermi state as its D coordinates in the sector's
@@ -12,9 +12,9 @@ transposed so that one matrix product applies a block to every state
 (``SlotOperator.image``).  Its rows are the levels of the k slots; its
 columns are the other slots' axes in the full sector, and in bose and
 fermi the (N-k)-particle sector basis, with square-root occupation
-factors or sorting signs (``ParticleSystem.unfoldings``).  The d^N
-embedding of sector coordinates (``sector_basis``,
-``product_amplitudes``) is the dense oracle of that route.
+factors or sorting signs (``ParticleSystem.unfoldings``).  No d^N
+vector of a bose or fermi state is formed; the tests keep the d^N
+embedding of sector coordinates as the oracle of that route.
 
 Permutation convention: U_pi moves the content of slot k to slot pi(k),
 i.e. on product vectors U_pi (phi_1 (x) ... (x) phi_N) =
@@ -40,7 +40,7 @@ from .errors import (
     IndexRangeError,
     RankError,
 )
-from .matrix_core import MixedState, Operator, PureState, dimension_cap, identity, kron
+from .matrix_core import Operator, dimension_cap, identity, kron
 
 SECTORS = ("full", "bose", "fermi")
 #: symmetrizer parity of each symmetry-restricted sector
@@ -100,10 +100,11 @@ class ParticleSystem:
 def _occupations(n: int, d: int, fermi: bool) -> np.ndarray:
     """Occupation numbers of the n-particle sector basis, one row each.
 
-    Rows are in ``sector_basis``'s column order, ascending product index
-    of the sorted slot tuple, which is descending lexicographic order of
-    the rows.  Fermi rows are the n-subsets of the d levels; bose rows
-    come from the (d-1)-subsets of n+d-1 places (stars and bars).
+    Rows are in the order of the sector coordinates, ascending product
+    index of the sorted slot tuple, which is descending lexicographic
+    order of the rows.  Fermi rows are the n-subsets of the d levels;
+    bose rows come from the (d-1)-subsets of n+d-1 places (stars and
+    bars).
     """
     if fermi:
         levels = np.array(list(itertools.combinations(range(d), n)),
@@ -164,10 +165,6 @@ class Permutation:
         for k, pk in enumerate(self.mapping, start=1):
             inv[pk - 1] = k
         return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self o other: first apply other, then self."""
-        return Permutation(tuple(self(other(k)) for k in range(1, self.n + 1)))
 
     @property
     def sign(self) -> int:
@@ -277,9 +274,7 @@ class SlotOperator:
     """block (x) identity: a d^k x d^k block on the k slots in slots.
 
     ``image`` applies it to states unfolded on those slots, all of them
-    by one matrix product: no N-body matrix.  ``apply``, which contracts
-    the block with the slot axes of a batch shaped (count, d, ..., d), is
-    its oracle.
+    by one matrix product: no N-body matrix.
     """
 
     block: np.ndarray
@@ -289,12 +284,6 @@ class SlotOperator:
         """K Phi for every Phi^T in unfolded (..., rest, d^k): Phi^T K^T."""
         rows = unfolded.reshape(-1, len(self.block))
         return (rows @ self.block.T).reshape(unfolded.shape)
-
-    def apply(self, states: np.ndarray) -> np.ndarray:
-        k, d = len(self.slots), states.shape[1]
-        out = np.tensordot(states, self.block.reshape((d,) * (2 * k)),
-                           axes=(self.slots, tuple(range(k, 2 * k))))
-        return np.moveaxis(out, tuple(range(-k, 0)), self.slots)
 
 
 def symmetrizer(system: ParticleSystem, parity: str) -> Operator:
@@ -329,36 +318,6 @@ def sector_dimension(system: ParticleSystem, parity: Optional[str] = None,
     if parity == "-":
         return math.comb(d, n)
     raise ValueError("parity must be '+' or '-'")
-
-
-def sector_basis(system: ParticleSystem) -> tuple[np.ndarray, ...]:
-    """Orthonormal bose or fermi basis (support, column, coef) in C^(d^N).
-
-    Basis vector column[k] has entry coef[k] at product index support[k].
-    Product indices are grouped by their sorted slot tuple: every group
-    for bose (occupation-number multisets), the groups of N distinct
-    levels for fermi (Slater determinants, signed by the parity of the
-    sorting permutation).  O(dim * N * d) work and no N!-term sum.  The
-    d^N oracle of the sector coordinates; the sampler never calls it.
-    """
-    d, n, dim = system.single_dim, system.n_particles, system.total_dim
-    digits = np.indices((d,) * n).reshape(n, -1).T  # index -> slot tuple
-    occupation = (digits[:, :, None] == np.arange(d)).sum(axis=1)
-    filled = occupation.cumsum(axis=1)
-    # the group is the product index of the sorted slot tuple, whose j-th
-    # entry counts the levels l with at most j slots at levels <= l
-    group = sum((filled <= j).sum(axis=1) * d ** (n - 1 - j) for j in range(n))
-    support, sign = np.arange(dim), 1.0
-    if system.sector == "fermi":
-        keep = (occupation <= 1).all(axis=1)
-        support, digits, group = support[keep], digits[keep], group[keep]
-        inversions = sum(digits[:, i] > digits[:, j]
-                         for i in range(n) for j in range(i + 1, n))
-        sign = 1.0 - 2.0 * (np.asarray(inversions) % 2)
-    used = np.zeros(dim, dtype=bool)
-    used[group] = True
-    column = np.cumsum(used)[group] - 1  # groups in ascending order
-    return support, column, sign / np.sqrt(np.bincount(group)[group])
 
 
 @dataclass(frozen=True)
@@ -448,8 +407,8 @@ def sample_states(system: ParticleSystem, count: int, seed,
     each drawing its weights and then its components.  A pure state is a
     complex Gaussian in the coordinates of the sector's orthonormal basis
     (the product basis for full), normalized, and is kept in those
-    coordinates: D of them for bose and fermi, in ``sector_basis``'s
-    column order.  seed is an int or a numpy Generator, drawn from in
+    coordinates: D of them for bose and fermi, in ``_occupations``'s row
+    order.  seed is an int or a numpy Generator, drawn from in
     place; one draw of count states equals count successive draws.
     """
     sdim = sector_dimension(system)
@@ -477,33 +436,3 @@ def sample_states(system: ParticleSystem, count: int, seed,
         vectors = vectors.reshape(
             weights.shape + (system.single_dim,) * system.n_particles)
     return StateBatch(vectors, weights, system.unfoldings)
-
-
-def product_amplitudes(system: ParticleSystem,
-                       coords: np.ndarray) -> np.ndarray:
-    """Sector coordinates (..., D) as d^N product amplitudes (..., d^N).
-
-    The identity in the full sector, the ``sector_basis`` embedding in
-    bose and fermi: the dense oracle of the sector route.
-    """
-    if system.sector == "full":
-        return coords
-    support, column, coef = sector_basis(system)
-    out = np.zeros(coords.shape[:-1] + (system.total_dim,), complex)
-    out[..., support] = coords[..., column] * coef
-    return out
-
-
-def random_pure_state(system: ParticleSystem, seed) -> PureState:
-    """Haar-uniform ray inside the system's sector (``sample_states``)."""
-    batch = sample_states(system, 1, seed)
-    return PureState(product_amplitudes(system, batch.flat[0, 0]))
-
-
-def random_mixed_state(system: ParticleSystem, rank: int, seed) -> MixedState:
-    """One rank-r ``sample_states`` draw as a dense statistical operator."""
-    batch = sample_states(system, 1, seed, rank)
-    f = product_amplitudes(system, batch.flat[0])
-    w = (f.T * batch.weights[0]) @ f.conj()
-    # symmetrize away float round-off before the invariant check
-    return MixedState((w + w.conj().T) / 2)

@@ -19,9 +19,8 @@ P, Q and the commutator have one implementation, ``TermBatch``: the
 terms of many wavefunctions as integer columns, one contiguous row per
 field (owner, then spin index and exponent per slot) and one per
 coefficient part, with like terms merged by sorting on a packed integer
-key.  ``apply_P``, ``apply_Q`` and ``commutator_PQ_apply`` run it on a
-batch of one, and ``TermBatch.ccr_residuals`` on a slot-local view of
-many pairs at once.
+key.  ``TermBatch.ccr_residuals`` runs it on a slot-local view of many
+pairs at once; a single wavefunction is a batch of one (``pack``).
 """
 
 from __future__ import annotations
@@ -89,25 +88,8 @@ class SpinorWavefunction:
                                  "(re, im) pair of ints")
         object.__setattr__(self, "terms", _nonzero(self.terms))
 
-    # the operations below run the TermBatch kernel on a batch of one
-
-    def __sub__(self, other: "SpinorWavefunction") -> "SpinorWavefunction":
-        return pack([self]).minus(pack([other])).unpack()[0]
-
-    def mul_minus_i(self) -> "SpinorWavefunction":
-        """-i psi, the target of [P_a, Q_a] psi: (re + i im)(-i) = im - i re."""
-        return pack([self]).mul_minus_i().unpack()[0]
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def permute_slots(self, mapping: tuple[int, ...]) -> "SpinorWavefunction":
-        """Permute particles: slot k's (m_k, e_k) moves to slot mapping[k]."""
-        return pack([self]).permute_slots(mapping).unpack()[0]
-
-    def __hash__(self):
-        return hash((self.n_particles, self.two_s,
-                     frozenset(self.terms.items())))
 
 
 def _nonzero(terms: dict[Term, Coeff]) -> dict[Term, Coeff]:
@@ -473,26 +455,6 @@ def monomials(n_particles: int, slots: Sequence[int],
     return TermBatch(n_particles, 0, count, rows, coeffs)
 
 
-def apply_Q(psi: SpinorWavefunction, slot: int) -> SpinorWavefunction:
-    """Position operator: multiply by q_slot (the kernel on a batch of one)."""
-    return pack([psi]).q(slot).unpack()[0]
-
-
-def apply_P(psi: SpinorWavefunction, slot: int) -> SpinorWavefunction:
-    """Momentum operator -i hbar d/dq_slot (the kernel on a batch of one)."""
-    return pack([psi]).p(slot).merged().unpack()[0]
-
-
-def commutator_PQ_apply(psi: SpinorWavefunction, a: int,
-                        b: int) -> SpinorWavefunction:
-    """[P_a, Q_b] psi, exactly (the kernel on a batch of one).
-
-    Equals -i hbar psi coefficient-for-coefficient when a == b and the
-    zero wavefunction when a != b.
-    """
-    return pack([psi]).commutator_PQ(a, b).unpack()[0]
-
-
 def draw_wavefunctions(n_particles: int, max_degree: int, two_s: int,
                        count: int, seed: int) -> TermBatch:
     """count seeded random spinor wavefunctions, as one merged batch.
@@ -538,13 +500,6 @@ def draw_wavefunctions(n_particles: int, max_degree: int, two_s: int,
     starts = np.searchsorted(rows[0], np.arange(count))
     g = np.gcd.reduceat(np.gcd(coeffs[0], coeffs[1]), starts)
     return batch._with(rows, coeffs // g.take(rows[0]))
-
-
-def random_wavefunction(n_particles: int, max_degree: int, spin_two_s: int,
-                        seed: int) -> SpinorWavefunction:
-    """One seeded random spinor wavefunction (``draw_wavefunctions``)."""
-    return draw_wavefunctions(n_particles, max_degree, spin_two_s, 1,
-                              seed).unpack()[0]
 
 
 def symmetric_product_state(phi_coeffs: dict[int, Coeff], n_particles: int):

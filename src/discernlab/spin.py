@@ -84,12 +84,6 @@ def spin_operators(label: SpinLabel) -> tuple[Operator, Operator, Operator]:
             Operator(sz, hbar_power=1))
 
 
-def casimir(label: SpinLabel) -> Operator:
-    """Sx^2 + Sy^2 + Sz^2 = s(s+1) hbar^2 * identity."""
-    sx, sy, sz = spin_operators(label)
-    return sx @ sx + sy @ sy + sz @ sz
-
-
 def check_pair(label: SpinLabel, a: int, b: int, system: ParticleSystem):
     """Raise IndexRangeError unless the system has d = 2s+1 and slots a, b."""
     if system.single_dim != label.dim:

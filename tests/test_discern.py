@@ -26,7 +26,6 @@ from discernlab.matrix_core import (
     Operator,
     PureState,
     identity,
-    is_scalar_identity,
 )
 from discernlab.multiparticle import (
     ParticleSystem,
@@ -34,8 +33,6 @@ from discernlab.multiparticle import (
     SlotOperator,
     StateBatch,
     permutation_unitary,
-    product_amplitudes,
-    random_pure_state,
     sample_states,
     sector_dimension,
 )
@@ -44,15 +41,21 @@ from discernlab.schwartz import (
     TermBatch,
     draw_wavefunctions,
     pack,
-    random_wavefunction,
     stack,
 )
 from discernlab.spin import (
     SpinLabel,
-    casimir,
     coupled_basis,
     pair_operator,
     pair_total_spin_squared,
+)
+from oracles import (
+    casimir,
+    is_scalar_identity,
+    product_amplitudes,
+    random_mixed_state,
+    random_pure_state,
+    slot_apply,
 )
 
 
@@ -61,7 +64,7 @@ def singlet():
 
 
 def dense(op, system):
-    """The N-body matrix of a SlotOperator, built without its apply.
+    """The N-body matrix of a SlotOperator, built without slot_apply.
 
     The block times the identity on the remaining slots, with the
     block's slots moved to op.slots by a dense permutation unitary.  A
@@ -157,7 +160,6 @@ class TestRelationT:
     def test_fails_on_sampled_mixed_states(self):
         label, system = SpinLabel(1), ParticleSystem(2, 2)
         for seed in range(5):
-            from discernlab.multiparticle import random_mixed_state
             w = random_mixed_state(system, rank=2, seed=seed)
             assert not relation_T_holds(1, 2, w, label, system)
 
@@ -188,14 +190,58 @@ class TestRelationT:
 
 class TestRelationC:
     def test_reflexive_on_samples(self):
-        samples = [random_wavefunction(2, 6, 0, k) for k in range(30)]
+        samples = [psi for k in range(30)
+                   for psi in draw_wavefunctions(2, 6, 0, 1, k).unpack()]
         assert relation_C_holds(1, 1, samples)
         assert relation_C_holds(2, 2, samples)
 
     def test_off_diagonal_fails_for_any_nonzero(self):
         for seed in range(10):
-            psi = random_wavefunction(2, 6, 1, seed)
+            [psi] = draw_wavefunctions(2, 6, 1, 1, seed).unpack()
             assert not relation_C_holds(1, 2, psi)
+
+    def test_decides_on_one_slot_local_pass(self, monkeypatch):
+        # certify_C's pass: one commutator call, on the view of slots a
+        # and b, not on the full rows of the batch
+        seen = []
+        commutator = TermBatch.commutator_PQ
+
+        def recorded(self, a, b):
+            seen.append(self)
+            return commutator(self, a, b)
+
+        monkeypatch.setattr(TermBatch, "commutator_PQ", recorded)
+        psi = draw_wavefunctions(4, 4, 1, 5, 2).unpack()
+        for (a, b), want in (((3, 3), True), ((2, 4), False)):
+            seen.clear()
+            assert relation_C_holds(a, b, psi) == want
+            assert len(seen) == 1 and seen[0].n_particles <= 2
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_the_full_row_decision(self, monkeypatch, n, flipped):
+        if flipped:
+            p = TermBatch.p
+
+            def wrong(self, slot):  # the lowered term's sign flipped
+                out = p(self, slot)
+                out.coeffs[:, self.rows.shape[1]:] *= -1
+                return out
+
+            monkeypatch.setattr(TermBatch, "p", wrong)
+        drawn = draw_wavefunctions(n, 4, n % 3, 4, n).unpack()
+        zero = SpinorWavefunction(n, n % 3, {})
+        slots = range(1, n + 1)
+        for psi in [drawn, [zero], drawn + [zero]] + [[x] for x in drawn]:
+            batch = pack(psi)
+            for a in slots:
+                for b in slots:
+                    want = all(decide_C(batch.commutator_PQ(a, b),
+                                        batch.mul_minus_i())[0])
+                    assert relation_C_holds(a, b, psi) == want, (a, b)
+        # the flipped sign gives [P_a, Q_a] = +i: no drawn psi holds
+        assert relation_C_holds(1, 1, drawn) == (not flipped)
+        assert relation_C_holds(1, 1, [zero])
 
     def test_monomial_basis_identity(self):
         assert ccr_identity_on_monomials(2, 6, 1, 1)
@@ -204,8 +250,8 @@ class TestRelationC:
 
     def test_decide_C_branches(self):
         # a random wavefunction and the zero one, which holds on every pair
-        batch = pack([random_wavefunction(2, 4, 1, 3),
-                      SpinorWavefunction(2, 1, {})])
+        batch = stack([draw_wavefunctions(2, 4, 1, 1, 3),
+                       pack([SpinorWavefunction(2, 1, {})])])
         target = batch.mul_minus_i()
         diagonal = batch.commutator_PQ(1, 1)
         holds, _ = decide_C(diagonal, target)
@@ -248,7 +294,8 @@ class TestPermutationInvariance:
         for pi in Permutation.all(3):
             for (a, b), k in family.items():
                 assert permutation_invariance_check(
-                    family[pi(a), pi(b)], pi, states, k.apply(states), 1e-10)
+                    family[pi(a), pi(b)], pi, states, slot_apply(k, states),
+                    1e-10)
 
     def test_three_cycle_maps_pairs(self):
         # conjugation oracle: the 3-cycle sends (S_1+S_2)^2 to (S_2+S_3)^2
@@ -269,7 +316,7 @@ class TestPermutationInvariance:
             for b in (1, 2):
                 k = pair_operator(label, a, b, system)
                 assert permutation_invariance_check(
-                    k, Permutation((1, 2)), states, k.apply(states))
+                    k, Permutation((1, 2)), states, slot_apply(k, states))
 
     def test_dense_oracle_matches_pair_operators(self):
         # the test helper dense() against the embed-built operators
@@ -310,7 +357,7 @@ class TestPermutationInvariance:
                 assert moved.block is k.block
                 assert moved.slots == tuple(pi(s) for s in k.slots)
                 assert permutation_invariance_check(moved, pi, states,
-                                                    k.apply(states))
+                                                    slot_apply(k, states))
         # K_ab plus S_z on slot a, misplaced on (1, 2), fails under (1 2)
         build = TestInvarianceIsNotVacuous().asymmetric(swap_pair=(1, 2))
         wrong = {(a, b): build(label, a, b, system)
@@ -318,7 +365,7 @@ class TestPermutationInvariance:
         swap = Permutation.generators(n)[0]
         for a, b in wrong:
             assert not permutation_invariance_check(
-                wrong[b, a], swap, states, wrong[a, b].apply(states))
+                wrong[b, a], swap, states, slot_apply(wrong[a, b], states))
 
 
 class TestCertify:
@@ -1224,7 +1271,7 @@ class TestSectorKernelOracle:
                   SlotOperator(other, (n, 2)), SlotOperator(other, (1, n))):
             _, value, residual = block_kernel(k, batch.unfold(k.slots))
             want_value, want_residual = eigen_residuals(
-                k.apply(dense.vectors), dense)
+                slot_apply(k, dense.vectors), dense)
             assert np.abs(value - want_value).max() <= 1e-12
             assert np.abs(residual - want_residual).max() <= 1e-12
 
@@ -1284,14 +1331,19 @@ class TestScale:
             assert report.verdict == "weakly_discerning"
 
     def test_certify_T_never_embeds_sector_states(self, monkeypatch):
-        from discernlab import multiparticle
+        import oracles
 
         def banned(*args, **kwargs):
             raise AssertionError("d^N oracle called")
 
+        # the d^N oracles live in tests/oracles.py, out of the library's
+        # reach; the library keeps no second route to a dense state
+        for name in ("sector_basis", "product_amplitudes", "slot_apply"):
+            monkeypatch.setattr(oracles, name, banned)
+        from discernlab import multiparticle
         for name in ("sector_basis", "product_amplitudes"):
-            monkeypatch.setattr(multiparticle, name, banned)
-        monkeypatch.setattr(SlotOperator, "apply", banned)
+            assert not hasattr(multiparticle, name)
+        assert not hasattr(SlotOperator, "apply")
         # 2^100 and 12^6 product amplitudes; 101 and 924 sector coordinates
         for n, two_s, sector in ((3, 1, "full"), (3, 1, "bose"),
                                  (3, 2, "fermi"), (100, 1, "bose"),

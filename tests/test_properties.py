@@ -8,20 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discernlab.discern import decide_C, eigen_residuals, eigenproperty
-from discernlab.matrix_core import (
-    MixedState,
-    Operator,
-    commutator,
-    hermitian_eigensystem,
-)
+from discernlab.matrix_core import MixedState, Operator, hermitian_eigensystem
 from discernlab.multiparticle import ParticleSystem, StateBatch
-from discernlab.schwartz import (
-    SpinorWavefunction,
-    commutator_PQ_apply,
-    pack,
-    random_wavefunction,
-)
+from discernlab.schwartz import SpinorWavefunction, draw_wavefunctions, pack
 from discernlab.spin import SpinLabel, pair_operator, pair_total_spin_squared
+from oracles import commutator, slot_apply
 
 complex_entries = st.integers(-8, 8)
 
@@ -92,7 +83,8 @@ def oracle_scaled(terms, factor):
 
 
 def oracle_random_wavefunction(n_particles, max_degree, spin_two_s, seed):
-    """The rational draw that random_wavefunction scales to integers.
+    """The rational draw that draw_wavefunctions(..., 1, seed) scales to
+    integers.
 
     Reads the numbers draw_wavefunctions draws for one wavefunction from
     the same generator, in the order it documents, and sums them one
@@ -171,17 +163,19 @@ def test_eigensystem_reconstructs_hermitian_part(a):
 @given(rational_polys())
 @settings(max_examples=100, deadline=None)
 def test_exact_ccr_on_random_polys(psi):
+    batch = pack([psi])
     for a in (1, 2):
-        assert commutator_PQ_apply(psi, a, a) == psi.mul_minus_i()
-    assert commutator_PQ_apply(psi, 1, 2).is_zero()
-    assert commutator_PQ_apply(psi, 2, 1).is_zero()
+        assert batch.commutator_PQ(a, a).unpack() == \
+            batch.mul_minus_i().unpack()
+    assert batch.commutator_PQ(1, 2).is_zero()
+    assert batch.commutator_PQ(2, 1).is_zero()
 
 
 @given(rational_polys(n_particles=3, max_degree=4))
 @settings(max_examples=50, deadline=None)
 def test_degree_growth_bounded(psi):
     before = max((e for term in psi.terms for _, e in term), default=0)
-    out = commutator_PQ_apply(psi, 1, 2)
+    out = pack([psi]).commutator_PQ(1, 2).unpack()[0]
     after = max((e for term in out.terms for _, e in term), default=0)
     assert after <= before + 2
 
@@ -191,10 +185,14 @@ def test_degree_growth_bounded(psi):
 def test_integer_kernel_matches_rational_oracle(n, two_s, data):
     terms = data.draw(rational_terms(n, max_degree=5, two_s=two_s))
     scale = oracle_lcm(terms)
-    psi = SpinorWavefunction(n, two_s, oracle_scaled(terms, scale))
+    batch = pack([SpinorWavefunction(n, two_s, oracle_scaled(terms, scale))])
     for a in range(1, n + 1):
+        assert batch.q(a).unpack()[0].terms == \
+            oracle_scaled(oracle_apply_Q(terms, a), scale)
+        assert batch.p(a).merged().unpack()[0].terms == \
+            oracle_scaled(oracle_apply_P(terms, a), scale)
         for b in range(1, n + 1):
-            assert commutator_PQ_apply(psi, a, b).terms == \
+            assert batch.commutator_PQ(a, b).unpack()[0].terms == \
                 oracle_scaled(oracle_commutator(terms, a, b), scale)
 
 
@@ -241,7 +239,8 @@ def test_batch_kernel_matches_rational_oracle(shape, huge, data):
 def test_random_wavefunction_is_rational_draw_times_lcm(n, two_s, degree, seed):
     """The rational draw times the LCM of its denominators, over the gcd of
     the parts that gives."""
-    assert random_wavefunction(n, degree, two_s, seed).terms == \
+    [psi] = draw_wavefunctions(n, degree, two_s, 1, seed).unpack()
+    assert psi.terms == \
         oracle_coprime(oracle_random_wavefunction(n, degree, two_s, seed))
 
 
@@ -265,7 +264,7 @@ def test_factor_kernel_matches_dense_mixed_state(seed, rank, eigen):
     w = rng.random(rank) + 0.05
     w /= w.sum()
     batch = StateBatch(f.reshape(1, rank, 3, 3), w[None])
-    image = pair_operator(label, 1, 2, system).apply(batch.vectors)
+    image = slot_apply(pair_operator(label, 1, 2, system), batch.vectors)
     value, residual = eigen_residuals(image, batch)
 
     dense = MixedState(sum(wk * np.outer(fk, fk.conj()) for wk, fk in zip(w, f)))

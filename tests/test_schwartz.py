@@ -15,15 +15,12 @@ from discernlab.schwartz import (
     DEGREE_CAP,
     SpinorWavefunction,
     TermBatch,
-    apply_P,
-    apply_Q,
-    commutator_PQ_apply,
     draw_wavefunctions,
     pack,
-    random_wavefunction,
     stack,
     symmetric_product_state,
 )
+from oracles import compose
 
 
 def qc(re, im=0):
@@ -47,6 +44,17 @@ def exponents(psi):
     return [tuple(e for _, e in term) for term in psi.terms]
 
 
+def one(batch):
+    """The wavefunction of a batch of one."""
+    [psi] = batch.unpack()
+    return psi
+
+
+def drawn(n, max_degree, two_s, seed):
+    """The batch of one wavefunction that seed draws."""
+    return draw_wavefunctions(n, max_degree, two_s, 1, seed)
+
+
 class TestQComplex:
     """Gaussian-integer coefficient arithmetic, on one-term wavefunctions."""
 
@@ -56,113 +64,124 @@ class TestQComplex:
         product = symmetric_product_state({0: a, 1: b}, 2)
         assert product.terms[((0, 0), (0, 1))] == qc(5, 5)
         # a + b as a - (-b)
-        assert poly(1, {(0,): a}) - poly(1, {(0,): (-3, 1)}) \
+        left = pack([poly(1, {(0,): a})])
+        assert one(left.minus(pack([poly(1, {(0,): (-3, 1)})]))) \
             == poly(1, {(0,): qc(4, 1)})
-        assert poly(1, {(0,): a}).mul_minus_i() == poly(1, {(0,): (2, -1)})
+        assert one(left.mul_minus_i()) == poly(1, {(0,): (2, -1)})
 
     def test_exactness(self):
         # 1/3 + 1/3 + 1/3 = 1, scaled by 3
-        third, minus_third = poly(1, {(0,): 1}), poly(1, {(0,): -1})
-        assert third - minus_third - minus_third == poly(1, {(0,): 3})
+        third, minus_third = pack([poly(1, {(0,): 1})]), \
+            pack([poly(1, {(0,): -1})])
+        assert one(third.minus(minus_third).minus(minus_third)) \
+            == poly(1, {(0,): 3})
 
 
 class TestApplyP:
+    """TermBatch.p on batches of one, merged."""
+
     def test_pure_gaussian(self):
         # -i d/dq exp(-q^2/2) = i q exp(-q^2/2)
-        got = apply_P(gaussian(1), 1)
+        got = one(pack([gaussian(1)]).p(1).merged())
         assert got == poly(1, {(1,): (0, 1)})
 
     def test_q_times_gaussian(self):
         # -i d/dq (q e^{-q^2/2}) = -i (1 - q^2) e^{-q^2/2}
-        got = apply_P(poly(1, {(1,): 1}), 1)
+        got = one(pack([poly(1, {(1,): 1})]).p(1).merged())
         assert got == poly(1, {(0,): (0, -1), (2,): (0, 1)})
 
     def test_disjoint_slot_untouched(self):
         # product p(q1) * q2^3: acting on slot 1 leaves the q2 factor alone
         psi = poly(2, {(2, 3): 1})
-        got = apply_P(psi, 1)
+        got = one(pack([psi]).p(1).merged())
         for mono in exponents(got):
             assert mono[1] == 3
 
     def test_slot_out_of_range(self):
         with pytest.raises(IndexRangeError):
-            apply_P(gaussian(1), 2)
+            pack([gaussian(1)]).p(2)
 
     def test_degree_cap(self):
-        capped = poly(2, {(DEGREE_CAP, 0): 1})
+        capped = pack([poly(2, {(DEGREE_CAP, 0): 1})])
         with pytest.raises(DegreeCapError):
-            apply_P(capped, 1)
-        assert apply_P(capped, 2) == poly(2, {(DEGREE_CAP, 1): (0, 1)})
+            capped.p(1)
+        assert one(capped.p(2).merged()) == \
+            poly(2, {(DEGREE_CAP, 1): (0, 1)})
 
 
 class TestApplyQ:
+    """TermBatch.q on batches of one."""
+
     def test_pure_gaussian(self):
-        assert apply_Q(gaussian(1), 1) == poly(1, {(1,): 1})
+        assert one(pack([gaussian(1)]).q(1)) == poly(1, {(1,): 1})
 
     def test_composition(self):
         psi = poly(1, {(0,): (2, 3)})
-        assert apply_Q(apply_Q(psi, 1), 1) == poly(1, {(2,): (2, 3)})
+        assert one(pack([psi]).q(1).q(1)) == poly(1, {(2,): (2, 3)})
 
     def test_distinct_slots_commute(self):
-        psi = poly(2, {(1, 0): (1, 1), (0, 2): 3})
-        ab = apply_Q(apply_Q(psi, 1), 2)
-        ba = apply_Q(apply_Q(psi, 2), 1)
-        assert ab == ba
+        batch = pack([poly(2, {(1, 0): (1, 1), (0, 2): 3})])
+        assert one(batch.q(1).q(2)) == one(batch.q(2).q(1))
 
     def test_degree_cap(self):
-        capped = poly(2, {(DEGREE_CAP, 0): 1})
+        capped = pack([poly(2, {(DEGREE_CAP, 0): 1})])
         with pytest.raises(DegreeCapError):
-            apply_Q(capped, 1)
-        assert apply_Q(capped, 2) == poly(2, {(DEGREE_CAP, 1): 1})
+            capped.q(1)
+        assert one(capped.q(2)) == poly(2, {(DEGREE_CAP, 1): 1})
 
 
 class TestCommutator:
+    """TermBatch.commutator_PQ on batches of one."""
+
     def test_diagonal_is_minus_i(self):
         for seed in range(20):
-            psi = random_wavefunction(2, 6, 1, seed)
+            batch = drawn(2, 6, 1, seed)
             for a in (1, 2):
-                assert commutator_PQ_apply(psi, a, a) == psi.mul_minus_i()
+                assert one(batch.commutator_PQ(a, a)) == \
+                    one(batch.mul_minus_i())
 
     def test_off_diagonal_is_zero(self):
         for seed in range(20):
-            psi = random_wavefunction(3, 5, 0, seed)
+            batch = drawn(3, 5, 0, seed)
             for a, b in [(1, 2), (2, 1), (1, 3), (3, 2)]:
-                assert commutator_PQ_apply(psi, a, b).is_zero()
+                assert batch.commutator_PQ(a, b).is_zero()
 
     def test_bosonic_product_state(self):
         phi = {0: qc(1), 1: qc(1, 1), 2: qc(-1, 0)}
-        psi = symmetric_product_state(phi, 2)
-        assert commutator_PQ_apply(psi, 1, 1) == psi.mul_minus_i()
-        assert commutator_PQ_apply(psi, 2, 2) == psi.mul_minus_i()
-        assert commutator_PQ_apply(psi, 1, 2).is_zero()
+        batch = pack([symmetric_product_state(phi, 2)])
+        target = one(batch.mul_minus_i())
+        assert one(batch.commutator_PQ(1, 1)) == target
+        assert one(batch.commutator_PQ(2, 2)) == target
+        assert batch.commutator_PQ(1, 2).is_zero()
 
     def test_degree_raised_by_at_most_one(self):
-        psi = poly(1, {(4,): 1})
-        for op in (apply_P, apply_Q):
-            out = op(psi, 1)
-            assert max(m[0] for m in exponents(out)) <= 5
+        batch = pack([poly(1, {(4,): 1})])
+        for out in (batch.p(1).merged(), batch.q(1)):
+            assert max(m[0] for m in exponents(one(out))) <= 5
 
 
 class TestRandomWavefunction:
+    """draw_wavefunctions with a batch of one."""
+
     def test_spin_zero_single_component(self):
-        psi = random_wavefunction(1, 4, 0, 9)
+        psi = one(drawn(1, 4, 0, 9))
         assert {m for term in psi.terms for m, _ in term} == {0}
 
     def test_component_count(self):
         # at most four of the 9 spin configurations carry terms
-        psi = random_wavefunction(2, 4, 2, 9)
+        psi = one(drawn(2, 4, 2, 9))
         configs = {tuple(m for m, _ in term) for term in psi.terms}
         assert 1 <= len(configs) <= 4
         assert all(0 <= m <= 2 for config in configs for m in config)
 
     def test_degree_bound(self):
-        psi = random_wavefunction(3, 4, 0, 2)
+        psi = one(drawn(3, 4, 0, 2))
         for mono in exponents(psi):
             assert max(mono) <= 4
 
     def test_determinism_and_nonzero(self):
-        a = random_wavefunction(2, 5, 1, 77)
-        b = random_wavefunction(2, 5, 1, 77)
+        a = one(drawn(2, 5, 1, 77))
+        b = one(drawn(2, 5, 1, 77))
         assert a == b
         assert not a.is_zero()
 
@@ -226,9 +245,9 @@ class TestSpinorStructure:
         assert poly(1, {(DEGREE_CAP,): 1}).terms
         with pytest.raises(DegreeCapError):
             poly(1, {(DEGREE_CAP + 1,): 1})
-        random_wavefunction(2, DEGREE_CAP, 0, 1)
+        drawn(2, DEGREE_CAP, 0, 1)
         with pytest.raises(DegreeCapError):
-            random_wavefunction(2, DEGREE_CAP + 1, 0, 1)
+            drawn(2, DEGREE_CAP + 1, 0, 1)
 
     def test_zero_coefficients_dropped(self):
         psi = SpinorWavefunction(1, 1, {((0, 1),): qc(0), ((1, 2),): qc(3)})
@@ -240,34 +259,37 @@ class TestSpinorStructure:
                 SpinorWavefunction(1, 0, {((0, 0),): c})
 
     def test_equality_is_not_projective(self):
-        psi = random_wavefunction(2, 4, 1, 8)
+        batch = drawn(2, 4, 1, 8)
+        psi = one(batch)
         doubled = SpinorWavefunction(2, 1, {
             term: (2 * re, 2 * im) for term, (re, im) in psi.terms.items()})
         assert psi != doubled
-        assert psi != psi.mul_minus_i()
-        assert commutator_PQ_apply(psi, 1, 1) != psi
+        assert psi != one(batch.mul_minus_i())
+        assert one(batch.commutator_PQ(1, 1)) != psi
 
     def test_permute_slots_roundtrip(self):
-        psi = random_wavefunction(3, 4, 1, 5)
-        swapped = psi.permute_slots((2, 1, 3))
-        assert swapped != psi
-        assert swapped.permute_slots((2, 1, 3)) == psi
+        batch = drawn(3, 4, 1, 5)
+        swapped = batch.permute_slots((2, 1, 3))
+        assert one(swapped) != one(batch)
+        assert one(swapped.permute_slots((2, 1, 3))) == one(batch)
 
 
 class TestPermuteSlots:
+    """TermBatch.permute_slots on batches of one."""
+
     def test_three_cycle_moves_whole_particles(self):
         # a distinct (m, e) per slot; slot 1 -> 2, slot 2 -> 3, slot 3 -> 1
         psi = SpinorWavefunction(3, 1, {((0, 1), (1, 2), (0, 3)): qc(2, 1)})
-        assert psi.permute_slots((2, 3, 1)).terms == \
+        assert one(pack([psi]).permute_slots((2, 3, 1))).terms == \
             {((0, 3), (0, 1), (1, 2)): qc(2, 1)}
 
     @pytest.mark.parametrize("sigma", list(itertools.permutations((1, 2, 3))))
     def test_composition_law(self, sigma):
-        psi = random_wavefunction(3, 4, 1, 11)
+        batch = drawn(3, 4, 1, 11)
         for pi in Permutation.all(3):
-            pi_sigma = pi.compose(Permutation(sigma)).mapping
-            assert psi.permute_slots(sigma).permute_slots(pi.mapping) \
-                == psi.permute_slots(pi_sigma)
+            pi_sigma = compose(pi, Permutation(sigma)).mapping
+            assert one(batch.permute_slots(sigma).permute_slots(pi.mapping)) \
+                == one(batch.permute_slots(pi_sigma))
 
     def test_agrees_with_permutation_unitary(self):
         # spin-only terms: exponent 0 everywhere, so a wavefunction is a
@@ -278,9 +300,9 @@ class TestPermuteSlots:
         configs = list(itertools.product(range(d), repeat=n))
         rng = np.random.default_rng(3)
         weights = rng.integers(-5, 6, size=len(configs))
-        psi = SpinorWavefunction(n, two_s, {
+        batch = pack([SpinorWavefunction(n, two_s, {
             tuple((m, 0) for m in config): qc(int(w))
-            for config, w in zip(configs, weights)})
+            for config, w in zip(configs, weights)})])
 
         def vector(wf):
             return np.array([float(wf.terms.get(tuple((m, 0) for m in c),
@@ -289,8 +311,8 @@ class TestPermuteSlots:
 
         for mapping in itertools.permutations(range(1, n + 1)):
             u = permutation_unitary(Permutation(mapping), system).entries
-            assert np.array_equal(vector(psi.permute_slots(mapping)),
-                                  (u @ vector(psi)).real)
+            assert np.array_equal(vector(one(batch.permute_slots(mapping))),
+                                  (u @ vector(one(batch))).real)
 
 
 def same_terms(x, y):
