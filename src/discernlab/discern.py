@@ -473,18 +473,27 @@ def certify_relation(
     n = report.n_particles
     generators = Permutation.generators(n)
     invariant = []
+    # per holds object, which many pairs may share: the object, kept so
+    # that its id is not reused, the first sample on which the relation
+    # fails (None if none does), and whether it holds on any sample
+    reduced: dict[int, tuple] = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             proved = operator_route(a, b)
             (holds, branch), pair_invariant = decide_pair(a, b, generators)
             invariant.append(pair_invariant)
+            if id(holds) not in reduced:
+                fails = np.flatnonzero(~np.asarray(holds, dtype=bool))
+                reduced[id(holds)] = (
+                    holds, int(fails[0]) if len(fails) else None,
+                    len(fails) < len(holds))
+            _, first, some = reduced[id(holds)]
             pair = {"a": a, "b": b, "reflexive": None,
                     "off_diagonal_fails": None, "witness": None}
             if a == b:
-                pair["reflexive"] = bool(proved and all(holds))
+                pair["reflexive"] = bool(proved and first is None)
             else:
-                pair["off_diagonal_fails"] = bool(proved and not any(holds))
-                first = next((i for i, h in enumerate(holds) if not h), None)
+                pair["off_diagonal_fails"] = bool(proved and not some)
                 if first is not None:
                     pair["witness"] = f"{name(first)}:{branch(first)}"
             report.pairs.append(pair)
@@ -664,7 +673,8 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         else:
             image, residual = residual, None
         head = image.head(h)
-        return decide_C(image, target, residual), [
+        holds, branch = decide_C(image, target, residual)
+        return (holds[:owners], branch), [
             (head.permute_slots(pi.mapping),
              image.owners(owners + j * h, owners + (j + 1) * h))
             for j, pi in enumerate(generators)]
@@ -694,7 +704,7 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
                 else:
                     invariant = invariant and (
                         other is side or other.minus(side).is_zero())
-        return (holds[:owners], branch), invariant
+        return (holds, branch), invariant
 
     # the identity on the 1- and the 2-slot view: [P_a, Q_a] = -i and
     # [P_a, Q_b] = 0 != -i, for every pair of the class

@@ -404,12 +404,13 @@ def sample_states(system: ParticleSystem, count: int, seed,
     """count Haar-random states of the sector: the one sampler.
 
     Pure states without a rank; with one, mixtures of rank pure states,
-    each drawing its weights and then its components.  A pure state is a
-    complex Gaussian in the coordinates of the sector's orthonormal basis
-    (the product basis for full), normalized, and is kept in those
-    coordinates: D of them for bose and fermi, in ``_occupations``'s row
-    order.  seed is an int or a numpy Generator, drawn from in
-    place; one draw of count states equals count successive draws.
+    the weights of all count mixtures drawn first and then all their
+    components.  A pure state is a complex Gaussian in the coordinates of
+    the sector's orthonormal basis (the product basis for full),
+    normalized, and is kept in those coordinates: D of them for bose and
+    fermi, in ``_occupations``'s row order.  seed is an int or a numpy
+    Generator, drawn from in place; one draw of count pure states equals
+    count successive draws.
     """
     sdim = sector_dimension(system)
     if sdim < 1:
@@ -419,15 +420,10 @@ def sample_states(system: ParticleSystem, count: int, seed,
     rng = np.random.default_rng(seed)
     if rank is None:
         weights = np.ones((count, 1))
-        normals = rng.standard_normal((count, 1, 2, sdim))
     else:
-        weights = np.empty((count, rank))
-        normals = np.empty((count, rank, 2, sdim))
-        for m in range(count):  # in place: the same stream, no copies
-            rng.random(out=weights[m])
-            rng.standard_normal(out=normals[m])
-        weights += 1e-6
+        weights = rng.random((count, rank)) + 1e-6
         weights /= weights.sum(axis=1, keepdims=True)
+    normals = rng.standard_normal(weights.shape + (2, sdim))
     vectors = normals[:, :, 1] * 1j
     vectors += normals[:, :, 0]
     squares = vectors.view(float)

@@ -19,7 +19,8 @@ P, Q and the commutator have one implementation, ``TermBatch``: the
 terms of many wavefunctions as integer columns, one contiguous row per
 field (owner, then spin index and exponent per slot) and one per
 coefficient part, with like terms merged by sorting on a packed integer
-key.  ``TermBatch.ccr_residuals`` runs it on a slot-local view of many
+key; two batches that list the same terms add by position first.
+``TermBatch.ccr_residuals`` runs it on a slot-local view of many
 pairs at once; a single wavefunction is a batch of one (``pack``).
 """
 
@@ -102,11 +103,11 @@ def _exact(coeffs: np.ndarray) -> np.ndarray:
     ``p``, the one step that multiplies, and ``plus`` and ``minus``
     bound their operands here before any arithmetic.  From parts at most
     _INT64_SAFE no result reaches int64's limit: p multiplies a part by
-    an exponent of at most DEGREE_CAP, [P_a, Q_b] sums at most four
-    products of p into one term, and plus and minus sum two terms, all
-    within _INT64_FACTOR times the largest part.  Larger parts run the
-    same code on ``dtype=object`` arrays, which numpy sums and multiplies
-    as Python ints.
+    an exponent of at most DEGREE_CAP, [P_a, Q_b], the ``minus`` of two
+    products of p, sums at most four of them into one term, and plus and
+    minus sum two terms, all within _INT64_FACTOR times the largest part.
+    Larger parts run the same code on ``dtype=object`` arrays, which
+    numpy sums and multiplies as Python ints.
     """
     if coeffs.dtype == object or \
             int(np.abs(coeffs).max(initial=0)) <= _INT64_SAFE:
@@ -156,7 +157,9 @@ class TermBatch:
     (``_exact``).  Every row is contiguous, so gathers, masks and segment
     sums run over one row at a time.  The operators return batches in
     which a term may repeat; ``merged`` sums like terms and drops zeros.
-    No float enters any operation.
+    ``plus`` and ``minus`` add the coefficients of two batches that list
+    the same terms in the same order by position, and merge only the
+    columns that do not cancel.  No float enters any operation.
     """
 
     n_particles: int
@@ -211,13 +214,13 @@ class TermBatch:
         """[P_a, Q_b] psi = P_a Q_b psi - Q_b P_a psi on every psi, merged.
 
         Equals -i hbar psi coefficient-for-coefficient when a == b and the
-        zero wavefunction when a != b.
+        zero wavefunction when a != b.  For a != b the two products list
+        the same terms in the same order, since P_a and Q_b write
+        different rows and ``p`` emits its raised terms before its lowered
+        ones: ``minus`` subtracts them by position and sorts only what is
+        left.  On the diagonal they do not line up, and both are sorted.
         """
-        pq, qp = self.q(b).p(a), self.p(a).q(b)
-        both = self._with(np.concatenate([pq.rows, qp.rows], axis=1),
-                          np.concatenate([pq.coeffs, -qp.coeffs], axis=1))
-        del pq, qp  # freed before the merge, where memory peaks
-        return both.merged()
+        return self.q(b).p(a).minus(self.p(a).q(b))
 
     def slot_view(self, pairs: Sequence[tuple[int, int]]) -> "TermBatch":
         """Slots a and b of every term, once per pair (a, b): the operand
@@ -298,15 +301,24 @@ class TermBatch:
         return self._with(self.rows, np.stack([im, -re]))
 
     def _joined(self, other: "TermBatch", sign: int) -> "TermBatch":
-        """self + sign * other, owner by owner, merged."""
+        """self + sign * other, owner by owner, merged.
+
+        When other lists the same terms as self, column for column, the
+        coefficients add by position and only the columns that do not
+        cancel are merged; otherwise both batches' columns are.  Either
+        way every term's sum is the same.
+        """
         if (other.n_particles, other.two_s, other.n_owners) != \
                 (self.n_particles, self.two_s, self.n_owners):
             raise ShapeError("term batch shape mismatch")
-        return self._with(
-            np.concatenate([self.rows, other.rows], axis=1),
-            np.concatenate([_exact(self.coeffs), sign * _exact(other.coeffs)],
-                           axis=1),
-        ).merged()
+        mine, theirs = _exact(self.coeffs), sign * _exact(other.coeffs)
+        if np.array_equal(self.rows, other.rows):
+            coeffs = mine + theirs
+            left = np.flatnonzero((coeffs[0] != 0) | (coeffs[1] != 0))
+            return self._with(self.rows.take(left, axis=1),
+                              coeffs.take(left, axis=1)).merged()
+        return self._with(np.concatenate([self.rows, other.rows], axis=1),
+                          np.concatenate([mine, theirs], axis=1)).merged()
 
     def plus(self, other: "TermBatch") -> "TermBatch":
         """self + other, owner by owner, merged."""

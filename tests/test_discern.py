@@ -497,6 +497,42 @@ class TestCertify:
         assert {p["witness"].split(":")[0] for p in report.pairs
                 if p["a"] != p["b"]} == {"mixed[0]"}
 
+    def test_holds_as_list_or_array_give_identical_pairs(self):
+        # per pair (a, b): the operator route's answer and holds; an empty
+        # holds is reflexive and fails off the diagonal
+        table = {(1, 1): (True, [True, True]), (2, 2): (True, []),
+                 (3, 3): (True, [True, False]),
+                 (1, 2): (True, [False, False]), (1, 3): (True, [True]),
+                 (2, 1): (True, []), (2, 3): (True, [False, True]),
+                 (3, 1): (False, [False, False]), (3, 2): (True, [False])}
+
+        def certify(holds_of):
+            report = DiscernibilityReport(
+                relation="control", mode="mixed_sampling", n_particles=3,
+                two_s=1, sector="full", samples={}, seed=0, tolerances={})
+            return certify_relation(
+                report, lambda i: f"s[{i}]", lambda a, b: table[a, b][0],
+                lambda a, b, generators: (
+                    (holds_of(a, b), lambda i: f"b{a}{b}{i}"), True)).pairs
+
+        want = [{"a": a, "b": b,
+                 "reflexive": bool(proved and all(holds)) if a == b
+                 else None,
+                 "off_diagonal_fails": None if a == b
+                 else bool(proved and not any(holds)),
+                 "witness": None if a == b or all(holds)
+                 else f"s[{holds.index(False)}]:b{a}{b}{holds.index(False)}"}
+                for (a, b), (proved, holds) in sorted(table.items())]
+        shared = {}  # one array per distinct holds, shared by its pairs
+
+        def shared_array(a, b):
+            holds = tuple(table[a, b][1])
+            return shared.setdefault(holds, np.array(holds, dtype=bool))
+
+        assert certify(lambda a, b: table[a, b][1]) == want
+        assert certify(lambda a, b: np.array(table[a, b][1], bool)) == want
+        assert certify(shared_array) == want
+
     def test_arity_error(self):
         with pytest.raises(ArityError):
             certify_T(1, 1)

@@ -305,9 +305,11 @@ class TestSampler:
         system = ParticleSystem(2, 2)
         batch = sample_states(system, 3, np.random.default_rng(5), rank=2)
         rng = np.random.default_rng(5)
-        for w, f in zip(batch.weights, batch.flat):
+        # all weights first, then all components, mixture by mixture
+        for w in batch.weights:
             weights = rng.random(2) + 1e-6
             assert np.array_equal(w, weights / weights.sum())
+        for f in batch.flat:
             for row in f:
                 v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 assert np.abs(row - v / np.linalg.norm(v)).max() <= 1e-15

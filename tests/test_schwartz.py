@@ -12,9 +12,11 @@ from discernlab.multiparticle import (
     permutation_unitary,
 )
 from discernlab.schwartz import (
+    _INT64_SAFE,
     DEGREE_CAP,
     SpinorWavefunction,
     TermBatch,
+    _exact,
     draw_wavefunctions,
     pack,
     stack,
@@ -448,3 +450,109 @@ class TestSlotLocalPass:
             batch.slot_view([(1, 4)])
         with pytest.raises(IndexRangeError):
             batch.slot_view([(0, 0)])
+
+
+class TestJoined:
+    """plus and minus, against the sort-merge of both batches' columns."""
+
+    @staticmethod
+    def by_sort(x, y, sign):
+        """x + sign * y: every column of both, merged by the sort."""
+        return x._with(np.concatenate([x.rows, y.rows], axis=1),
+                       np.concatenate([_exact(x.coeffs),
+                                       sign * _exact(y.coeffs)], axis=1)
+                       ).merged()
+
+    def assert_joined(self, x, y):
+        for sign, joined in ((1, x.plus(y)), (-1, x.minus(y))):
+            want = self.by_sort(x, y, sign)
+            assert same_terms(joined, want), sign
+            assert joined.coeffs.dtype == want.coeffs.dtype, sign
+
+    @staticmethod
+    def batch():
+        return draw_wavefunctions(3, 6, 1, 10, seed=4)
+
+    @staticmethod
+    def recoefficient(x, coeffs):
+        return x._with(x.rows.copy(), np.asarray(coeffs))
+
+    def test_aligned_rows(self):
+        x = self.batch()
+        rng = np.random.default_rng(0)
+        y = self.recoefficient(x, rng.integers(-5, 6, x.coeffs.shape))
+        self.assert_joined(x, y)
+        assert not x.minus(y).is_zero()
+
+    def test_some_and_all_columns_cancel(self):
+        x = self.batch()
+        coeffs = x.coeffs * 2
+        coeffs[:, ::3] = x.coeffs[:, ::3]  # these cancel in x - y
+        y = self.recoefficient(x, coeffs)
+        self.assert_joined(x, y)
+        left = x.minus(y)
+        assert 0 < left.rows.shape[1] < x.rows.shape[1]
+        self.assert_joined(x, x)
+        assert x.minus(x).is_zero()
+        negated = self.recoefficient(x, -x.coeffs)
+        self.assert_joined(x, negated)
+        assert x.plus(negated).is_zero()
+
+    def test_unmerged_input_repeats_a_term(self):
+        x = self.batch()
+        twice = x._with(np.concatenate([x.rows, x.rows[:, :7]], axis=1),
+                        np.concatenate([x.coeffs, x.coeffs[:, :7]], axis=1))
+        # in twice - y the two columns of a repeated term c are 2c and
+        # -2c, which cancel only in the merge
+        coeffs = twice.coeffs.copy()
+        coeffs[:, :7] *= -1
+        coeffs[:, x.rows.shape[1]:] *= 3
+        y = self.recoefficient(twice, coeffs)
+        self.assert_joined(twice, y)
+        self.assert_joined(twice, twice)
+        self.assert_joined(twice, self.recoefficient(twice, -twice.coeffs))
+
+    @pytest.mark.parametrize("huge", ["object", "int64"])
+    def test_coefficients_above_the_int64_bound(self, huge):
+        x = self.batch()
+        if huge == "object":
+            big = x._with(x.rows, x.coeffs.astype(object) * 2 ** 70)
+        else:  # int64 parts past _INT64_SAFE, which _exact widens
+            big = x._with(x.rows, x.coeffs * 0 + (_INT64_SAFE + 1))
+        assert big.plus(x).coeffs.dtype == object
+        self.assert_joined(big, x)
+        self.assert_joined(x, big)
+        self.assert_joined(big, big)
+
+    def test_zero_column_batches(self):
+        x = self.batch()
+        empty = x._with(x.rows[:, :0], x.coeffs[:, :0])  # x's owners, no term
+        self.assert_joined(empty, empty)
+        assert empty.minus(empty).is_zero()
+        self.assert_joined(x, empty)
+        self.assert_joined(empty, x)
+
+    def test_rows_not_aligned(self):
+        x = self.batch()
+        turned = x._with(x.rows[:, ::-1].copy(), x.coeffs[:, ::-1].copy())
+        self.assert_joined(x, turned)
+        assert x.minus(turned).is_zero()
+        self.assert_joined(x, x._with(x.rows[:, 1:], x.coeffs[:, 1:]))
+        self.assert_joined(x, x.q(1))
+
+    def test_off_diagonal_commutator_merges_no_column(self, monkeypatch):
+        sizes = []
+        merged = TermBatch.merged
+
+        def recording(self):
+            sizes.append(self.rows.shape[1])
+            return merged(self)
+
+        monkeypatch.setattr(TermBatch, "merged", recording)
+        batch = draw_wavefunctions(3, 6, 2, 20, seed=7)
+        for a, b in ((1, 2), (3, 1)):
+            sizes.clear()
+            assert batch.commutator_PQ(a, b).is_zero()
+            # P_a Q_b psi and Q_b P_a psi hold about 4T columns between
+            # them, and the positional sum leaves none to sort
+            assert sizes == [0]
