@@ -19,7 +19,8 @@ P, Q and the commutator have one implementation, ``TermBatch``: the
 terms of many wavefunctions as integer columns, one contiguous row per
 field (owner, then spin index and exponent per slot) and one per
 coefficient part, with like terms merged by sorting on a packed integer
-key; two batches that list the same terms add by position first.
+key; a batch that lists terms of another at known columns, such as the
+two products of the commutator, subtracts from it by position first.
 ``TermBatch.ccr_residuals`` runs it on a slot-local view of many
 pairs at once; a single wavefunction is a batch of one (``pack``).
 """
@@ -157,9 +158,10 @@ class TermBatch:
     (``_exact``).  Every row is contiguous, so gathers, masks and segment
     sums run over one row at a time.  The operators return batches in
     which a term may repeat; ``merged`` sums like terms and drops zeros.
-    ``plus`` and ``minus`` add the coefficients of two batches that list
-    the same terms in the same order by position, and merge only the
-    columns that do not cancel.  No float enters any operation.
+    ``plus``, ``minus`` and ``commutator_PQ`` add the coefficients of two
+    batches by position when one lists terms of the other at known
+    columns, and merge only the columns that do not cancel.  No float
+    enters any operation.
     """
 
     n_particles: int
@@ -214,13 +216,25 @@ class TermBatch:
         """[P_a, Q_b] psi = P_a Q_b psi - Q_b P_a psi on every psi, merged.
 
         Equals -i hbar psi coefficient-for-coefficient when a == b and the
-        zero wavefunction when a != b.  For a != b the two products list
-        the same terms in the same order, since P_a and Q_b write
-        different rows and ``p`` emits its raised terms before its lowered
-        ones: ``minus`` subtracts them by position and sorts only what is
-        left.  On the diagonal they do not line up, and both are sorted.
+        zero wavefunction when a != b.  ``p`` emits its raised terms
+        before its lowered ones and ``q`` keeps the column order, so
+        Q_b P_a psi lists terms of P_a Q_b psi at known places, which
+        ``_joined`` subtracts by position before it merges what is left.
+        For a != b, P_a and Q_b write different rows and the two products
+        list the same terms.  For a == b, P_a Q_a psi is [raised, e_a + 2
+        | lowered, e_a] over all T terms and Q_a P_a psi the same raised
+        block and the lowered one where e_a > 0: places arange(T), then
+        T + flatnonzero(e_a).  What is left of a correct kernel is -i psi
+        on psi's own columns, in psi's order.
         """
-        return self.q(b).p(a).minus(self.p(a).q(b))
+        place = None
+        if a == b:
+            n_terms = self.rows.shape[1]
+            place = np.concatenate([
+                np.arange(n_terms),
+                n_terms + np.flatnonzero(
+                    self.rows[_exponent_row(self.n_particles, a)])])
+        return self.q(b).p(a)._joined(self.p(a).q(b), -1, place)
 
     def slot_view(self, pairs: Sequence[tuple[int, int]]) -> "TermBatch":
         """Slots a and b of every term, once per pair (a, b): the operand
@@ -284,13 +298,18 @@ class TermBatch:
         image - (-i psi) on it, are lifted to full terms and merged
         exactly per pair (``lift``), so each residual equals the one the
         full-row ``commutator_PQ`` gives, term for term.  A kernel that
-        keeps the canonical commutation relation leaves no term to lift.
+        keeps the canonical commutation relation leaves no term to lift:
+        then no merge of the pass sorts, and each pair gets an empty batch
+        of self's owners with no lift.
         """
         view = self.slot_view(pairs)
         if view.n_particles == 1:
             residual = view.commutator_PQ(1, 1).minus(view.mul_minus_i())
         else:
             residual = view.commutator_PQ(1, 2)
+        if residual.is_zero():
+            return [self._with(self.rows[:, :0].copy(), residual.coeffs)
+                    for _ in pairs]
         lifted = self.lift(residual, pairs)
         return [lifted.owners(p * self.n_owners, (p + 1) * self.n_owners)
                 for p in range(len(pairs))]
@@ -300,20 +319,30 @@ class TermBatch:
         re, im = self.coeffs
         return self._with(self.rows, np.stack([im, -re]))
 
-    def _joined(self, other: "TermBatch", sign: int) -> "TermBatch":
+    def _joined(self, other: "TermBatch", sign: int,
+                place: np.ndarray | None = None) -> "TermBatch":
         """self + sign * other, owner by owner, merged.
 
-        When other lists the same terms as self, column for column, the
-        coefficients add by position and only the columns that do not
-        cancel are merged; otherwise both batches' columns are.  Either
-        way every term's sum is the same.
+        When other lists self's terms at the distinct columns place of
+        self (all of them, in order, when place is None), its
+        coefficients add into those columns by position and only the
+        columns that do not cancel are merged; otherwise both batches'
+        columns are.  Either way every term's sum is the same.
         """
         if (other.n_particles, other.two_s, other.n_owners) != \
                 (self.n_particles, self.two_s, self.n_owners):
             raise ShapeError("term batch shape mismatch")
         mine, theirs = _exact(self.coeffs), sign * _exact(other.coeffs)
-        if np.array_equal(self.rows, other.rows):
-            coeffs = mine + theirs
+        if place is None:
+            at, aligned = slice(None), np.array_equal(self.rows, other.rows)
+        else:
+            at = place
+            aligned = place.max(initial=-1) < self.rows.shape[1] and \
+                np.array_equal(self.rows.take(place, axis=1), other.rows)
+        if aligned:
+            coeffs = mine.astype(np.result_type(mine, theirs))  # a copy
+            for total, part in zip(coeffs, theirs):  # 1-d indexing is faster
+                total[at] += part
             left = np.flatnonzero((coeffs[0] != 0) | (coeffs[1] != 0))
             return self._with(self.rows.take(left, axis=1),
                               coeffs.take(left, axis=1)).merged()
@@ -363,7 +392,9 @@ class TermBatch:
         """Like terms of each owner summed, zero coefficients dropped.
 
         Sorts on the packed key words and adds every coefficient into
-        the sum of its run of equal keys (``np.add.at``).
+        the sum of its run of equal keys (``np.add.at``).  A batch whose
+        first key word strictly increases lists distinct terms in key
+        order already: it only drops its zero coefficients, with no sort.
         """
         n_terms = self.rows.shape[1]
         if not n_terms:
@@ -378,6 +409,11 @@ class TermBatch:
                 word *= radix
                 word += self.rows[row]
             words.append(word)
+        if (words[0][1:] > words[0][:-1]).all():
+            keep = np.flatnonzero((self.coeffs[0] != 0)
+                                  | (self.coeffs[1] != 0))
+            return self._with(self.rows.take(keep, axis=1),
+                              self.coeffs.take(keep, axis=1))
         order = np.lexsort(words[::-1])
         fresh = np.zeros(n_terms, dtype=bool)  # sorted term i starts a run
         fresh[0] = True
@@ -501,14 +537,17 @@ def draw_wavefunctions(n_particles: int, max_degree: int, two_s: int,
     scale = _DRAW_LCM // rng.integers(1, 10, n_terms)
     coeffs = np.stack([numerators[:, 0], numerators[:, 1]]) * scale
     batch = TermBatch(n_particles, two_s, count, rows, coeffs).merged()
+    rows, coeffs = batch.rows, batch.coeffs
     # terms are sorted by owner, and an owner left with none gets its
     # constant term in its place
     empty = np.flatnonzero(~batch.nonzero_owners())
-    at = np.searchsorted(batch.rows[0], empty)
-    constant = np.zeros((2 * n_particles + 1, len(empty)), dtype=_ROW_DTYPE)
-    constant[0] = empty
-    rows = np.insert(batch.rows, at, constant, axis=1)
-    coeffs = np.insert(batch.coeffs, at, [[1], [0]], axis=1)
+    if len(empty):
+        at = np.searchsorted(rows[0], empty)
+        constant = np.zeros((2 * n_particles + 1, len(empty)),
+                            dtype=_ROW_DTYPE)
+        constant[0] = empty
+        rows = np.insert(rows, at, constant, axis=1)
+        coeffs = np.insert(coeffs, at, [[1], [0]], axis=1)
     starts = np.searchsorted(rows[0], np.arange(count))
     g = np.gcd.reduceat(np.gcd(coeffs[0], coeffs[1]), starts)
     return batch._with(rows, coeffs // g.take(rows[0]))

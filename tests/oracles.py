@@ -12,7 +12,11 @@ checked against:
 * ``slot_apply``, the tensordot contraction of a ``SlotOperator``'s block
   with the slot axes of its states, the oracle of ``SlotOperator.image``;
 * small dense helpers: ``compose`` of two permutations, ``commutator``,
-  ``is_scalar_identity`` and the spin ``casimir``.
+  ``is_scalar_identity`` and the spin ``casimir``;
+* the term-batch merge in plain Python (``merged_by_dict``) and
+  ``commutator_by_merge``, the concatenate-and-merge formula of
+  [P_a, Q_b], the oracles of ``TermBatch.merged`` and of its positional
+  ``commutator_PQ``.
 """
 
 import numpy as np
@@ -25,6 +29,7 @@ from discernlab.multiparticle import (
     SlotOperator,
     sample_states,
 )
+from discernlab.schwartz import TermBatch, _exact
 from discernlab.spin import SpinLabel, spin_operators
 
 
@@ -126,3 +131,28 @@ def random_mixed_state(system: ParticleSystem, rank: int, seed) -> MixedState:
     w = (f.T * batch.weights[0]) @ f.conj()
     # symmetrize away float round-off before the invariant check
     return MixedState((w + w.conj().T) / 2)
+
+
+def merged_by_dict(batch: TermBatch) -> TermBatch:
+    """Like terms of each owner summed in Python ints, zero sums dropped,
+    columns in lexicographic order of (owner, m_1, e_1, ..., m_N, e_N):
+    the order of the packed key that ``TermBatch.merged`` sorts on."""
+    sums = {}
+    for column, re, im in zip(batch.rows.T.tolist(), *batch.coeffs.tolist()):
+        x, y = sums.get(tuple(column), (0, 0))
+        sums[tuple(column)] = (x + re, y + im)
+    kept = sorted(t for t, c in sums.items() if c != (0, 0))
+    rows = np.array(kept, dtype=batch.rows.dtype).reshape(
+        len(kept), batch.rows.shape[0]).T
+    coeffs = np.array([sums[t] for t in kept], dtype=batch.coeffs.dtype)
+    return batch._with(np.ascontiguousarray(rows),
+                       np.ascontiguousarray(coeffs.reshape(-1, 2).T))
+
+
+def commutator_by_merge(batch: TermBatch, a: int, b: int) -> TermBatch:
+    """[P_a, Q_b] psi on every psi: every column of P_a Q_b psi and of
+    -Q_b P_a psi, merged (``merged_by_dict``), with no positional sum."""
+    pq, qp = batch.q(b).p(a), batch.p(a).q(b)
+    return merged_by_dict(pq._with(
+        np.concatenate([pq.rows, qp.rows], axis=1),
+        np.concatenate([_exact(pq.coeffs), -_exact(qp.coeffs)], axis=1)))

@@ -1,10 +1,13 @@
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from discernlab import schwartz
+from discernlab.discern import certify_C
 from discernlab.errors import DegreeCapError, IndexRangeError, ShapeError
 from discernlab.multiparticle import (
     ParticleSystem,
@@ -22,7 +25,7 @@ from discernlab.schwartz import (
     stack,
     symmetric_product_state,
 )
-from oracles import compose
+from oracles import commutator_by_merge, compose, merged_by_dict
 
 
 def qc(re, im=0):
@@ -325,6 +328,11 @@ def same_terms(x, y):
         and np.array_equal(x.coeffs, y.coeffs)
 
 
+def same_batch(x, y):
+    """same_terms, and the same coefficient dtype."""
+    return same_terms(x, y) and x.coeffs.dtype == y.coeffs.dtype
+
+
 class TestSlotLocalPass:
     """ccr_residuals and lift against the full-row kernel."""
 
@@ -389,6 +397,22 @@ class TestSlotLocalPass:
             pairs = [(a, b) for a in slots for b in slots
                      if (a == b) == diagonal]
             assert all(r.is_zero() for r in batch.ccr_residuals(pairs))
+
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_empty_residuals_are_the_full_kernels(self, huge):
+        # no term to lift: each pair gets the full-row residual, empty,
+        # with the batch's owners and the coefficient dtype
+        batch = self.sampled(3, 1, 6, 10, seed=2)
+        if huge:
+            batch = batch._with(batch.rows, batch.coeffs.astype(object) << 70)
+        target = batch.mul_minus_i()
+        for pairs in ([(1, 1), (3, 3)], [(1, 2), (3, 1)]):
+            for (a, b), residual in zip(pairs, batch.ccr_residuals(pairs)):
+                full = batch.commutator_PQ(a, b)
+                if a == b:
+                    full = full.minus(target)
+                assert residual.is_zero() and same_batch(residual, full)
+                assert residual.rows.dtype == full.rows.dtype
 
     @staticmethod
     def skewed(monkeypatch):
@@ -556,3 +580,163 @@ class TestJoined:
             # P_a Q_b psi and Q_b P_a psi hold about 4T columns between
             # them, and the positional sum leaves none to sort
             assert sizes == [0]
+
+
+def count_lexsorts(monkeypatch) -> list:
+    """Every np.lexsort call that schwartz makes, recorded in the list
+    returned: schwartz's numpy, and only its, is wrapped."""
+    calls = []
+
+    class Numpy(types.ModuleType):
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def lexsort(keys, *args, **kwargs):
+            calls.append(len(keys[0]))
+            return np.lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(schwartz, "np", Numpy("numpy"))
+    return calls
+
+
+class TestMerged:
+    """merged against the plain-Python merge, on every kind of key."""
+
+    @staticmethod
+    def batch(n=3, two_s=1):
+        return draw_wavefunctions(n, 6, two_s, 10, seed=5)
+
+    @staticmethod
+    def columns(x, order):
+        return x._with(x.rows.take(order, axis=1),
+                       x.coeffs.take(order, axis=1))
+
+    def assert_merged(self, x):
+        assert same_batch(x.merged(), merged_by_dict(x))
+
+    def test_strictly_increasing_key_is_not_sorted(self, monkeypatch):
+        x = self.batch()  # merged by the draw: its key strictly increases
+        coeffs = x.coeffs.copy()
+        coeffs[:, ::4] = 0  # dropped with no sort
+        for y in (x, x._with(x.rows, coeffs),
+                  x._with(x.rows, x.coeffs.astype(object) * 2 ** 70)):
+            sorts = count_lexsorts(monkeypatch)
+            self.assert_merged(y)
+            assert sorts == []
+        assert x.merged().rows.shape[1] == x.rows.shape[1]
+
+    def test_repeated_and_unsorted_keys_are_sorted(self, monkeypatch):
+        x = self.batch()
+        n = x.rows.shape[1]
+        repeated = self.columns(x, np.repeat(np.arange(n), 2))
+        cancelling = x._with(repeated.rows, repeated.coeffs.copy())
+        cancelling.coeffs[:, 1::2] *= -1  # every term cancels
+        unsorted = self.columns(x, np.random.default_rng(1).permutation(n))
+        for y in (repeated, cancelling, unsorted):
+            sorts = count_lexsorts(monkeypatch)
+            self.assert_merged(y)
+            assert sorts == [y.rows.shape[1]]
+        assert cancelling.merged().is_zero()
+
+    def test_multi_word_keys(self):
+        # 8 slots at 2s = 63: the key takes two int64 words
+        x = self.batch(8, 63)
+        assert len(schwartz._key_layout(x.n_owners, 8, 63)) > 1
+        n = x.rows.shape[1]
+        for order in (np.arange(n), np.arange(n)[::-1],
+                      np.repeat(np.arange(n), 2)):
+            self.assert_merged(self.columns(x, order))
+
+    def test_zero_columns(self):
+        x = self.batch()
+        self.assert_merged(x._with(x.rows[:, :0], x.coeffs[:, :0]))
+
+
+class TestDiagonalCommutator:
+    """commutator_PQ against the concatenate-and-merge formula."""
+
+    def assert_oracle(self, batch, pairs=None):
+        n = batch.n_particles
+        slots = range(1, n + 1)
+        for a, b in pairs or [(a, b) for a in slots for b in slots]:
+            assert same_batch(batch.commutator_PQ(a, b),
+                              commutator_by_merge(batch, a, b)), (a, b)
+
+    @pytest.mark.parametrize("n,two_s", [(1, 0), (2, 1), (3, 3), (8, 63)])
+    def test_drawn_batches(self, n, two_s):
+        batch = draw_wavefunctions(n, 6, two_s, 12, seed=n)
+        # columns with e_a = 0 are in Q_a P_a psi's gap
+        assert (batch.rows[2::2] == 0).any(axis=1).all()
+        self.assert_oracle(batch)
+
+    def test_unmerged_input_repeats_a_term(self):
+        x = draw_wavefunctions(3, 6, 1, 10, seed=4)
+        for order in (np.r_[np.arange(x.rows.shape[1]), 0:7],
+                      np.arange(x.rows.shape[1])[::-1]):
+            self.assert_oracle(x._with(x.rows.take(order, axis=1),
+                                       x.coeffs.take(order, axis=1)))
+
+    @pytest.mark.parametrize("huge", ["object", "int64"])
+    def test_coefficients_above_the_int64_bound(self, huge):
+        x = draw_wavefunctions(2, 6, 1, 10, seed=4)
+        if huge == "object":
+            big = x._with(x.rows, x.coeffs.astype(object) * 2 ** 70)
+        else:  # int64 parts past _INT64_SAFE, which _exact widens
+            big = x._with(x.rows, x.coeffs * 0 + (_INT64_SAFE + 1))
+        assert big.commutator_PQ(1, 1).coeffs.dtype == object
+        self.assert_oracle(big)
+
+    def test_zero_column_batch(self):
+        x = draw_wavefunctions(2, 6, 1, 10, seed=4)
+        empty = x._with(x.rows[:, :0], x.coeffs[:, :0])
+        self.assert_oracle(empty)
+        assert empty.commutator_PQ(1, 1).n_owners == x.n_owners
+
+    def test_exponents_at_the_degree_cap(self):
+        x = draw_wavefunctions(2, 6, 1, 10, seed=4)
+        rows = x.rows.copy()
+        rows[2, ::3] = DEGREE_CAP - 2  # the products reach DEGREE_CAP
+        at_cap = x._with(rows, x.coeffs)
+        self.assert_oracle(at_cap, [(1, 1), (2, 1), (1, 2)])
+        assert at_cap.commutator_PQ(1, 1).rows[2].max() == DEGREE_CAP - 2
+        rows = rows.copy()
+        rows[2, 0] = DEGREE_CAP - 1
+        with pytest.raises(DegreeCapError):
+            x._with(rows, x.coeffs).commutator_PQ(1, 1)
+
+    @pytest.mark.parametrize("lowered", ["dropped", "doubled"])
+    def test_products_that_do_not_line_up(self, monkeypatch, lowered):
+        # a wrong P whose products are not placed as the true P's:
+        # commutator_PQ falls back to merging every column
+        p = TermBatch.p
+
+        def wrong(self, slot):
+            out = p(self, slot)
+            n = self.rows.shape[1]
+            if lowered == "dropped":
+                return out._with(out.rows[:, :n], out.coeffs[:, :n])
+            return out._with(np.concatenate([out.rows, out.rows[:, n:]], 1),
+                             np.concatenate([out.coeffs, out.coeffs[:, n:]],
+                                            1))
+
+        monkeypatch.setattr(TermBatch, "p", wrong)
+        x = draw_wavefunctions(3, 6, 1, 10, seed=4)
+        self.assert_oracle(x)
+        assert not x.commutator_PQ(1, 1).minus(x.mul_minus_i()).is_zero()
+
+    def test_diagonal_sorts_nothing(self, monkeypatch):
+        x = draw_wavefunctions(3, 6, 1, 10, seed=4)
+        sorts = count_lexsorts(monkeypatch)
+        image = x.commutator_PQ(2, 2)
+        assert sorts == []
+        assert same_batch(image, x.mul_minus_i())
+
+
+def test_certified_C_cell_sorts_only_its_draw(monkeypatch):
+    # the draw's merge is the one sort: every pass of a certified cell,
+    # and both monomial proofs, subtract by position
+    sorts = count_lexsorts(monkeypatch)
+    report = certify_C(3, 1, 200, 8, 3)
+    assert report.verdict == "weakly_discerning"
+    assert len(sorts) == 1
