@@ -21,10 +21,14 @@ two-slot block placed on slots (a, b) (``pair_operator``).  One kernel
 (``block_kernel``) serves every sector: the samples are unfolded on the
 block's slots into d^k x rest matrices Phi, one matrix product gives
 K Phi for all of them, and value and residual are read off Phi and
-K Phi.  Bose and fermi samples stay in sector coordinates; their
-unfolding is one matrix for every pair, so one image and one decision
-per block serve all pairs.  In the full sector the unfoldings of many
-pairs of one block are stacked, so one product serves them all.
+K Phi.  Relation T is decided once per class key, which names a pair's
+N-body operator.  Bose and fermi samples stay in sector coordinates;
+their unfolding is one matrix for every pair, so the key is the block,
+and one image and one decision per block serve all pairs.  In the full
+sector the key is the block and its slots, unordered when the block is
+swap symmetric and none when it is scalar, so the certifier's own
+family makes 1 + N(N-1)/2 decisions, and the unfoldings of many keys of
+one block are stacked, so one product serves them all.
 Relation C applies [P_a, Q_b] to all sampled wavefunctions together, as
 one ``TermBatch`` that also carries U_pi psi of the first few, so that
 one image per pair serves both the relation and the S_N check.  Each
@@ -92,8 +96,10 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 #: the temporaries of one application whatever the numbers of samples and
 #: pairs: ``certify_T`` splits its samples into pieces of about this many,
 #: and a full-sector pass of relation T stacks the unfoldings of
-#: max(1, BATCH_ENTRIES // amplitudes of the largest piece) pairs.  Kept
-#: small for the reason BATCH_TERMS is.  Measured with ``getrusage`` on
+#: max(1, BATCH_ENTRIES // amplitudes of the largest piece) class keys of
+#: one block, each read by all the pairs whose operator it names: one key
+#: when the pieces are of this size.  Kept small for the reason
+#: BATCH_TERMS is.  Measured with ``getrusage`` on
 #: 1000 pure full-sector states, N = 3 and 2s = 2: ``block_kernel`` of
 #: K_12 takes 0.83 ms on all of them in pieces of this size, with about
 #: one minor page fault, and 7.7 ms and 288 faults on one piece of 27,000
@@ -300,23 +306,56 @@ def swapped(k: SlotOperator) -> SlotOperator:
     return SlotOperator(block.reshape(d * d, d * d), k.slots[::-1])
 
 
+def is_scalar(block: np.ndarray) -> bool:
+    """Whether block is exactly c 1, read in place: its diagonal entries
+    are equal, and no entry off its diagonal is nonzero."""
+    diagonal = np.diagonal(block)
+    return (bool((diagonal == diagonal[0]).all())
+            and np.count_nonzero(block) == np.count_nonzero(diagonal))
+
+
+def is_swap_symmetric(block: np.ndarray) -> bool:
+    """Whether a two-slot block equals P block P exactly, P the slot swap.
+
+    Compared one first index at a time on views of the block, so that no
+    temporary holds more than d^3 booleans: K_12 at 2s = 63 has 256 MiB
+    of entries, and a swapped copy would double that.
+    """
+    d = math.isqrt(len(block))
+    view = block.reshape(d, d, d, d)
+    return all(np.array_equal(view[i], view[:, i].transpose(0, 2, 1))
+               for i in range(d))
+
+
 def sampled_route_T(family: Callable[[int, int], SlotOperator],
                     batches: list[StateBatch], target: float, tol: float):
     """Relation T's decide_pair for ``certify_relation``.
 
-    K_ab = family(a, b) is applied to the batch pieces unfolded on its
-    slots (``block_kernel``) per class of pairs that share its block
-    object, not per pair.  Bose and fermi unfold every pair to one matrix
-    Phi, up to a fermi sign that value, residual and the S_N check do
-    not see, so one product per block and piece, and one ``decide_T`` per
-    block, serve every pair the block is placed on.  In the full sector
-    each pair has its own unfolding.  A pass stacks those of up to
-    max(1, BATCH_ENTRIES // amplitudes of the largest piece) pairs of one
-    block (``StateBatch.unfold``), in certify_relation's order, and takes
-    one product and one ``eigen_residuals`` per piece, whose Gram matrix
-    and trace are the piece's, repeated per pair.  Those pairs are
-    decided before the next pass of the block runs, and their value
-    arrays are dropped as they are read.
+    Every pair gets a class key that names its N-body operator K_ab =
+    family(a, b), and relation T is decided once per key: K_ab is applied
+    to the batch pieces unfolded on its slots (``block_kernel``) and read
+    by one ``decide_T``, which every pair of the key reads.  The key is
+    the block object and the slots that decide the operator:
+
+    * bose and fermi unfold every pair to one matrix Phi, up to a fermi
+      sign that value, residual and the S_N check do not see, so the key
+      is the block alone, taken from each pair's own K_ab.  Its Decision
+      is kept for the run: sector coordinates do not tell the route N,
+      so it does not count a key's pairs.
+    * in the full sector the key is the block and its slots, sorted when
+      the block equals its slot swap P B P exactly (K_ba is then K_ab),
+      and dropped when the block is exactly c 1 (the same operator on
+      any slots), both tested in place (``is_swap_symmetric``,
+      ``is_scalar``).  The certifier's own family has one key for the
+      N pairs (a, a), whose block 4 S^2 is scalar, and one per unordered
+      pair {a, b}, as K_12 is swap symmetric: 1 + N(N-1)/2 decisions,
+      not N^2.  The keys are planned on the first call, over all pairs
+      in certify_relation's order.  A pass stacks the unfoldings of up to
+      max(1, BATCH_ENTRIES // amplitudes of the largest piece) keys of
+      one block (``StateBatch.unfold``), each on the slots of its first
+      pair, and takes one product and one ``eigen_residuals`` per piece,
+      whose Gram matrix and trace are the piece's, repeated per key.  A
+      key's Decision is dropped once its last pair has read it.
 
     One S_N rule serves every sector, decided once per pair and
     generator.  U_pi transposes slot axes, so U_pi K U_pi^dagger is K's
@@ -333,12 +372,11 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
     """
     full = not batches[0].unfoldings
     per_pass = max(1, BATCH_ENTRIES // max(p.vectors.size for p in batches))
-    classes = {}  # bose and fermi: id(block) -> (block, Decision)
-    # full sector: (a, b) -> (K_ab, its place among its block's pairs),
-    # and per block the pairs it is placed on, in certify_relation's order
-    places: dict[tuple[int, int], tuple[SlotOperator, int]] = {}
-    members: dict[int, list[tuple[int, int]]] = {}
-    decided: dict[tuple[int, int], Decision] = {}  # passed, not yet read
+    keys: dict[tuple[int, int], tuple] = {}  # full: (a, b) -> its key
+    # key -> [K_ab of its first pair, which keeps the block and so its id,
+    # the number of pairs with the key, the keys passed with it]
+    classes: dict[tuple, list] = {}
+    decided: dict[tuple, list] = {}  # key -> [Decision, pairs yet to read]
 
     def decide(k: SlotOperator, *slots: tuple[int, ...]) -> list[Decision]:
         """decide_T of k's block on every piece unfolded on each slots."""
@@ -351,30 +389,53 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
                 in zip(np.concatenate(values, axis=1),
                        np.concatenate(residuals, axis=1))]
 
-    def chunk(a: int, b: int) -> list[tuple[int, int]]:
-        """The pairs passed with (a, b): per_pass pairs of its block."""
-        if not places:  # every pair's block, grouped by block object
-            n = batches[0].vectors.ndim - 1
-            for pair in ((i, j) for i in range(1, n + 1)
-                         for j in range(1, n + 1)):
-                k = family(*pair)
-                pairs = members.setdefault(id(k.block), [])
-                places[pair] = k, len(pairs)
-                pairs.append(pair)
-        k, place = places[a, b]
-        start = place // per_pass * per_pass
-        return members[id(k.block)][start:start + per_pass]
+    def plan():
+        """The key of every pair, and per key its pass, in certify_relation's
+        order: a block's keys are passed per_pass at a time."""
+        n = batches[0].vectors.ndim - 1
+        kinds = {}  # id(block) -> (block, whether scalar, swap symmetric)
+        filling = {}  # id(block) -> the pass its next new key joins
+        for pair in ((a, b) for a in range(1, n + 1)
+                     for b in range(1, n + 1)):
+            k = family(*pair)
+            if id(k.block) not in kinds:
+                scalar = is_scalar(k.block)
+                symmetric = (not scalar and len(k.slots) == 2
+                             and is_swap_symmetric(k.block))
+                kinds[id(k.block)] = k.block, scalar, symmetric
+            _, scalar, symmetric = kinds[id(k.block)]
+            slots = (() if scalar else tuple(sorted(k.slots)) if symmetric
+                     else k.slots)
+            key = keys[pair] = id(k.block), slots
+            if key not in classes:
+                chunk = filling.get(id(k.block))
+                if chunk is None or len(chunk) == per_pass:
+                    chunk = filling[id(k.block)] = []
+                chunk.append(key)
+                classes[key] = [k, 0, chunk]
+            classes[key][1] += 1
 
     def decision(a: int, b: int, k: SlotOperator) -> Decision:
-        if not full:
-            if id(k.block) not in classes:
-                classes[id(k.block)] = k.block, decide(k, k.slots)[0]
-            return classes[id(k.block)][1]
-        if (a, b) not in decided:
-            pairs = chunk(a, b)
-            decided.update(zip(pairs, decide(
-                k, *(places[pair][0].slots for pair in pairs))))
-        return decided.pop((a, b))
+        if full:
+            if not keys:
+                plan()
+            key = keys[a, b]
+        else:
+            key = id(k.block), ()
+            if key not in classes:  # its pairs uncounted: never dropped
+                classes[key] = [k, math.inf, [key]]
+        entry = decided.get(key)
+        if entry is None:  # pass the key with the rest of its chunk
+            first, _, chunk = classes[key]
+            decided.update(
+                (other, [made, classes[other][1]]) for other, made in zip(
+                    chunk, decide(first, *(classes[other][0].slots
+                                           for other in chunk))))
+            entry = decided[key]
+        entry[1] -= 1
+        if not entry[1]:
+            del decided[key]
+        return entry[0]
 
     def commutes(piece: StateBatch, k: SlotOperator, image: np.ndarray,
                  pi: Permutation, moved: SlotOperator) -> bool:
@@ -526,8 +587,11 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
     Both routes read ``pair_bands``: the operator route decides on the
     exact spectra of 4 S^2 and K_12, the sampled route
     (``sampled_route_T``) applies each block, built once from them, to
-    every sample at once, per class of pairs on one block.  No N-body
-    operator, and no d^N vector in the bose and fermi sectors.
+    every sample at once, once per class key of the pairs on it: one
+    per block in bose and fermi, and in the full sector one for the N
+    pairs (a, a), as 4 S^2 is scalar, and one per unordered pair, as
+    K_12 is swap symmetric.  No N-body operator, and no d^N vector in
+    the bose and fermi sectors.
 
     Refused before any block or draw (``DimensionCapError``): samples
     whose pair unfoldings hold more than DISCERNLAB_DIM_CAP^2 amplitudes,

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -15,6 +17,8 @@ from discernlab.discern import (
     decide_C,
     eigen_residuals,
     eigenproperty,
+    is_scalar,
+    is_swap_symmetric,
     permutation_invariance_check,
     relation_C_holds,
     relation_T_holds,
@@ -622,6 +626,33 @@ class TestNegativeControls:
         off = [p for p in report.pairs if p["a"] != p["b"]]
         assert off and not any(p["off_diagonal_fails"] for p in off)
 
+    def test_scalar_relation_holds_off_diagonal(self, monkeypatch):
+        # c 1 on every pair, a == b or not, as one block object per slot
+        # count: the same operator on any slots, so each block's pairs
+        # share one key and one decision, and the relation still holds
+        # between distinct particles
+        import discernlab.discern as discern
+        value = float(2 * self.label.casimir_value())
+        d = self.label.dim
+        single, pair = value * np.eye(d), value * np.eye(d * d)
+
+        def family(a, b):
+            if a == b:
+                return SlotOperator(single, (a,))
+            return SlotOperator(pair, (a, b))
+
+        decisions = []
+        decide_T = discern.decide_T
+        monkeypatch.setattr(discern, "decide_T", lambda *args: (
+            decisions.append(args) or decide_T(*args)))
+        report = self.certify(family, value)
+        assert report.verdict == "violated"
+        assert report.permutation_invariant
+        off = [p for p in report.pairs if p["a"] != p["b"]]
+        assert off and not any(p["off_diagonal_fails"] for p in off)
+        assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
+        assert len(decisions) == 2
+
     def test_label_dependent_relation_is_not_invariant(self):
         # T with the off-diagonal value shifted by the first label: the
         # weak-discernibility pattern holds, but only through the labels
@@ -822,12 +853,14 @@ class TestOneImagePerPair:
         report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
         assert report.verdict == "weakly_discerning"
         assert report.permutation_invariant
-        # one product per block class: 4 S^2 on the unfoldings of the 3
-        # diagonal pairs stacked, K_12 on those of the 6 off-diagonal
-        # pairs; K_{pi(a) pi(b)} is K_ab's block on pi's image of its
+        # one product per block, on the unfoldings of its class keys
+        # stacked: 4 S^2 is scalar, so the 3 diagonal pairs share one key
+        # and (1,)'s unfolding serves them; K_12 is swap symmetric, so
+        # (a, b) and (b, a) share one, and the 3 unordered pairs are
+        # stacked.  K_{pi(a) pi(b)} is K_ab's block on pi's image of its
         # slots, so U_pi makes the S_N check hold with no product
-        assert sorted(calls) == [((1,), (3 * 5, 4, 2)),
-                                 ((1, 2), (6 * 5, 2, 4))]
+        assert sorted(calls) == [((1,), (5, 4, 2)),
+                                 ((1, 2), (3 * 5, 2, 4))]
 
     def test_T_applies_distinct_blocks_once_per_generator(self, monkeypatch):
         import discernlab.discern as discern
@@ -837,15 +870,16 @@ class TestOneImagePerPair:
         calls = self.count_block_products(monkeypatch)
         report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
         assert report.permutation_invariant
-        # a block object per off-diagonal pair, so a class each: 6 passes
-        # of one pair, and one pass of the 3 diagonal pairs, which share
-        # the one block 4 S^2 and need no product for the check.  The
+        # a block object per off-diagonal pair, so a key each: 6 passes
+        # of one key, and one pass of the one key of the 3 diagonal
+        # pairs, whose block 4 S^2 is scalar and needs no product for
+        # the check.  The
         # rule cannot settle an off-diagonal pair, so its S_N check forms
         # K_ab psi once more and applies K_{pi(a) pi(b)} to the unfolding
         # of U_pi psi per generator
         assert len(calls) == 6 + 1 + 6 * (1 + 2)
         assert sorted(shape for slots, shape in calls if len(slots) == 1) \
-            == [(3 * 5, 4, 2)]
+            == [(5, 4, 2)]
 
     @pytest.mark.parametrize("n,two_s,sector", [
         (2, 1, "bose"), (3, 1, "bose"), (4, 3, "fermi"), (12, 1, "bose")])
@@ -918,7 +952,7 @@ class TestOneImagePerPair:
 
 
 class TestClassPass:
-    """Relation T's pairs decided per block class, many pairs per pass."""
+    """Relation T decided per class key, many keys of a block per pass."""
 
     @staticmethod
     def pieces(system, seed, entries):
@@ -947,19 +981,32 @@ class TestClassPass:
                             (value, residual))
         family = lambda a, b: pair_operator(label, a, b, system)  # noqa: E731
         decide_pair = sampled_route_T(family, batches, 0.0, 1e-8)
+
+        def kernel(k):
+            """value and residual of k on every piece, one at a time."""
+            want = [block_kernel(k, piece.unfold(k.slots))[1:]
+                    for piece in batches]
+            return (np.concatenate([v for v, _ in want]),
+                    np.concatenate([r for _, r in want]))
+
         slots = range(1, n + 1)
         for a in slots:
             for b in slots:
                 (value, residual), invariant = decide_pair(
                     a, b, Permutation.generators(n))
-                k = family(a, b)
-                want = [block_kernel(k, piece.unfold(k.slots))[1:]
-                        for piece in batches]
-                assert np.array_equal(value, np.concatenate(
-                    [v for v, _ in want]))
-                assert np.array_equal(residual, np.concatenate(
-                    [r for _, r in want]))
                 assert invariant
+                # the full sector reads its key's first pair: (1, 1) for
+                # the scalar 4 S^2, (min, max) for the swap-symmetric
+                # K_12.  A bose or fermi pair's unfolding is every pair's
+                first = family(*((1, 1) if a == b else sorted((a, b)))) \
+                    if sector == "full" else family(a, b)
+                want_value, want_residual = kernel(first)
+                assert np.array_equal(value, want_value)
+                assert np.array_equal(residual, want_residual)
+                own_value, own_residual = kernel(family(a, b))
+                scale = 1e-12 * np.maximum(1.0, np.abs(own_value))
+                assert np.all(np.abs(value - own_value) <= scale)
+                assert np.all(np.abs(residual - own_residual) <= scale)
 
     @pytest.mark.parametrize("n,two_s,sector", [
         (2, 1, "full"), (3, 1, "full"), (4, 2, "full"), (6, 1, "full"),
@@ -979,22 +1026,156 @@ class TestClassPass:
             assert report() == want
 
     # 5 pure states of 3 spin-1/2 particles: 40 amplitudes, one piece
-    # (all pairs of a class in one pass: TestOneImagePerPair).  A class's
-    # next chunk is passed when the first of its pairs is asked
-    # for, in certify_relation's order: (1, 1) passes the diagonal pairs
-    # (1, 1) and (2, 2), (1, 2) passes (1, 2) and (1, 3), and so on
+    # (all keys of a block in one pass: TestOneImagePerPair).  A block's
+    # next chunk of keys is passed when the first of its pairs is asked
+    # for, in certify_relation's order: (1, 1) passes the one key of the
+    # diagonal pairs, (1, 2) the keys {1, 2} and {1, 3}, which (2, 1)
+    # and (3, 1) read, and (2, 3) the key {2, 3}
     @pytest.mark.parametrize("entries, passes", [
-        (40, [(1, 1)] + [(2, 1)] * 3 + [(1, 1)] + [(2, 1)] * 3 + [(1, 1)]),
-        (80, [(1, 2), (2, 2), (2, 2), (2, 2), (1, 1)])])
+        (40, [(1, 1)] + [(2, 1)] * 3),
+        (80, [(1, 1), (2, 2), (2, 1)])])
     def test_passes_follow_the_budget(self, monkeypatch, entries, passes):
         import discernlab.discern as discern
         monkeypatch.setattr(discern, "BATCH_ENTRIES", entries)
         calls = TestOneImagePerPair.count_block_products(monkeypatch)
         report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
         assert report.verdict == "weakly_discerning"
-        # (slots of the block, pairs in the pass), per pass
+        # (slots of the block, keys in the pass), per pass
         assert [(len(slots), shape[0] // 5) for slots, shape in calls] \
             == passes
+
+
+class TestClassKey:
+    """A pair's class key names its N-body operator; tested in place."""
+
+    def test_certifier_blocks(self):
+        for two_s in range(1, 21):
+            single, k12 = SpinLabel(two_s).pair_blocks
+            assert is_scalar(single)
+            assert is_swap_symmetric(k12)
+            assert not is_scalar(k12)
+
+    def test_scalar_needs_equal_diagonal_and_nothing_off_it(self):
+        assert is_scalar(np.zeros((4, 4), complex))
+        assert is_scalar(np.eye(1) * 3)
+        block = 3 * np.eye(4, dtype=complex)
+        assert is_scalar(block)
+        nudged = block.copy()
+        nudged[2, 2] = np.nextafter(3.0, 4.0)
+        assert not is_scalar(nudged)
+        off = block.copy()
+        off[0, 3] = 1e-300
+        assert not is_scalar(off)
+
+    def test_swap_symmetry_is_exact(self):
+        _, k12 = SpinLabel(2).pair_blocks
+        # row 1 is (m1, m2) = (1, 0) and row 3 its swap (0, 1): one ulp apart
+        nudged = k12.copy()
+        nudged[1, 1] = np.nextafter(nudged[1, 1].real, 9.0)
+        assert not is_swap_symmetric(nudged)
+        # the same block in column-major memory
+        assert is_swap_symmetric(np.asfortranarray(k12))
+        sz = np.diag([1.0, 0.0, -1.0])
+        assert not is_swap_symmetric(k12 + np.kron(sz, np.eye(3)))
+        assert is_swap_symmetric(k12 + np.kron(sz, sz))
+
+    def test_2s_63_is_tested_with_no_copy_of_the_block(self):
+        # K_12 at 2s = 63 holds 256 MiB; a swapped copy would double it
+        single, k12 = SpinLabel(63).pair_blocks
+        tracemalloc.start()
+        try:
+            assert is_swap_symmetric(k12)
+            assert not is_scalar(k12)
+            assert is_scalar(single)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k12.nbytes // 256  # 1 MiB
+
+    @staticmethod
+    def decisions(monkeypatch, family):
+        """The Decision each pair of 3 particles reads, on 5 pure states
+        in one piece, and the block products made."""
+        calls = TestOneImagePerPair.count_block_products(monkeypatch)
+        decide_pair = sampled_route_T(
+            family, [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8)
+        generators = Permutation.generators(3)
+        slots = range(1, 4)
+        return {(a, b): decide_pair(a, b, generators)[0]
+                for a in slots for b in slots}, calls
+
+    @staticmethod
+    def family(single, k12):
+        """The certifier's family of spin-1/2 particles on these blocks."""
+        return lambda a, b: (SlotOperator(single, (a,)) if a == b
+                             else SlotOperator(k12, (a, b)))
+
+    def test_certifier_family_shares_decisions(self, monkeypatch):
+        single, k12 = SpinLabel(1).pair_blocks
+        decided, calls = self.decisions(monkeypatch,
+                                        self.family(single, k12))
+        assert all(decided[a, a] is decided[1, 1] for a in (2, 3))
+        assert all(decided[b, a] is decided[a, b]
+                   for a, b in ((1, 2), (1, 3), (2, 3)))
+        assert len({id(d) for d in decided.values()}) == 1 + 3
+        assert sorted(calls) == [((1,), (5, 4, 2)), ((1, 2), (3 * 5, 2, 4))]
+
+    def test_asymmetric_block_decides_each_ordered_pair(self, monkeypatch):
+        single, k12 = SpinLabel(1).pair_blocks
+        nudged = k12.copy()  # (+, -) at row 1, (-, +) at row 2
+        nudged[1, 1] = np.nextafter(nudged[1, 1].real, 2.0)
+        decided, calls = self.decisions(monkeypatch,
+                                        self.family(single, nudged))
+        assert len({id(decided[a, b]) for a in (1, 2, 3)
+                    for b in (1, 2, 3) if a != b}) == 6
+        assert all(decided[a, a] is decided[1, 1] for a in (2, 3))
+        # one pass of the 6 ordered pairs' unfoldings, each its own key
+        assert sorted(calls) == [((1,), (5, 4, 2)), ((1, 2), (6 * 5, 2, 4))]
+
+    def test_non_scalar_diagonal_decides_each_slot(self, monkeypatch):
+        single, k12 = SpinLabel(1).pair_blocks
+        nudged = single.copy()
+        nudged[1, 1] = np.nextafter(nudged[1, 1].real, 4.0)
+        decided, calls = self.decisions(monkeypatch,
+                                        self.family(nudged, k12))
+        assert len({id(decided[a, a]) for a in (1, 2, 3)}) == 3
+        assert sorted(calls) == [((1,), (3 * 5, 4, 2)),
+                                 ((1, 2), (3 * 5, 2, 4))]
+
+    def test_decision_is_dropped_after_its_last_pair(self):
+        single, k12 = SpinLabel(1).pair_blocks
+        decide_pair = sampled_route_T(
+            self.family(single, k12),
+            [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8)
+        generators = Permutation.generators(3)
+        held = {}  # pair -> a weak reference to the holds it read
+        for a in range(1, 4):
+            for b in range(1, 4):
+                holds = decide_pair(a, b, generators)[0][0]
+                held[a, b] = weakref.ref(holds)
+                del holds
+                if (a, b) == (1, 3):  # (2, 1) and (3, 1) yet to read them
+                    assert held[1, 2]() is not None
+                    assert held[1, 3]() is not None
+                if (a, b) == (2, 1):
+                    assert held[1, 2]() is None
+                    assert held[1, 3]() is not None
+        assert all(ref() is None for ref in held.values())
+
+    def test_six_particles_make_16_decisions_per_piece(self, monkeypatch):
+        import discernlab.discern as discern
+        decided, rows = [], []
+        decide_T, residuals = discern.decide_T, discern.eigen_residuals
+        monkeypatch.setattr(discern, "decide_T", lambda *args: (
+            decided.append(args) or decide_T(*args)))
+        monkeypatch.setattr(discern, "eigen_residuals", lambda image, phi: (
+            rows.append(len(phi.weights)) or residuals(image, phi)))
+        # 64 amplitudes a state: 100 pure states in 2 pieces, 20 mixed
+        # rank-2 ones in 1, each piece its own pass per key
+        report = certify_T(6, 1, "full", seed=1)
+        assert report.verdict == "weakly_discerning"
+        assert len(decided) == 1 + 6 * 5 // 2
+        assert sorted(rows) == sorted([64] * 16 + [36] * 16 + [20] * 16)
 
 
 class TestCertificateIsNotVacuous:
