@@ -28,7 +28,8 @@ and one image and one decision per block serve all pairs.  In the full
 sector the key is the block and its slots, unordered when the block is
 swap symmetric and none when it is scalar, so the certifier's own
 family makes 1 + N(N-1)/2 decisions, and the unfoldings of many keys of
-one block are stacked, so one product serves them all.
+one block are stacked, so one product serves them all.  A scalar block,
+c 1, takes no product: it is read as c psi on the samples themselves.
 Relation C applies [P_a, Q_b] to all sampled wavefunctions together, as
 one ``TermBatch`` that also carries U_pi psi of the first few, so that
 one image per pair serves both the relation and the S_N check.  Each
@@ -138,19 +139,27 @@ def eigen_residuals(image: np.ndarray,
                     batch: StateBatch) -> tuple[np.ndarray, np.ndarray]:
     """Candidate value and eigen-residual of K on every state of a batch.
 
-    image is K applied to ``batch.vectors``.  For W = F D F^dagger:
-    v = tr(D F^dagger K F) / tr(D F^dagger F), and the Frobenius residual
-    ||K W - v W|| = ||R D F^dagger|| with R = K F - v F, whose square
-    tr(D R^dagger R D F^dagger F) takes only r x r products.  On a pure
-    state it is the 2-norm ||K psi - v psi||.  The factors may be
-    unfoldings Phi, whose inner products are those of the states.
+    image is K applied to ``batch.vectors``, and is overwritten with the
+    residual factors.  For W = F D F^dagger: v = tr(D F^dagger K F) /
+    tr(D F^dagger F), and the Frobenius residual ||K W - v W|| =
+    ||R D F^dagger|| with R = K F - v F, whose square
+    tr(D R^dagger R D F^dagger F) takes only r x r products; at r = 1 it
+    is w^2 ||r||^2 ||f||^2.  On a pure state it is the 2-norm
+    ||K psi - v psi||.  The factors may be unfoldings Phi, whose inner
+    products are those of the states.
     """
     w, f = batch.weights, batch.flat
-    image = image.reshape(f.shape)
-    value = np.einsum("mk,mki,mki->m", w, batch.flat_conj, image) / batch.trace
-    r = image - value[:, None, None] * f
-    rr = np.einsum("mji,mki->mjk", r.conj(), r)
-    square = np.einsum("mj,mjk,mk,mkj->m", w, rr, w, batch.gram).real
+    r = image.reshape(f.shape)
+    inner = np.einsum("mki,mki->mk", batch.flat_conj, r)  # <f_k, K f_k>
+    value = np.einsum("mk,mk->m", w, inner) / batch.trace
+    r -= value[:, None, None] * f
+    if f.shape[1] == 1:
+        floats = r.view(float)
+        square = (np.einsum("mki,mki->m", floats, floats) * w[:, 0] ** 2
+                  * batch.gram[:, 0, 0].real)
+    else:
+        rr = np.einsum("mji,mki->mjk", r.conj(), r)
+        square = np.einsum("mj,mjk,mk,mkj->m", w, rr, w, batch.gram).real
     return value, np.sqrt(np.maximum(square, 0.0))
 
 
@@ -165,19 +174,19 @@ def eigenproperty(a: Operator, state, tol: float = TOL_ABS) -> Optional[complex]
     property).  The same kernel as relation T, on a batch of one.
     """
     batch = state_batch(state, (1, a.dim))  # unfolded on its one slot
-    _, value, residual = block_kernel(SlotOperator(a.entries, (1,)), batch)
+    value, residual = block_kernel(SlotOperator(a.entries, (1,)), batch)
     return complex(value[0]) if residual[0] <= tol else None
 
 
 def block_kernel(k: SlotOperator, phi: StateBatch):
-    """(K Phi, value, residual) on samples unfolded on K's slots.
+    """(value, residual) on samples unfolded on K's slots.
 
     One matmul gives K Phi; ``eigen_residuals`` reads the value
     tr(D Phi^dagger K Phi) / tr(D Phi^dagger Phi) and the residual
-    ||K Phi - v Phi||_F off Phi and K Phi, never as <K^2> - <K>^2.
+    ||K Phi - v Phi||_F off Phi and K Phi, never as <K^2> - <K>^2,
+    forming K Phi - v Phi in K Phi's array.
     """
-    image = k.image(phi.vectors)
-    return (image, *eigen_residuals(image, phi))
+    return eigen_residuals(k.image(phi.vectors), phi)
 
 
 def decide_T(value: np.ndarray, residual: np.ndarray, target: float,
@@ -214,7 +223,7 @@ def relation_T_holds(a: int, b: int, state, label: SpinLabel,
         return [lam for lam, _ in levels] == [target]
     k = pair_operator(label, a, b, system)
     batch = state_batch(state, (system.single_dim,) * system.n_particles)
-    _, value, residual = block_kernel(k, batch.unfold(k.slots))
+    value, residual = block_kernel(k, batch.unfold(k.slots))
     return bool(decide_T(value, residual, target, tol)[0][0])
 
 
@@ -334,7 +343,10 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
     Every pair gets a class key that names its N-body operator K_ab =
     family(a, b), and relation T is decided once per key: K_ab is applied
     to the batch pieces unfolded on its slots (``block_kernel``) and read
-    by one ``decide_T``, which every pair of the key reads.  The key is
+    by one ``decide_T``, which every pair of the key reads.  A block that
+    is exactly c 1 (``is_scalar``, tested once per block object) is read
+    on each piece itself instead: its image is c psi, and an unfolding
+    keeps inner products, so no unfolding and no product.  The key is
     the block object and the slots that decide the operator:
 
     * bose and fermi unfold every pair to one matrix Phi, up to a fermi
@@ -372,17 +384,36 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
     """
     full = not batches[0].unfoldings
     per_pass = max(1, BATCH_ENTRIES // max(p.vectors.size for p in batches))
+    # id(block) -> (block, kept so that its id is not reused, whether it
+    # is c 1, whether it is swap symmetric: full sector only)
+    kinds: dict[int, tuple] = {}
     keys: dict[tuple[int, int], tuple] = {}  # full: (a, b) -> its key
     # key -> [K_ab of its first pair, which keeps the block and so its id,
     # the number of pairs with the key, the keys passed with it]
     classes: dict[tuple, list] = {}
     decided: dict[tuple, list] = {}  # key -> [Decision, pairs yet to read]
 
+    def kind(k: SlotOperator) -> tuple[bool, bool]:
+        """Whether k's block is c 1, and whether it is swap symmetric."""
+        entry = kinds.get(id(k.block))
+        if entry is None:
+            scalar = is_scalar(k.block)
+            symmetric = (full and not scalar and len(k.slots) == 2
+                         and is_swap_symmetric(k.block))
+            entry = kinds[id(k.block)] = k.block, scalar, symmetric
+        return entry[1:]
+
     def decide(k: SlotOperator, *slots: tuple[int, ...]) -> list[Decision]:
-        """decide_T of k's block on every piece unfolded on each slots."""
+        """decide_T of k's block on every piece unfolded on each slots,
+        or, for a c 1 block (one key), as c psi on the piece itself."""
+        scalar, _ = kind(k)
         values, residuals = [], []
         for piece in batches:
-            _, value, residual = block_kernel(k, piece.unfold(*slots))
+            if scalar:
+                value, residual = eigen_residuals(k.block[0, 0] * piece.flat,
+                                                  piece)
+            else:
+                value, residual = block_kernel(k, piece.unfold(*slots))
             values.append(value.reshape(len(slots), -1))
             residuals.append(residual.reshape(len(slots), -1))
         return [decide_T(value, residual, target, tol) for value, residual
@@ -393,17 +424,11 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
         """The key of every pair, and per key its pass, in certify_relation's
         order: a block's keys are passed per_pass at a time."""
         n = batches[0].vectors.ndim - 1
-        kinds = {}  # id(block) -> (block, whether scalar, swap symmetric)
         filling = {}  # id(block) -> the pass its next new key joins
         for pair in ((a, b) for a in range(1, n + 1)
                      for b in range(1, n + 1)):
             k = family(*pair)
-            if id(k.block) not in kinds:
-                scalar = is_scalar(k.block)
-                symmetric = (not scalar and len(k.slots) == 2
-                             and is_swap_symmetric(k.block))
-                kinds[id(k.block)] = k.block, scalar, symmetric
-            _, scalar, symmetric = kinds[id(k.block)]
+            scalar, symmetric = kind(k)
             slots = (() if scalar else tuple(sorted(k.slots)) if symmetric
                      else k.slots)
             key = keys[pair] = id(k.block), slots
@@ -590,8 +615,9 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
     every sample at once, once per class key of the pairs on it: one
     per block in bose and fermi, and in the full sector one for the N
     pairs (a, a), as 4 S^2 is scalar, and one per unordered pair, as
-    K_12 is swap symmetric.  No N-body operator, and no d^N vector in
-    the bose and fermi sectors.
+    K_12 is swap symmetric.  4 S^2 takes no product: it is read as
+    c psi on the samples themselves.  No N-body operator, and no d^N
+    vector in the bose and fermi sectors.
 
     Refused before any block or draw (``DimensionCapError``): samples
     whose pair unfoldings hold more than DISCERNLAB_DIM_CAP^2 amplitudes,

@@ -343,7 +343,8 @@ class StateBatch:
     def unfold(self, *slots: tuple[int, ...]) -> "StateBatch":
         """The factors unfolded on each k-tuple of slots, stacked.
 
-        (P states, r, rest, d^k) matrices for P tuples: tuple p's block
+        (P states, r, rest, d^k) matrices for P tuples, C-contiguous, so
+        that the product's rows and ``flat`` are views: tuple p's block
         of states after tuple p-1's, so that one matrix product applies
         a block on k slots to all of them.  Full sector: ``unfold`` of
         the slot axes.  Bose and fermi: the unfolding on k slots, one
@@ -355,9 +356,11 @@ class StateBatch:
         if self.unfoldings:
             assert count == 1, "one matrix serves any k slots"
             index, amp = self.unfoldings[len(slots[0]) - 1]
-            phi = self.factors[..., index] * amp
+            phi = self.factors[..., index]
+            phi *= amp
         else:
-            phi = (unfold(self.vectors, slots[0]) if count == 1 else
+            phi = (np.ascontiguousarray(unfold(self.vectors, slots[0]))
+                   if count == 1 else
                    np.concatenate([unfold(self.vectors, s) for s in slots]))
             phi = phi.reshape((-1,) + self.factors.shape[1:2] + phi.shape[1:])
         weights, gram, trace = self.weights, self.gram, self.trace
@@ -424,8 +427,8 @@ def sample_states(system: ParticleSystem, count: int, seed,
         weights = rng.random((count, rank)) + 1e-6
         weights /= weights.sum(axis=1, keepdims=True)
     normals = rng.standard_normal(weights.shape + (2, sdim))
-    vectors = normals[:, :, 1] * 1j
-    vectors += normals[:, :, 0]
+    vectors = np.empty(weights.shape + (sdim,), dtype=complex)
+    vectors.real, vectors.imag = normals[:, :, 0], normals[:, :, 1]
     squares = vectors.view(float)
     vectors /= np.sqrt(np.einsum("mki,mki->mk", squares, squares))[..., None]
     if system.sector == "full":

@@ -569,8 +569,8 @@ class TestNegativeControls:
     system = ParticleSystem(3, 2)
     tol = 1e-8
 
-    def certify(self, family, target):
-        def operator_route(a, b):
+    def certify(self, family, target, operator_route=None):
+        def dense_route(a, b):
             block = Operator(family(a, b).block)
             scalar = is_scalar_identity(block, target, self.tol)
             return scalar if a == b else not scalar
@@ -580,7 +580,7 @@ class TestNegativeControls:
             two_s=1, sector="full", samples={}, seed=0, tolerances={})
         batch = sample_states(self.system, 5, 0)
         return certify_relation(
-            report, lambda k: f"pure[{k}]", operator_route,
+            report, lambda k: f"pure[{k}]", operator_route or dense_route,
             sampled_route_T(family, [batch], target, self.tol))
 
     def shifted_T(self, shifted):
@@ -652,6 +652,32 @@ class TestNegativeControls:
         assert off and not any(p["off_diagonal_fails"] for p in off)
         assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
         assert len(decisions) == 2
+
+    def test_scalar_off_the_target_is_not_reflexive(self):
+        # T with 4 S^2 replaced by (target + 1) 1: still c 1, so decided
+        # on the samples themselves, and the value must be read, not
+        # assumed.  The operator route claims everything, so only the
+        # sampled route can refuse reflexivity
+        target = float(4 * self.label.casimir_value())
+        single = (target + 1) * np.eye(self.label.dim, dtype=complex)
+
+        def family(a, b):
+            if a == b:
+                return SlotOperator(single, (a,))
+            return pair_operator(self.label, a, b, self.system)
+
+        report = self.certify(family, target, lambda a, b: True)
+        assert not any(p["reflexive"] for p in report.pairs
+                       if p["a"] == p["b"])
+        assert all(p["off_diagonal_fails"] for p in report.pairs
+                   if p["a"] != p["b"])
+        assert report.permutation_invariant
+        assert report.verdict == "violated"
+        holds, branch = sampled_route_T(
+            family, [sample_states(self.system, 5, 0)], target,
+            self.tol)(2, 2, [])[0]
+        assert not any(holds)
+        assert branch(0) == f"value={target + 1:.6g}"
 
     def test_label_dependent_relation_is_not_invariant(self):
         # T with the off-diagonal value shifted by the first label: the
@@ -853,14 +879,14 @@ class TestOneImagePerPair:
         report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
         assert report.verdict == "weakly_discerning"
         assert report.permutation_invariant
-        # one product per block, on the unfoldings of its class keys
-        # stacked: 4 S^2 is scalar, so the 3 diagonal pairs share one key
-        # and (1,)'s unfolding serves them; K_12 is swap symmetric, so
-        # (a, b) and (b, a) share one, and the 3 unordered pairs are
-        # stacked.  K_{pi(a) pi(b)} is K_ab's block on pi's image of its
-        # slots, so U_pi makes the S_N check hold with no product
-        assert sorted(calls) == [((1,), (5, 4, 2)),
-                                 ((1, 2), (3 * 5, 2, 4))]
+        # one product, K_12's on the unfoldings of its class keys
+        # stacked: K_12 is swap symmetric, so (a, b) and (b, a) share one
+        # key, and the 3 unordered pairs are stacked.  4 S^2 is scalar,
+        # so the 3 diagonal pairs share one key, decided as c psi on the
+        # samples themselves, with no product.  K_{pi(a) pi(b)} is K_ab's
+        # block on pi's image of its slots, so U_pi makes the S_N check
+        # hold with no product
+        assert calls == [((1, 2), (3 * 5, 2, 4))]
 
     def test_T_applies_distinct_blocks_once_per_generator(self, monkeypatch):
         import discernlab.discern as discern
@@ -871,15 +897,13 @@ class TestOneImagePerPair:
         report = certify_T(3, 1, n_pure_samples=5, n_mixed_samples=0)
         assert report.permutation_invariant
         # a block object per off-diagonal pair, so a key each: 6 passes
-        # of one key, and one pass of the one key of the 3 diagonal
-        # pairs, whose block 4 S^2 is scalar and needs no product for
-        # the check.  The
-        # rule cannot settle an off-diagonal pair, so its S_N check forms
-        # K_ab psi once more and applies K_{pi(a) pi(b)} to the unfolding
-        # of U_pi psi per generator
-        assert len(calls) == 6 + 1 + 6 * (1 + 2)
-        assert sorted(shape for slots, shape in calls if len(slots) == 1) \
-            == [(5, 4, 2)]
+        # of one key.  The one key of the 3 diagonal pairs, whose block
+        # 4 S^2 is scalar, takes no product, for the relation or the
+        # check.  The rule cannot settle an off-diagonal pair, so its S_N
+        # check forms K_ab psi once more and applies K_{pi(a) pi(b)} to
+        # the unfolding of U_pi psi per generator
+        assert len(calls) == 6 + 6 * (1 + 2)
+        assert all(len(slots) == 2 for slots, _ in calls)
 
     @pytest.mark.parametrize("n,two_s,sector", [
         (2, 1, "bose"), (3, 1, "bose"), (4, 3, "fermi"), (12, 1, "bose")])
@@ -890,11 +914,9 @@ class TestOneImagePerPair:
         report = certify_T(n, two_s, sector, n_pure_samples=5,
                            n_mixed_samples=2, mixed_rank=2)
         assert report.verdict == "weakly_discerning"
-        pieces, blocks = 2, 2  # the blocks 4 S^2 and K_12
-        generators = len(Permutation.generators(n))
-        assert len(calls) == pieces * blocks \
-            <= pieces * blocks * (1 + generators)
-        assert sorted(len(slots) for slots, _ in calls) == [1, 1, 2, 2]
+        # one K_12 product per piece; the scalar 4 S^2 is decided on the
+        # sector coordinates themselves, and the S_N check takes none
+        assert sorted(len(slots) for slots, _ in calls) == [2, 2]
 
     @staticmethod
     def count_C_kernel_calls(monkeypatch):
@@ -982,9 +1004,12 @@ class TestClassPass:
         family = lambda a, b: pair_operator(label, a, b, system)  # noqa: E731
         decide_pair = sampled_route_T(family, batches, 0.0, 1e-8)
 
-        def kernel(k):
-            """value and residual of k on every piece, one at a time."""
-            want = [block_kernel(k, piece.unfold(k.slots))[1:]
+        def kernel(k, unfolded=False):
+            """value and residual of k on every piece, one at a time: of
+            a c 1 block as c psi on the piece itself, unless unfolded."""
+            want = [eigen_residuals(k.block[0, 0] * piece.flat, piece)
+                    if is_scalar(k.block) and not unfolded
+                    else block_kernel(k, piece.unfold(k.slots))
                     for piece in batches]
             return (np.concatenate([v for v, _ in want]),
                     np.concatenate([r for _, r in want]))
@@ -997,13 +1022,14 @@ class TestClassPass:
                 assert invariant
                 # the full sector reads its key's first pair: (1, 1) for
                 # the scalar 4 S^2, (min, max) for the swap-symmetric
-                # K_12.  A bose or fermi pair's unfolding is every pair's
+                # K_12.  A bose or fermi pair's unfolding is every pair's.
+                # 4 S^2 is read as c psi on the samples in every sector
                 first = family(*((1, 1) if a == b else sorted((a, b)))) \
                     if sector == "full" else family(a, b)
                 want_value, want_residual = kernel(first)
                 assert np.array_equal(value, want_value)
                 assert np.array_equal(residual, want_residual)
-                own_value, own_residual = kernel(family(a, b))
+                own_value, own_residual = kernel(family(a, b), True)
                 scale = 1e-12 * np.maximum(1.0, np.abs(own_value))
                 assert np.all(np.abs(value - own_value) <= scale)
                 assert np.all(np.abs(residual - own_residual) <= scale)
@@ -1028,12 +1054,13 @@ class TestClassPass:
     # 5 pure states of 3 spin-1/2 particles: 40 amplitudes, one piece
     # (all keys of a block in one pass: TestOneImagePerPair).  A block's
     # next chunk of keys is passed when the first of its pairs is asked
-    # for, in certify_relation's order: (1, 1) passes the one key of the
-    # diagonal pairs, (1, 2) the keys {1, 2} and {1, 3}, which (2, 1)
-    # and (3, 1) read, and (2, 3) the key {2, 3}
+    # for, in certify_relation's order: (1, 2) passes the keys {1, 2}
+    # and {1, 3}, which (2, 1) and (3, 1) read, and (2, 3) the key
+    # {2, 3}.  The one key of the diagonal pairs, passed at (1, 1), is
+    # scalar and takes no product
     @pytest.mark.parametrize("entries, passes", [
-        (40, [(1, 1)] + [(2, 1)] * 3),
-        (80, [(1, 1), (2, 2), (2, 1)])])
+        (40, [(2, 1)] * 3),
+        (80, [(2, 2), (2, 1)])])
     def test_passes_follow_the_budget(self, monkeypatch, entries, passes):
         import discernlab.discern as discern
         monkeypatch.setattr(discern, "BATCH_ENTRIES", entries)
@@ -1118,7 +1145,7 @@ class TestClassKey:
         assert all(decided[b, a] is decided[a, b]
                    for a, b in ((1, 2), (1, 3), (2, 3)))
         assert len({id(d) for d in decided.values()}) == 1 + 3
-        assert sorted(calls) == [((1,), (5, 4, 2)), ((1, 2), (3 * 5, 2, 4))]
+        assert calls == [((1, 2), (3 * 5, 2, 4))]
 
     def test_asymmetric_block_decides_each_ordered_pair(self, monkeypatch):
         single, k12 = SpinLabel(1).pair_blocks
@@ -1130,7 +1157,7 @@ class TestClassKey:
                     for b in (1, 2, 3) if a != b}) == 6
         assert all(decided[a, a] is decided[1, 1] for a in (2, 3))
         # one pass of the 6 ordered pairs' unfoldings, each its own key
-        assert sorted(calls) == [((1,), (5, 4, 2)), ((1, 2), (6 * 5, 2, 4))]
+        assert calls == [((1, 2), (6 * 5, 2, 4))]
 
     def test_non_scalar_diagonal_decides_each_slot(self, monkeypatch):
         single, k12 = SpinLabel(1).pair_blocks
@@ -1141,6 +1168,54 @@ class TestClassKey:
         assert len({id(decided[a, a]) for a in (1, 2, 3)}) == 3
         assert sorted(calls) == [((1,), (3 * 5, 4, 2)),
                                  ((1, 2), (3 * 5, 2, 4))]
+
+    # fermi needs d = 2s + 1 > N for more than one state
+    @pytest.mark.parametrize("sector,two_s", [("full", 1), ("bose", 1),
+                                              ("fermi", 3)])
+    def test_scalar_key_makes_no_unfolding_and_no_product(
+            self, monkeypatch, sector, two_s):
+        # 4 S^2 is c 1: its pairs are decided on the samples' own
+        # coordinates, as c psi
+        label = SpinLabel(two_s)
+        system = ParticleSystem(3, label.dim, sector)
+        calls = TestOneImagePerPair.count_block_products(monkeypatch)
+        unfold = StateBatch.unfold
+
+        def counted(self, *slots):
+            calls.append(("unfold", slots))
+            return unfold(self, *slots)
+
+        monkeypatch.setattr(StateBatch, "unfold", counted)
+        decide_pair = sampled_route_T(
+            lambda a, b: pair_operator(label, a, b, system),
+            [sample_states(system, 5, 0)], 3.0, 1e-8)
+        generators = Permutation.generators(3)
+        for a in range(1, 4):
+            decide_pair(a, a, generators)
+        assert calls == []
+        decide_pair(1, 2, generators)  # K_12 is unfolded and applied
+        assert [len(call) for call in calls] == [2, 2]
+
+    @pytest.mark.parametrize("sector,two_s", [("bose", 1), ("fermi", 3)])
+    def test_non_scalar_diagonal_takes_the_product_in_sectors(
+            self, monkeypatch, sector, two_s):
+        # one ulp off c 1: unfolded on one slot and applied, one product
+        # and one decision for every slot, as the unfolding is every slot's
+        label = SpinLabel(two_s)
+        system = ParticleSystem(3, label.dim, sector)
+        single, k12 = label.pair_blocks
+        nudged = single.copy()
+        nudged[1, 1] = np.nextafter(nudged[1, 1].real, np.inf)
+        calls = TestOneImagePerPair.count_block_products(monkeypatch)
+        decide_pair = sampled_route_T(
+            self.family(nudged, k12), [sample_states(system, 5, 0)],
+            float(4 * label.casimir_value()), 1e-8)
+        generators = Permutation.generators(3)
+        decided = [decide_pair(a, a, generators)[0] for a in range(1, 4)]
+        assert all(d is decided[0] for d in decided)
+        rest = sector_dimension(system, n_particles=2)
+        assert calls == [((1,), (5, rest, label.dim))]
+        assert all(decided[0][0])
 
     def test_decision_is_dropped_after_its_last_pair(self):
         single, k12 = SpinLabel(1).pair_blocks
@@ -1486,11 +1561,90 @@ class TestSectorKernelOracle:
                   pair_operator(label, n, 1, system),
                   pair_operator(label, 2, 2, system),
                   SlotOperator(other, (n, 2)), SlotOperator(other, (1, n))):
-            _, value, residual = block_kernel(k, batch.unfold(k.slots))
+            value, residual = block_kernel(k, batch.unfold(k.slots))
             want_value, want_residual = eigen_residuals(
                 slot_apply(k, dense.vectors), dense)
             assert np.abs(value - want_value).max() <= 1e-12
             assert np.abs(residual - want_residual).max() <= 1e-12
+
+
+class TestEigenResiduals:
+    """The rank-one path, the general path and the dense oracle agree."""
+
+    @staticmethod
+    def dense(k, f, w):
+        """value and residual of K on W = sum_k w_k |f_k><f_k|, from the
+        statistical operator W / tr W, whose residual is tr W times less."""
+        entries = sum(wk * np.outer(fk, fk.conj()) for wk, fk in zip(w, f))
+        trace = np.trace(entries).real
+        state = MixedState(entries / trace)
+        kw = k @ state.entries
+        value = np.trace(kw)
+        return value, trace * np.linalg.norm(kw - value * state.entries)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.7, 2.5])
+    def test_rank_one_equals_the_general_path_and_the_dense_oracle(
+            self, weight):
+        rng = np.random.default_rng(int(weight * 10))
+        n, m = 9, 6
+        # a block with complex values, and factors of any length
+        k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        f = rng.standard_normal((m, 1, n)) + 1j * rng.standard_normal((m, 1, n))
+        w = np.full((m, 1), weight)
+        value, residual = eigen_residuals(f @ k.T, StateBatch(f, w))
+        # the same states as rank 2, padded with a zero factor
+        padded = StateBatch(np.concatenate([f, np.zeros_like(f)], axis=1),
+                            np.concatenate([w, w / 2], axis=1))
+        general = eigen_residuals(padded.factors @ k.T, padded)
+        scale = 1e-12 * np.maximum(1.0, np.abs(value))
+        assert np.all(np.abs(value - general[0]) <= scale)
+        assert np.all(np.abs(residual - general[1]) <= scale)
+        for i in range(m):
+            want_value, want_residual = self.dense(k, f[i], w[i])
+            assert abs(value[i] - want_value) <= scale[i]
+            assert abs(residual[i] - want_residual) <= scale[i]
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_higher_ranks_equal_the_dense_oracle(self, rank):
+        system = ParticleSystem(2, 3)
+        batch = sample_states(system, 4, rank, rank)
+        k = pair_operator(SpinLabel(2), 1, 2, system)
+        value, residual = block_kernel(k, batch.unfold(k.slots))
+        for i in range(4):
+            want_value, want_residual = self.dense(
+                k.block, batch.flat[i], batch.weights[i])
+            assert abs(value[i] - want_value) <= 1e-12 * max(1, abs(value[i]))
+            assert abs(residual[i] - want_residual) <= 1e-12
+
+    def test_the_image_becomes_the_residual_factors(self):
+        rng = np.random.default_rng(5)
+        k = rng.standard_normal((4, 4)) + 0j
+        f = rng.standard_normal((3, 1, 4)) + 1j * rng.standard_normal((3, 1, 4))
+        image = f @ k.T
+        value, _ = eigen_residuals(image, StateBatch(f, np.ones((3, 1))))
+        assert np.abs(image - (f @ k.T - value[:, None, None] * f)).max() \
+            <= 1e-12
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_a_batch_of_no_states(self, rank):
+        batch = StateBatch(np.zeros((0, rank, 4), complex), np.ones((0, rank)))
+        value, residual = eigen_residuals(np.zeros((0, rank, 4), complex),
+                                          batch)
+        assert value.shape == residual.shape == (0,)
+
+    @pytest.mark.parametrize("sector,two_s", [("full", 1), ("bose", 1),
+                                              ("fermi", 3)])
+    def test_no_pure_samples_make_an_empty_piece(self, monkeypatch, sector,
+                                                 two_s):
+        import discernlab.discern as discern
+        rows = []
+        residuals = discern.eigen_residuals
+        monkeypatch.setattr(discern, "eigen_residuals", lambda image, phi: (
+            rows.append(len(phi.weights)) or residuals(image, phi)))
+        report = certify_T(3, two_s, sector, n_pure_samples=0,
+                           n_mixed_samples=3, mixed_rank=1)
+        assert report.verdict == "weakly_discerning"
+        assert 0 in rows
 
 
 class TestSpinHalfBose:
@@ -1509,7 +1663,7 @@ class TestSpinHalfBose:
         for rank in (None, 2):
             batch = sample_states(system, 5, n, rank)
             k = pair_operator(label, n, 1, system)
-            _, value, residual = block_kernel(k, batch.unfold(k.slots))
+            value, residual = block_kernel(k, batch.unfold(k.slots))
             assert np.abs(value - 2).max() <= 1e-12
             assert residual.max() <= 1e-12
 

@@ -314,6 +314,30 @@ class TestSampler:
                 v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 assert np.abs(row - v / np.linalg.norm(v)).max() <= 1e-15
 
+    @pytest.mark.parametrize("sector,d", [("full", 3), ("bose", 3),
+                                          ("fermi", 4)])
+    @pytest.mark.parametrize("rank", [None, 1, 2])
+    def test_draws_keep_their_bits(self, sector, d, rank):
+        # the draw before the real and imaginary parts were written in
+        # place: normals[:, :, 1] * 1j + normals[:, :, 0], normalized
+        system = ParticleSystem(3, d, sector)
+        batch = sample_states(system, 6, np.random.default_rng(11), rank)
+        rng = np.random.default_rng(11)
+        if rank is None:
+            weights = np.ones((6, 1))
+        else:
+            weights = rng.random((6, rank)) + 1e-6
+            weights /= weights.sum(axis=1, keepdims=True)
+        normals = rng.standard_normal(
+            weights.shape + (2, sector_dimension(system)))
+        vectors = normals[:, :, 1] * 1j
+        vectors += normals[:, :, 0]
+        squares = vectors.view(float)
+        vectors /= np.sqrt(np.einsum("mki,mki->mk", squares,
+                                     squares))[..., None]
+        assert batch.flat.tobytes() == vectors.tobytes()
+        assert batch.weights.tobytes() == weights.tobytes()
+
     def test_split_keeps_order_and_bounds_size(self):
         batch = sample_states(ParticleSystem(3, 2), 10, 0, rank=2)
         pieces = batch.split(40)  # 16 amplitudes per state: 2 per piece
