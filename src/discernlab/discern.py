@@ -43,6 +43,7 @@ operator.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -108,13 +109,14 @@ BATCH_ENTRIES = 4096
 #: terms of the sampled batch times pairs per slot-local pass of relation
 #: C (at least one pair), which bounds the temporaries of one commutator
 #: call whatever the number of pairs: a pass on a 200-wavefunction batch
-#: (about 2000 terms) holds one pair, as the full-row kernel did.  Larger
-#: passes are slower, not faster.  Measured with ``getrusage`` on that
-#: batch at N = 3 (2 cores, numpy 2.4): ``p`` on the 6-pair off-diagonal
-#: view takes 281 minor page faults and 534 us per call, on a 1-pair view
-#: none and 38 us; one 6-pair pass takes 1.6 ms and 608 faults, six 1-pair
-#: passes 0.86 ms and none.  Most likely each temporary above about
-#: 128 KiB (glibc's mmap threshold) gets fresh pages on every allocation
+#: (about 2000 terms) holds one pair.  Larger passes are slower, not
+#: faster.  Measured with ``getrusage`` on that batch at N = 3 (2 cores,
+#: numpy 2.4), for all 6 off-diagonal pairs: passes of 1 pair take
+#: 0.62 ms in all with no minor page fault, of 2 pairs 0.85 ms and 308
+#: faults, one pass of 6 pairs 0.95 ms and 489 faults; for the 3 diagonal
+#: pairs, 0.37 ms, 0.32 ms and 0.49 ms with 176 faults.  Most likely each
+#: temporary above about 128 KiB (glibc's mmap threshold) gets fresh pages
+#: on every allocation
 BATCH_TERMS = 2048
 
 #: a relation decided on every sample: (holds per sample, branch), with
@@ -275,19 +277,16 @@ def ccr_identity_on_monomials(n_particles: int, max_degree: int,
 
     [P_a, Q_b] only touches the variables q_a and q_b and acts slotwise,
     so by linearity and factorization over untouched variables it
-    suffices to check every monomial in q_a, q_b alone up to max_degree.
-    Verifies [P_a, Q_a] m = -i m and [P_a, Q_b] m = 0 for a != b, on all
-    the monomials as one batch.  The same argument makes the result
-    depend only on whether a == b: on 1 particle with (1, 1) and on 2
-    with (1, 2) it proves the local operator of ``TermBatch.slot_view``,
-    which every pair of that class applies, so ``certify_C`` runs it
-    twice per cell.
+    suffices to check every monomial in q_a, q_b alone up to max_degree:
+    [P_a, Q_a] m = -i m and [P_a, Q_b] m = 0 for a != b.  A monomial is
+    one term, so the pass ``certify_C`` runs (``TermBatch.ccr_residuals``)
+    proves it on all of them at once when it leaves no residual.  The
+    result depends only on whether a == b: on 1 particle with (1, 1) and
+    on 2 with (1, 2) it proves the pass's local operator, which every
+    pair of that class applies, so ``certify_C`` runs it twice per cell.
     """
     batch = monomials(n_particles, sorted({a, b}), max_degree)
-    image = batch.commutator_PQ(a, b)
-    if a == b:
-        return bool(all(decide_C(image, batch.mul_minus_i())[0]))
-    return image.is_zero()
+    return batch.ccr_residuals([(a, b)])[0].is_zero()
 
 
 def permutation_invariance_check(k: SlotOperator, pi: Permutation,
@@ -525,6 +524,15 @@ class DiscernibilityReport:
         return self.verdict
 
 
+def _reference(obj) -> Callable[[], object]:
+    """A weak reference to obj, or, for a list, which takes none, obj
+    held."""
+    try:
+        return weakref.ref(obj)
+    except TypeError:
+        return lambda: obj
+
+
 def certify_relation(
         report: DiscernibilityReport, name: Callable[[int], str],
         operator_route: Callable[[int, int], bool],
@@ -570,10 +578,11 @@ def certify_relation(
     n = report.n_particles
     generators = Permutation.generators(n)
     invariant = []
-    # per Decision, whose holds and branch many pairs may share: the
-    # Decision, kept so that its ids are not reused, the first sample on
-    # which the relation fails (None if none does), whether it holds on
-    # any sample, and the witness of that first failure
+    # per Decision, whose holds and branch many pairs may share: weak
+    # references to both, so that an entry whose Decision is gone, and
+    # whose ids may be reused, is never read, the first sample on which
+    # the relation fails (None if none does), whether it holds on any
+    # sample, and the witness of that first failure
     reduced: dict[tuple[int, int], tuple] = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -582,14 +591,17 @@ def certify_relation(
             invariant.append(pair_invariant)
             holds, branch = decision
             key = id(holds), id(branch)
-            if key not in reduced:
+            entry = reduced.get(key)
+            if entry is None or entry[0]() is not holds \
+                    or entry[1]() is not branch:
                 fails = np.flatnonzero(~np.asarray(holds, dtype=bool))
                 first = int(fails[0]) if len(fails) else None
-                reduced[key] = (
-                    decision, first, len(fails) < len(holds),
+                entry = reduced[key] = (
+                    _reference(holds), _reference(branch), first,
+                    len(fails) < len(holds),
                     None if first is None
                     else f"{name(first)}:{branch(first)}")
-            _, first, some, witness = reduced[key]
+            first, some, witness = entry[2:]
             pair = {"a": a, "b": b, "reflexive": None,
                     "off_diagonal_fails": None, "witness": None}
             if a == b:

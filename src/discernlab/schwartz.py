@@ -15,14 +15,17 @@ same verdict on every pair.
 Configuration space is one-dimensional per particle, which makes the
 commutator constant exactly -i hbar (hbar = 1).
 
-P, Q and the commutator have one implementation, ``TermBatch``: the
-terms of many wavefunctions as integer columns, one contiguous row per
-field (owner, then spin index and exponent per slot) and one per
-coefficient part, with like terms merged by sorting on a packed integer
-key; a batch that lists terms of another at known columns, such as the
-two products of the commutator, subtracts from it by position first.
-``TermBatch.ccr_residuals`` runs it on a slot-local view of many
-pairs at once; a single wavefunction is a batch of one (``pack``).
+P and Q have one implementation each, ``_momentum`` and ``_position``,
+on the rows of a ``TermBatch``: the terms of many wavefunctions as
+integer columns, one contiguous row per field (owner, then spin index
+and exponent per slot) and one per coefficient part, with like terms
+merged by sorting on a packed integer key.  The commutator has one
+kernel, ``_commutator``: on a slot view, the owner and exponent rows of
+the slots a pair acts on, it subtracts its two products by position
+where they line up, and only the columns that do not cancel are lifted
+back to full terms and merged.  ``TermBatch.ccr_residuals`` runs it on
+many pairs at once, ``commutator_PQ`` on one; a single wavefunction is a
+batch of one (``pack``).
 """
 
 from __future__ import annotations
@@ -101,12 +104,13 @@ def _nonzero(terms: dict[Term, Coeff]) -> dict[Term, Coeff]:
 def _exact(coeffs: np.ndarray) -> np.ndarray:
     """coeffs, as Python ints when int64 could overflow in a kernel step.
 
-    ``p``, the one step that multiplies, and ``plus`` and ``minus``
-    bound their operands here before any arithmetic.  From parts at most
-    _INT64_SAFE no result reaches int64's limit: p multiplies a part by
-    an exponent of at most DEGREE_CAP, [P_a, Q_b], the ``minus`` of two
-    products of p, sums at most four of them into one term, and plus and
-    minus sum two terms, all within _INT64_FACTOR times the largest part.
+    ``_momentum``, the one step that multiplies, and ``plus`` and
+    ``minus`` bound their operands here before any arithmetic.  From
+    parts at most _INT64_SAFE no result reaches int64's limit: P
+    multiplies a part by an exponent of at most DEGREE_CAP,
+    ``_commutator`` sums at most four parts of P's products and psi into
+    one term, and plus and minus sum two terms, all within _INT64_FACTOR
+    times the largest part.
     Larger parts run the same code on ``dtype=object`` arrays, which
     numpy sums and multiplies as Python ints.
     """
@@ -146,6 +150,97 @@ def _exponent_row(n_particles: int, slot: int) -> int:
     return 2 * slot
 
 
+def _position(rows: np.ndarray, row: int, slot: int) -> np.ndarray:
+    """Q_slot on a batch's rows, whose exponents of slot are rows[row]: a
+    copy with that row raised by 1."""
+    if rows[row].max(initial=0) >= DEGREE_CAP:
+        raise DegreeCapError(
+            f"exponent of slot {slot} exceeds cap {DEGREE_CAP}")
+    rows = rows.copy()
+    rows[row] += 1
+    return rows
+
+
+def _momentum(rows: np.ndarray, coeffs: np.ndarray, row: int,
+              slot: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_slot on a batch's rows and coefficients, e = rows[row].
+
+    On q^e exp(-q^2/2) the derivative is (e q^(e-1) - q^(e+1))
+    exp(-q^2/2), so c q^e maps to i c q^(e+1) - i e c q^(e-1): the
+    raised block, every column with coefficient (-im, re), then the
+    lowered block, the columns where e > 0 with (e im, -e re).
+    """
+    up = _position(rows, row, slot)
+    lower = np.flatnonzero(rows[row])
+    down = rows.take(lower, axis=1)
+    minus_e = -down[row]
+    down[row] -= 1
+    re, im = _exact(coeffs)
+    out = np.empty((2, len(re) + len(lower)), dtype=re.dtype)
+    raised = out[:, :len(re)]
+    np.negative(im, out=raised[0])
+    raised[1] = re
+    np.multiply(raised.take(lower, axis=1), minus_e, out=out[:, len(re):])
+    return np.concatenate([up, down], axis=1), out
+
+
+def _commutator(rows: np.ndarray, coeffs: np.ndarray,
+                slots: tuple[int, int], minus_i: bool
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """[P_a, Q_b] on a slot view, (a, b) = slots, less -i psi on the
+    diagonal when minus_i: the columns of the result that do not cancel,
+    unmerged, as (rows, coefficients).
+
+    rows is (owner, e_a) or (owner, e_a, e_b), every owner one term
+    (``TermBatch.slot_view``).  P_a Q_b psi and Q_b P_a psi are each
+    formed by ``_momentum`` and ``_position``.  They line up when Q_b
+    P_a psi lists the terms of P_a Q_b psi where a true P and Q place
+    them: all of them, in order, off the diagonal; on it the raised
+    block, then the lowered one's columns with e_a > 0, and psi's own
+    terms in that lowered block, where -i psi is taken.  Then the
+    coefficients subtract by position.  Otherwise every column of both
+    and of i psi is kept, for the merge to sum.
+    """
+    b = len(rows) - 1  # the row of e_b: e_a's on the diagonal
+    pq_rows, pq = _momentum(_position(rows, b, slots[1]), coeffs, 1,
+                            slots[0])
+    qp_rows, qp = _momentum(rows, coeffs, 1, slots[0])
+    qp_rows = _position(qp_rows, b, slots[1])
+    n = rows.shape[1]
+    if b == 1:
+        at = np.flatnonzero(rows[1])
+        aligned = pq_rows.shape[1] == 2 * n \
+            and qp_rows.shape[1] == n + len(at) \
+            and np.array_equal(pq_rows[:, :n], qp_rows[:, :n]) \
+            and np.array_equal(pq_rows[:, n:], rows) \
+            and np.array_equal(rows.take(at, axis=1), qp_rows[:, n:])
+    else:
+        aligned = np.array_equal(pq_rows, qp_rows)
+    target = minus_i and b == 1
+    if not aligned:
+        re, im = _exact(coeffs)
+        parts = [(pq_rows, _exact(pq)), (qp_rows, -_exact(qp))]
+        if target:
+            parts.append((rows, np.stack([-im, re])))
+        return (np.concatenate([r for r, _ in parts], axis=1),
+                np.concatenate([c for _, c in parts], axis=1))
+    out = pq.astype(np.result_type(pq, qp))  # a copy
+    if b == 1:
+        out[:, :n] -= qp[:, :n]
+        for total, part in zip(out[:, n:], qp[:, n:]):  # 1-d is faster
+            total[at] -= part
+        if target:  # - (-i psi) = (-im, re), on psi's own terms
+            re, im = coeffs.astype(out.dtype, copy=False)
+            out[0, n:] -= im
+            out[1, n:] += re
+    else:
+        out -= qp
+    if not out.any():
+        return pq_rows[:, :0], out[:, :0]
+    left = np.flatnonzero((out[0] != 0) | (out[1] != 0))
+    return pq_rows.take(left, axis=1), out.take(left, axis=1)
+
+
 @dataclass(eq=False)
 class TermBatch:
     """The terms of many wavefunctions, as integer columns: one exact kernel.
@@ -158,10 +253,9 @@ class TermBatch:
     (``_exact``).  Every row is contiguous, so gathers, masks and segment
     sums run over one row at a time.  The operators return batches in
     which a term may repeat; ``merged`` sums like terms and drops zeros.
-    ``plus``, ``minus`` and ``commutator_PQ`` add the coefficients of two
-    batches by position when one lists terms of the other at known
-    columns, and merge only the columns that do not cancel.  No float
-    enters any operation.
+    ``plus`` and ``minus`` add the coefficients of two batches that list
+    the same terms by position, and merge only the columns that do not
+    cancel.  No float enters any operation.
     """
 
     n_particles: int
@@ -176,141 +270,96 @@ class TermBatch:
                          self.n_owners if n_owners is None else n_owners,
                          rows, coeffs)
 
-    def _raised(self, slot: int) -> tuple[int, np.ndarray]:
-        """The exponent row of slot, and the rows with it raised by 1."""
-        row = _exponent_row(self.n_particles, slot)
-        if self.rows[row].max(initial=0) >= DEGREE_CAP:
-            raise DegreeCapError(
-                f"exponent of slot {slot} exceeds cap {DEGREE_CAP}")
-        rows = self.rows.copy()
-        rows[row] += 1
-        return row, rows
-
     def q(self, slot: int) -> "TermBatch":
-        """Position operator: multiply every wavefunction by q_slot."""
-        return self._with(self._raised(slot)[1], self.coeffs)
+        """Position operator: multiply every wavefunction by q_slot
+        (``_position`` on the batch's rows)."""
+        return self._with(_position(
+            self.rows, _exponent_row(self.n_particles, slot), slot),
+            self.coeffs)
 
     def p(self, slot: int) -> "TermBatch":
-        """Momentum operator -i hbar d/dq_slot, acting through the Gaussian.
-
-        On q^e exp(-q^2/2) the derivative is (e q^(e-1) - q^(e+1))
-        exp(-q^2/2), so c q^e maps to i c q^(e+1) - i e c q^(e-1): the
-        raised term with coefficient (-im, re) and, where e > 0, the
-        lowered term with (e im, -e re).
-        """
-        row, up = self._raised(slot)
-        lower = np.flatnonzero(self.rows[row])
-        down = self.rows.take(lower, axis=1)
-        e = down[row].copy()
-        down[row] -= 1
-        re, im = _exact(self.coeffs)
-        coeffs = np.empty((2, len(re) + len(lower)), dtype=re.dtype)
-        raised, lowered = coeffs[:, :len(re)], coeffs[:, len(re):]
-        np.negative(im, out=raised[0])
-        raised[1] = re
-        np.multiply(e, im.take(lower), out=lowered[0])
-        np.multiply(-e, re.take(lower), out=lowered[1])
-        return self._with(np.concatenate([up, down], axis=1), coeffs)
+        """Momentum operator -i hbar d/dq_slot (``_momentum`` on the
+        batch's rows): the raised terms, then the lowered ones."""
+        return self._with(*_momentum(
+            self.rows, self.coeffs, _exponent_row(self.n_particles, slot),
+            slot))
 
     def commutator_PQ(self, a: int, b: int) -> "TermBatch":
-        """[P_a, Q_b] psi = P_a Q_b psi - Q_b P_a psi on every psi, merged.
+        """[P_a, Q_b] psi = P_a Q_b psi - Q_b P_a psi on every psi, merged:
+        ``ccr_residuals``' kernel on the one pair, with no -i psi taken.
 
         Equals -i hbar psi coefficient-for-coefficient when a == b and the
-        zero wavefunction when a != b.  ``p`` emits its raised terms
-        before its lowered ones and ``q`` keeps the column order, so
-        Q_b P_a psi lists terms of P_a Q_b psi at known places, which
-        ``_joined`` subtracts by position before it merges what is left.
-        For a != b, P_a and Q_b write different rows and the two products
-        list the same terms.  For a == b, P_a Q_a psi is [raised, e_a + 2
-        | lowered, e_a] over all T terms and Q_a P_a psi the same raised
-        block and the lowered one where e_a > 0: places arange(T), then
-        T + flatnonzero(e_a).  What is left of a correct kernel is -i psi
-        on psi's own columns, in psi's order.
+        zero wavefunction when a != b.
         """
-        place = None
-        if a == b:
-            n_terms = self.rows.shape[1]
-            place = np.concatenate([
-                np.arange(n_terms),
-                n_terms + np.flatnonzero(
-                    self.rows[_exponent_row(self.n_particles, a)])])
-        return self.q(b).p(a)._joined(self.p(a).q(b), -1, place)
+        pairs = [(a, b)]
+        return self.lift(*_commutator(*self.slot_view(pairs), (a, b), False),
+                         pairs)
 
-    def slot_view(self, pairs: Sequence[tuple[int, int]]) -> "TermBatch":
-        """Slots a and b of every term, once per pair (a, b): the operand
-        of [P_a, Q_b] for all the pairs at once.
+    def slot_view(self, pairs: Sequence[tuple[int, int]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """The operand of [P_a, Q_b] for all the pairs (a, b) at once, as
+        (rows, coefficients).
 
         The pairs are all diagonal or all off-diagonal.  With T terms,
-        owner p T + t of the view is term t as pairs[p] sees it: a 1-slot
-        term (m_a, e_a) when a == b and a 2-slot term (m_a, e_a, m_b, e_b)
-        otherwise, with term t's coefficient.  [P_a, Q_b] acts on slots a
-        and b alone, so on every pair it is [P_1, Q_1] or [P_1, Q_2] on
-        the view; ``lift`` takes the view's terms back to full terms.
+        owner p T + t of the view is term t as pairs[p] sees it, with term
+        t's coefficient: rows (owner, e_a) when a == b and (owner, e_a,
+        e_b) otherwise.  P and Q read and write these alone; the spin
+        indices and the other exponents are term t's, so ``lift`` takes
+        them from the owner.
         """
-        slots = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        diagonal = slots[0] == slots[1]
-        if not len(pairs) or diagonal.any() != diagonal.all():
+        diagonal = {a == b for a, b in pairs}
+        if len(diagonal) != 1:
             raise ShapeError("a slot view takes one or more pairs, all "
                              "diagonal or all off-diagonal")
-        if slots.min() < 1 or slots.max() > self.n_particles:
+        if not all(1 <= slot <= self.n_particles for pair in pairs
+                   for slot in pair):
             raise IndexRangeError(
                 f"slot out of range 1..{self.n_particles} in {pairs}")
-        slots = slots[:1 if diagonal[0] else 2]
-        n_slots, count = len(slots), len(pairs) * self.rows.shape[1]
-        rows = np.empty((1 + 2 * n_slots, count), dtype=_ROW_DTYPE)
+        slots = np.array(pairs).T[:1 if diagonal.pop() else 2]
+        count = len(pairs) * self.rows.shape[1]
+        rows = np.empty((1 + len(slots), count), dtype=_ROW_DTYPE)
         rows[0] = np.arange(count)
-        rows[1::2] = self.rows[2 * slots - 1].reshape(n_slots, count)
-        rows[2::2] = self.rows[2 * slots].reshape(n_slots, count)
-        return TermBatch(n_slots, self.two_s, count, rows,
-                         np.tile(self.coeffs, len(pairs)))
+        rows[1:] = self.rows[2 * slots].reshape(len(slots), count)
+        return rows, np.tile(self.coeffs, len(pairs))
 
-    def lift(self, view: "TermBatch",
+    def lift(self, rows: np.ndarray, coeffs: np.ndarray,
              pairs: Sequence[tuple[int, int]]) -> "TermBatch":
-        """Terms of ``slot_view(pairs)``'s owners, back on full terms,
-        merged.
+        """Terms on ``slot_view(pairs)``'s rows, back on full terms, merged.
 
         A term of view owner p T + t becomes term t of self with the
-        view's spin indices and exponents on slots pairs[p], owned by
-        p O + (term t's owner), O = n_owners: pair p's terms are owners
-        p O .. (p + 1) O - 1.
+        view's exponents on slots pairs[p], owned by p O + (term t's
+        owner), O = n_owners: pair p's terms are owners p O .. (p + 1) O
+        - 1.
         """
-        if view.n_owners != len(pairs) * self.rows.shape[1]:
+        n_terms = self.rows.shape[1]
+        if rows[0].max(initial=-1) >= len(pairs) * n_terms:
             raise ShapeError("not a slot view of this batch for these pairs")
-        pair, term = np.divmod(view.rows[0], self.rows.shape[1])
-        rows = self.rows.take(term, axis=1)
-        rows[0] += pair * self.n_owners
+        pair, term = np.divmod(rows[0], n_terms)
+        lifted = self.rows.take(term, axis=1)
+        lifted[0] += pair * self.n_owners
         columns = np.arange(len(term))
-        for k, slots in enumerate(np.array(pairs).T[:view.n_particles]):
-            spin = 2 * slots.take(pair) - 1
-            rows[spin, columns] = view.rows[2 * k + 1]
-            rows[spin + 1, columns] = view.rows[2 * k + 2]
-        return self._with(rows, view.coeffs,
-                          len(pairs) * self.n_owners).merged()
+        for k, slots in enumerate(np.array(pairs).T[:len(rows) - 1]):
+            lifted[2 * slots.take(pair), columns] = rows[k + 1]
+        return self._with(lifted, coeffs, len(pairs) * self.n_owners).merged()
 
     def ccr_residuals(
             self, pairs: Sequence[tuple[int, int]]) -> list["TermBatch"]:
         """[P_a, Q_b] psi - delta_ab (-i psi) on every psi, merged, for
         each pair (a, b): one slot-local pass for all of them.
 
-        The pairs are all diagonal or all off-diagonal.  The commutator
-        runs once, on ``slot_view(pairs)``, where like terms merge within
-        (pair, term).  The terms left, the image off the diagonal and
-        image - (-i psi) on it, are lifted to full terms and merged
-        exactly per pair (``lift``), so each residual equals the one the
-        full-row ``commutator_PQ`` gives, term for term.  A kernel that
-        keeps the canonical commutation relation leaves no term to lift:
-        then no merge of the pass sorts, and each pair gets an empty batch
-        of self's owners with no lift.
+        The pairs are all diagonal or all off-diagonal.  ``_commutator``
+        runs once, on ``slot_view(pairs)``'s exponent and coefficient
+        rows, and keeps the columns that do not cancel.  Only those are
+        lifted to full terms and merged per pair (``lift``), so each
+        residual equals the full-row ``commutator_PQ``'s, term for term.
+        When none is left, each pair gets an empty batch of self's owners.
         """
-        view = self.slot_view(pairs)
-        if view.n_particles == 1:
-            residual = view.commutator_PQ(1, 1).minus(view.mul_minus_i())
-        else:
-            residual = view.commutator_PQ(1, 2)
-        if residual.is_zero():
-            return [self._with(self.rows[:, :0].copy(), residual.coeffs)
+        rows, coeffs = self.slot_view(pairs)
+        rows, coeffs = _commutator(rows, coeffs, (1, len(rows) - 1), True)
+        if not rows.shape[1]:
+            return [self._with(self.rows[:, :0].copy(), coeffs)
                     for _ in pairs]
-        lifted = self.lift(residual, pairs)
+        lifted = self.lift(rows, coeffs, pairs)
         return [lifted.owners(p * self.n_owners, (p + 1) * self.n_owners)
                 for p in range(len(pairs))]
 
@@ -319,30 +368,20 @@ class TermBatch:
         re, im = self.coeffs
         return self._with(self.rows, np.stack([im, -re]))
 
-    def _joined(self, other: "TermBatch", sign: int,
-                place: np.ndarray | None = None) -> "TermBatch":
+    def _joined(self, other: "TermBatch", sign: int) -> "TermBatch":
         """self + sign * other, owner by owner, merged.
 
-        When other lists self's terms at the distinct columns place of
-        self (all of them, in order, when place is None), its
-        coefficients add into those columns by position and only the
-        columns that do not cancel are merged; otherwise both batches'
-        columns are.  Either way every term's sum is the same.
+        When other lists self's terms in self's order, its coefficients
+        add by position and only the columns that do not cancel are
+        merged; otherwise both batches' columns are.  Either way every
+        term's sum is the same.
         """
         if (other.n_particles, other.two_s, other.n_owners) != \
                 (self.n_particles, self.two_s, self.n_owners):
             raise ShapeError("term batch shape mismatch")
         mine, theirs = _exact(self.coeffs), sign * _exact(other.coeffs)
-        if place is None:
-            at, aligned = slice(None), np.array_equal(self.rows, other.rows)
-        else:
-            at = place
-            aligned = place.max(initial=-1) < self.rows.shape[1] and \
-                np.array_equal(self.rows.take(place, axis=1), other.rows)
-        if aligned:
-            coeffs = mine.astype(np.result_type(mine, theirs))  # a copy
-            for total, part in zip(coeffs, theirs):  # 1-d indexing is faster
-                total[at] += part
+        if np.array_equal(self.rows, other.rows):
+            coeffs = mine + theirs
             left = np.flatnonzero((coeffs[0] != 0) | (coeffs[1] != 0))
             return self._with(self.rows.take(left, axis=1),
                               coeffs.take(left, axis=1)).merged()

@@ -40,6 +40,7 @@ from discernlab.multiparticle import (
     sample_states,
     sector_dimension,
 )
+from discernlab import schwartz
 from discernlab.schwartz import (
     SpinorWavefunction,
     TermBatch,
@@ -55,6 +56,7 @@ from discernlab.spin import (
 )
 from oracles import (
     casimir,
+    commutator_by_merge,
     is_scalar_identity,
     product_amplitudes,
     random_mixed_state,
@@ -205,34 +207,35 @@ class TestRelationC:
             assert not relation_C_holds(1, 2, psi)
 
     def test_decides_on_one_slot_local_pass(self, monkeypatch):
-        # certify_C's pass: one commutator call, on the view of slots a
-        # and b, not on the full rows of the batch
+        # certify_C's pass: one kernel call, on the owner and exponent rows
+        # of the view of slots a and b, not on the full rows of the batch
         seen = []
-        commutator = TermBatch.commutator_PQ
+        kernel = schwartz._commutator
 
-        def recorded(self, a, b):
-            seen.append(self)
-            return commutator(self, a, b)
+        def recorded(rows, coeffs, slots, minus_i):
+            seen.append(rows.shape)
+            return kernel(rows, coeffs, slots, minus_i)
 
-        monkeypatch.setattr(TermBatch, "commutator_PQ", recorded)
+        monkeypatch.setattr(schwartz, "_commutator", recorded)
         psi = draw_wavefunctions(4, 4, 1, 5, 2).unpack()
+        terms = pack(psi).rows.shape[1]
         for (a, b), want in (((3, 3), True), ((2, 4), False)):
             seen.clear()
             assert relation_C_holds(a, b, psi) == want
-            assert len(seen) == 1 and seen[0].n_particles <= 2
+            assert seen == [(2 if a == b else 3, terms)]
 
     @pytest.mark.parametrize("flipped", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equals_the_full_row_decision(self, monkeypatch, n, flipped):
         if flipped:
-            p = TermBatch.p
+            momentum = schwartz._momentum
 
-            def wrong(self, slot):  # the lowered term's sign flipped
-                out = p(self, slot)
-                out.coeffs[:, self.rows.shape[1]:] *= -1
-                return out
+            def wrong(rows, coeffs, row, slot):  # the lowered sign flipped
+                out_rows, out = momentum(rows, coeffs, row, slot)
+                out[:, rows.shape[1]:] *= -1
+                return out_rows, out
 
-            monkeypatch.setattr(TermBatch, "p", wrong)
+            monkeypatch.setattr(schwartz, "_momentum", wrong)
         drawn = draw_wavefunctions(n, 4, n % 3, 4, n).unpack()
         zero = SpinorWavefunction(n, n % 3, {})
         slots = range(1, n + 1)
@@ -242,6 +245,9 @@ class TestRelationC:
                 for b in slots:
                     want = all(decide_C(batch.commutator_PQ(a, b),
                                         batch.mul_minus_i())[0])
+                    assert want == all(decide_C(
+                        commutator_by_merge(batch, a, b),
+                        batch.mul_minus_i())[0])
                     assert relation_C_holds(a, b, psi) == want, (a, b)
         # the flipped sign gives [P_a, Q_a] = +i: no drawn psi holds
         assert relation_C_holds(1, 1, drawn) == (not flipped)
@@ -709,24 +715,24 @@ class TestWrongMomentumIsCaught:
 
     @staticmethod
     def momentum(lowering):
-        """P_a with its lowering row dropped (None), or with factor
-        e + lowering in place of e (0 is the true operator)."""
-        def p(self, slot):
-            row = 2 * slot  # a column is (owner, m_1, e_1, ..., m_N, e_N)
-            re, im = self.coeffs
-            up = self.rows.copy()
+        """The one P (``schwartz._momentum``) with its lowering block
+        dropped (None), with factor e + lowering in place of e (0 is the
+        true operator), or with its sign flipped ("flipped")."""
+        def p(rows, coeffs, row, slot):
+            re, im = coeffs
+            up = rows.copy()
             up[row] += 1
-            rows, coeffs = [up], [np.stack([-im, re])]
-            lower = self.rows[row] > 0
+            out_rows, out = [up], [np.stack([-im, re])]
+            lower = rows[row] > 0
             if lowering is not None:
-                down = self.rows[:, lower]
+                down = rows[:, lower]
                 down[row] -= 1
-                f = down[row] + 1 + lowering
-                rows.append(down)
-                coeffs.append(np.stack([f * im[lower], -f * re[lower]]))
-            return TermBatch(self.n_particles, self.two_s, self.n_owners,
-                             np.concatenate(rows, axis=1),
-                             np.concatenate(coeffs, axis=1))
+                f = down[row] + 1
+                f = -f if lowering == "flipped" else f + lowering
+                out_rows.append(down)
+                out.append(np.stack([f * im[lower], -f * re[lower]]))
+            return (np.concatenate(out_rows, axis=1),
+                    np.concatenate(out, axis=1))
         return p
 
     @pytest.mark.parametrize("lowering, branch", [
@@ -735,9 +741,11 @@ class TestWrongMomentumIsCaught:
         (None, "commutator_zero"),
         # terms with e_a = 0 come out as -2i c, not -i c
         (1, "commutator_other"),
+        # [P_a, Q_a] = +i
+        ("flipped", "commutator_other"),
     ])
     def test_reflexivity_fails(self, monkeypatch, lowering, branch):
-        monkeypatch.setattr(TermBatch, "p", self.momentum(lowering))
+        monkeypatch.setattr(schwartz, "_momentum", self.momentum(lowering))
         report = certify_C(2, 1, 5, 4, 0)
         diagonal = [p["reflexive"] for p in report.pairs if p["a"] == p["b"]]
         assert all(p["off_diagonal_fails"] for p in report.pairs
@@ -752,7 +760,10 @@ class TestWrongMomentumIsCaught:
             assert report.verdict == "violated"
             assert not any(diagonal)
             assert failed and {why(i) for i in failed} == {branch}
-        # the patched p reaches each route on its own: the once-per-class
+        # the public predicate runs the same pass
+        for a in (1, 2):
+            assert relation_C_holds(a, a, batch.unpack()) == (branch is None)
+        # the patched P reaches each route on its own: the once-per-class
         # monomial proof, and the sampled route's slot views
         assert ccr_identity_on_monomials(1, 4, 1, 1) == (branch is None)
         import discernlab.discern as discern
@@ -920,16 +931,17 @@ class TestOneImagePerPair:
 
     @staticmethod
     def count_C_kernel_calls(monkeypatch):
-        """Every commutator call, as (n_particles, n_owners, n_terms, a, b)."""
+        """Every commutator kernel call, on a slot view whose owners are
+        one term each, as (slots of the view, owners, terms, a, b)."""
         calls = []
-        kernel = TermBatch.commutator_PQ
+        kernel = schwartz._commutator
 
-        def counted(self, a, b):
-            calls.append((self.n_particles, self.n_owners, self.rows.shape[1],
-                          a, b))
-            return kernel(self, a, b)
+        def counted(rows, coeffs, slots, minus_i):
+            calls.append((len(rows) - 1, rows.shape[1], rows.shape[1])
+                         + tuple(slots))
+            return kernel(rows, coeffs, slots, minus_i)
 
-        monkeypatch.setattr(TermBatch, "commutator_PQ", counted)
+        monkeypatch.setattr(schwartz, "_commutator", counted)
         return calls
 
     # certify_C(3, 0, 4, 3, seed=1)'s batch: 4 drawn wavefunctions and the
@@ -1237,6 +1249,61 @@ class TestClassKey:
                     assert held[1, 3]() is not None
         assert all(ref() is None for ref in held.values())
 
+    @staticmethod
+    def report(decide_pair):
+        report = DiscernibilityReport(
+            relation="T", mode="mixed_sampling", n_particles=3, two_s=1,
+            sector="full", samples={}, seed=0, tolerances={})
+        return certify_relation(report, lambda i: f"pure[{i}]",
+                                lambda a, b: True, decide_pair)
+
+    def test_certify_relation_frees_a_decision_after_its_last_pair(self):
+        # full sector: (1, 2) and (2, 1) read one Decision, (1, 3) and
+        # (3, 1) another.  certify_relation keeps none alive past the
+        # pair after its last reader
+        single, k12 = SpinLabel(1).pair_blocks
+        route = sampled_route_T(
+            self.family(single, k12),
+            [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8)
+        held = {}  # pair -> weak references to its holds and branch
+        kept = []
+
+        def decide_pair(a, b, generators):
+            if (a, b) == (2, 3):  # (2, 1) read the Decision of (1, 2) last
+                assert held[1, 2][0]() is None and held[1, 2][1]() is None
+                assert held[1, 3][0]() is not None  # (3, 1) is to read it
+            if (a, b) == (3, 3):
+                assert held[1, 3][0]() is None and held[1, 3][1]() is None
+            decision, invariant = route(a, b, generators)
+            held[a, b] = tuple(map(weakref.ref, decision))
+            return decision, invariant
+
+        def keeping(a, b, generators):
+            decision, invariant = route(a, b, generators)
+            kept.append(decision)
+            return decision, invariant
+
+        freed = self.report(decide_pair)
+        assert freed.verdict == "weakly_discerning"
+        route = sampled_route_T(
+            self.family(single, k12),
+            [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8)
+        assert freed.pairs == self.report(keeping).pairs
+
+    def test_a_reused_id_never_reads_another_decision(self):
+        # every pair gets a fresh Decision, dropped after it is read, so
+        # later ones may reuse its ids: each witness must be its own
+        def decide_pair(a, b, generators):
+            holds = np.array([a == b, a == b, (a, b) == (1, 2)])
+            return (holds, lambda i: f"{a}{b}"), True
+
+        report = self.report(decide_pair)
+        assert [p["witness"] for p in report.pairs if p["a"] != p["b"]] == [
+            f"pure[0]:{a}{b}" for a in range(1, 4) for b in range(1, 4)
+            if a != b]
+        assert [p["off_diagonal_fails"] for p in report.pairs
+                if p["a"] != p["b"]] == [False] + [True] * 5
+
     def test_six_particles_make_16_decisions_per_piece(self, monkeypatch):
         import discernlab.discern as discern
         decided, rows = [], []
@@ -1405,26 +1472,21 @@ class TestCInvarianceIsNotVacuous:
     """Relation C's S_N check compares two different pairs' images."""
 
     @staticmethod
-    def on_views(monkeypatch, fault):
-        """[P_a, Q_b] on the sampled batch's slot views replaced by
-        fault(view, image, source, pairs), image the true one and view
-        ``source.slot_view(pairs)``: view owner p T + t is term t of
-        source for pairs[p].  The monomial proofs are left alone."""
-        kernel, slot_view = TermBatch.commutator_PQ, TermBatch.slot_view
+    def on_passes(monkeypatch, fault):
+        """Each pair's residual from the sampled batch's slot-local passes
+        (``TermBatch.ccr_residuals``) replaced by fault(source, (a, b),
+        residual), with residual the true one.  The monomial proofs,
+        whose batches are spin 0, are left alone."""
+        passes = TermBatch.ccr_residuals
 
-        def view(self, pairs):
-            out = slot_view(self, pairs)
-            out.seen = self, list(pairs)
-            return out
+        def wrong(self, pairs):
+            residuals = passes(self, pairs)
+            if self.two_s == 0:
+                return residuals
+            return [fault(self, pair, residual)
+                    for pair, residual in zip(pairs, residuals)]
 
-        def wrong(self, a, b):
-            image = kernel(self, a, b)
-            if not hasattr(self, "seen"):
-                return image
-            return fault(self, image, *self.seen)
-
-        monkeypatch.setattr(TermBatch, "slot_view", view)
-        monkeypatch.setattr(TermBatch, "commutator_PQ", wrong)
+        monkeypatch.setattr(TermBatch, "ccr_residuals", wrong)
 
     @staticmethod
     def select(batch, keep):
@@ -1434,14 +1496,10 @@ class TestCInvarianceIsNotVacuous:
 
     def plus_psi(self, monkeypatch, pairs):
         """[P_a, Q_b] psi + psi on the given pairs."""
-        def fault(view, image, source, passed):
-            pair = view.rows[0] // source.rows.shape[1]
-            hit = np.array([p in pairs for p in passed])[pair]
-            minus_psi = self.select(view, hit)
-            minus_psi.coeffs = -minus_psi.coeffs
-            return image.minus(minus_psi)
+        def fault(source, pair, residual):
+            return residual.plus(source) if pair in pairs else residual
 
-        self.on_views(monkeypatch, fault)
+        self.on_passes(monkeypatch, fault)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_one_pair_set_breaks_invariance(self, monkeypatch, n):
@@ -1480,17 +1538,15 @@ class TestCInvarianceIsNotVacuous:
         # on the 4 drawn and 2 * 3 moved owners, the moved owners' images
         # fail C on the diagonal and satisfy it off it: only the S_N check
         # reads them
-        def fault(view, image, source, pairs):
-            def moved(batch):
-                term = batch.rows[0] % source.rows.shape[1]
-                return source.rows[0].take(term) >= 4
+        def fault(source, pair, residual):
+            drawn = self.select(residual, residual.rows[0] < 4)
+            minus_i_psi = self.select(source, source.rows[0] >= 4) \
+                .mul_minus_i()
+            if pair[0] == pair[1]:  # their images dropped: not -i psi
+                return drawn.minus(minus_i_psi)
+            return drawn.plus(minus_i_psi)  # their images -i psi
 
-            kept = self.select(image, ~moved(image))
-            if view.n_particles == 1:
-                return kept
-            return kept.plus(self.select(view, moved(view)).mul_minus_i())
-
-        self.on_views(monkeypatch, fault)
+        self.on_passes(monkeypatch, fault)
         report = certify_C(3, 1, n_samples=4, max_degree=3, seed=1)
         assert all(p["reflexive"] for p in report.pairs if p["a"] == p["b"])
         off = [p for p in report.pairs if p["a"] != p["b"]]

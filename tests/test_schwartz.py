@@ -416,19 +416,19 @@ class TestSlotLocalPass:
 
     @staticmethod
     def skewed(monkeypatch):
-        """P_a with its raised terms times e + 1 and its lowered terms
-        times 2: the residual of [P_a, Q_a] on x is i x + 2 e_a - i x,
-        which meets that of x + 2 e_a on x + 2 e_a."""
-        p = TermBatch.p
+        """The one P (``_momentum``) with its raised terms times e + 1 and
+        its lowered terms times 2: the residual of [P_a, Q_a] on x is
+        i x + 2 e_a - i x, which meets that of x + 2 e_a on x + 2 e_a."""
+        momentum = schwartz._momentum
 
-        def wrong(self, slot):
-            out = p(self, slot)
-            n = self.rows.shape[1]
-            out.coeffs[:, :n] *= self.rows[2 * slot] + 1
-            out.coeffs[:, n:] *= 2
-            return out
+        def wrong(rows, coeffs, row, slot):
+            out_rows, out = momentum(rows, coeffs, row, slot)
+            n = rows.shape[1]
+            out[:, :n] *= rows[row] + 1
+            out[:, n:] *= 2
+            return out_rows, out
 
-        monkeypatch.setattr(TermBatch, "p", wrong)
+        monkeypatch.setattr(schwartz, "_momentum", wrong)
 
     def test_colliding_residuals_are_lifted_and_merged(self, monkeypatch):
         self.skewed(monkeypatch)
@@ -440,29 +440,70 @@ class TestSlotLocalPass:
             full = batch.commutator_PQ(a, b).minus(target)
             assert not residual.is_zero()
             assert same_terms(residual, full)
+            assert same_terms(residual,
+                              commutator_by_merge(batch, a, b).minus(target))
         # x + 2 e_1 cancels: the residuals of x and x + 2 e_1 meet there
         # with opposite coefficients, and the lifted merge drops the term
         first = residuals[0].unpack()[0].terms
         assert ((0, 3), (1, 2), (2, 0)) not in first
         self.assert_images_match(batch)
 
+    @classmethod
+    def kinds(cls):
+        """Batches of every kind the pass meets, by name."""
+        drawn = draw_wavefunctions(3, 6, 2, 12, seed=9)
+        n = drawn.rows.shape[1]
+        again = np.r_[np.arange(n), 0:7]  # the first 7 terms repeated
+        rows = drawn.rows.copy()
+        rows[2::2, ::3] = DEGREE_CAP - 2  # the products reach DEGREE_CAP
+        return {
+            "drawn": drawn,
+            "colliding": cls.colliding(),
+            "unmerged": drawn._with(drawn.rows.take(again, axis=1),
+                                    drawn.coeffs.take(again, axis=1)),
+            "object": drawn._with(drawn.rows,
+                                  drawn.coeffs.astype(object) << 70),
+            "at_cap": drawn._with(rows, drawn.coeffs)}
+
+    @pytest.mark.parametrize("kind", ["drawn", "colliding", "unmerged",
+                                      "object", "at_cap"])
+    def test_pass_equals_the_full_row_kernel_and_the_merge(self, kind):
+        batch = self.kinds()[kind]
+        target = batch.mul_minus_i()
+        slots = range(1, batch.n_particles + 1)
+        for diagonal in (True, False):
+            pairs = [(a, b) for a in slots for b in slots
+                     if (a == b) == diagonal]
+            for (a, b), residual in zip(pairs, batch.ccr_residuals(pairs)):
+                full = batch.commutator_PQ(a, b)
+                merge = commutator_by_merge(batch, a, b)
+                if a == b:
+                    full, merge = full.minus(target), merge.minus(target)
+                assert same_batch(residual, full), (a, b)
+                assert same_terms(residual, merge), (a, b)
+                assert residual.is_zero()
+
     def test_lift_inverts_the_view(self):
         # any slot-local product on the view, lifted, is the full one
+        momentum, position = schwartz._momentum, schwartz._position
         for batch in (self.colliding(), self.sampled(4, 2, 6, 5, 1)):
             n = batch.n_particles
             pairs = [(a, b) for a in range(1, n + 1)
                      for b in range(1, n + 1) if a != b]
-            view = batch.slot_view(pairs)
-            lifted = batch.lift(view.p(1).q(2).p(2), pairs)
+            rows, coeffs = batch.slot_view(pairs)
+            assert rows.shape == (3, len(pairs) * batch.rows.shape[1])
+            rows, coeffs = momentum(rows, coeffs, 1, 1)
+            rows, coeffs = momentum(position(rows, 2, 2), coeffs, 2, 2)
+            lifted = batch.lift(rows, coeffs, pairs)
             o = batch.n_owners
             for k, (a, b) in enumerate(pairs):
                 assert same_terms(lifted.owners(k * o, (k + 1) * o),
                                   batch.p(a).q(b).p(b).merged())
             one = pairs[-1:]
-            assert same_terms(batch.lift(batch.slot_view(one), one),
+            assert same_terms(batch.lift(*batch.slot_view(one), one),
                               batch.merged())
             with pytest.raises(ShapeError):
-                batch.lift(view, one)
+                batch.lift(rows, coeffs, one)
 
     def test_slot_view_rejects_mixed_or_bad_pairs(self):
         batch = self.colliding()
@@ -707,23 +748,73 @@ class TestDiagonalCommutator:
 
     @pytest.mark.parametrize("lowered", ["dropped", "doubled"])
     def test_products_that_do_not_line_up(self, monkeypatch, lowered):
-        # a wrong P whose products are not placed as the true P's:
-        # commutator_PQ falls back to merging every column
-        p = TermBatch.p
+        # a wrong P (the one ``_momentum``) whose products are not placed
+        # as the true P's on the diagonal: the pass and commutator_PQ fall
+        # back to merging every column, and give the exact residual
+        momentum = schwartz._momentum
 
-        def wrong(self, slot):
-            out = p(self, slot)
-            n = self.rows.shape[1]
+        def wrong(rows, coeffs, row, slot):
+            out_rows, out = momentum(rows, coeffs, row, slot)
+            n = rows.shape[1]
             if lowered == "dropped":
-                return out._with(out.rows[:, :n], out.coeffs[:, :n])
-            return out._with(np.concatenate([out.rows, out.rows[:, n:]], 1),
-                             np.concatenate([out.coeffs, out.coeffs[:, n:]],
-                                            1))
+                return out_rows[:, :n], out[:, :n]
+            return (np.concatenate([out_rows, out_rows[:, n:]], 1),
+                    np.concatenate([out, out[:, n:]], 1))
 
-        monkeypatch.setattr(TermBatch, "p", wrong)
+        monkeypatch.setattr(schwartz, "_momentum", wrong)
         x = draw_wavefunctions(3, 6, 1, 10, seed=4)
         self.assert_oracle(x)
-        assert not x.commutator_PQ(1, 1).minus(x.mul_minus_i()).is_zero()
+        target = x.mul_minus_i()
+        assert not x.commutator_PQ(1, 1).minus(target).is_zero()
+        for pairs in ([(1, 1), (2, 2), (3, 3)], [(1, 2), (3, 1)]):
+            for (a, b), residual in zip(pairs, x.ccr_residuals(pairs)):
+                want = commutator_by_merge(x, a, b)
+                if a == b:
+                    want = want.minus(target)
+                assert same_terms(residual, want), (a, b)
+                assert residual.is_zero() == (a != b)
+
+    def test_products_of_a_wrong_Q_do_not_line_up(self, monkeypatch):
+        # a Q (the one ``_position``) that raises the first column only:
+        # the two products carry different exponents of slot b, off the
+        # diagonal too, and a pass of one pair, whose view lists the
+        # terms in the batch's order, gives the exact residual
+        def wrong(rows, row, slot):
+            rows = rows.copy()
+            rows[row, :1] += 1
+            return rows
+
+        monkeypatch.setattr(schwartz, "_position", wrong)
+        x = draw_wavefunctions(3, 6, 1, 10, seed=4)
+        target = x.mul_minus_i()
+        broken = []
+        for a in range(1, 4):
+            for b in range(1, 4):
+                [residual] = x.ccr_residuals([(a, b)])
+                want = commutator_by_merge(x, a, b)
+                if a == b:
+                    want = want.minus(target)
+                assert same_terms(residual, want), (a, b)
+                broken.append(not want.is_zero())
+        assert all(broken[::4]) and any(broken)
+
+    def test_cap_message_is_unchanged(self):
+        # an exponent at DEGREE_CAP - 1 on the diagonal: [P_a, Q_a]'s
+        # P_a Q_a reaches past the cap.  The full-row form names the
+        # slot, the pass its view's slot 1, as they did
+        x = draw_wavefunctions(2, 6, 1, 10, seed=4)
+        rows = x.rows.copy()
+        rows[4, 0] = DEGREE_CAP - 1
+        x = x._with(rows, x.coeffs)
+        with pytest.raises(DegreeCapError, match=(
+                f"^exponent of slot 2 exceeds cap {DEGREE_CAP}$")):
+            x.commutator_PQ(2, 2)
+        with pytest.raises(DegreeCapError, match=(
+                f"^exponent of slot 1 exceeds cap {DEGREE_CAP}$")):
+            x.ccr_residuals([(2, 2)])
+        # off the diagonal P_a Q_b raises e_b to DEGREE_CAP, within the cap
+        assert x.commutator_PQ(1, 2).is_zero()
+        assert x.ccr_residuals([(1, 2)])[0].is_zero()
 
     def test_diagonal_sorts_nothing(self, monkeypatch):
         x = draw_wavefunctions(3, 6, 1, 10, seed=4)
