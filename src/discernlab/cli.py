@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -41,6 +42,7 @@ import tempfile
 import time
 import traceback
 from dataclasses import dataclass, fields
+from typing import Iterable
 
 from .discern import VERDICT_PASS, DiscernibilityReport, certify_C, certify_T
 from .errors import (
@@ -188,12 +190,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def atomic_write(path: str, text: str):
+def atomic_write(path: str, blocks: Iterable[str]):
+    """Write the blocks of text to path through a temp file renamed into
+    place: a failure, also while the blocks are made, leaves no file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -244,7 +248,12 @@ def run_verify(cfg: RunConfig) -> int:
     # JSON of dataclasses.asdict without its deep copy
     data = {f.name: getattr(report, f.name) for f in fields(report)}
     data["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    atomic_write(cfg.out, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    # json.dumps' text, encoded and written 65,536 chunks at a time, so
+    # that a large report is never held twice
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    blocks = map("".join, iter(
+        lambda: list(itertools.islice(chunks, 65536)), []))
+    atomic_write(cfg.out, itertools.chain(blocks, ["\n"]))
     if report.verdict == VERDICT_PASS:
         print(f"verdict: {report.verdict} (report: {cfg.out})")
         return EXIT_OK

@@ -16,8 +16,10 @@ The decisions ``decide_T`` (from the eigen-residuals of many states)
 and ``decide_C`` (from the commutator image of a batch of wavefunctions)
 are the ones the public predicates ``relation_T_holds`` and
 ``relation_C_holds`` run, and the S_N check reads the same image of each
-pair operator.  Relation T never forms an N-body operator: K_ab is one
-two-slot block placed on slots (a, b) (``pair_operator``).  One kernel
+pair operator.  The route that makes a decision reduces it at once
+(``summarize``), and every pair that shares it reads that summary.
+Relation T never forms an N-body operator: K_ab is one two-slot block
+placed on slots (a, b) (``pair_operator``).  One kernel
 (``block_kernel``) serves every sector: the samples are unfolded on the
 block's slots into d^k x rest matrices Phi, one matrix product gives
 K Phi for all of them, and value and residual are read off Phi and
@@ -43,7 +45,6 @@ operator.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -120,8 +121,21 @@ BATCH_ENTRIES = 4096
 BATCH_TERMS = 2048
 
 #: a relation decided on every sample: (holds per sample, branch), with
-#: branch(i) the reason it fails on sample i
+#: branch(i) the reason it fails on sample i; the routes reduce each one
+#: with ``summarize`` as soon as it is made
 Decision = tuple[Sequence[bool], Callable[[int], str]]
+
+
+def summarize(decision: Decision, name: Callable[[int], str]) -> tuple:
+    """(holds on every sample, holds on some sample, witness): the
+    witness is "name(i):branch(i)" of the first sample i on which the
+    relation fails, formatted once, or None when it fails on none."""
+    holds, branch = decision
+    fails = np.flatnonzero(~np.asarray(holds, dtype=bool))
+    if not len(fails):
+        return True, len(holds) > 0, None
+    first = int(fails[0])
+    return False, len(fails) < len(holds), f"{name(first)}:{branch(first)}"
 
 
 def state_batch(state, shape: tuple[int, ...]) -> StateBatch:
@@ -336,23 +350,24 @@ def is_swap_symmetric(block: np.ndarray) -> bool:
 
 
 def sampled_route_T(family: Callable[[int, int], SlotOperator],
-                    batches: list[StateBatch], target: float, tol: float):
+                    batches: list[StateBatch], target: float, tol: float,
+                    name: Callable[[int], str]):
     """Relation T's decide_pair for ``certify_relation``.
 
     Every pair gets a class key that names its N-body operator K_ab =
     family(a, b), and relation T is decided once per key: K_ab is applied
     to the batch pieces unfolded on its slots (``block_kernel``) and read
-    by one ``decide_T``, which every pair of the key reads.  A block that
-    is exactly c 1 (``is_scalar``, tested once per block object) is read
-    on each piece itself instead: its image is c psi, and an unfolding
-    keeps inner products, so no unfolding and no product.  The key is
-    the block object and the slots that decide the operator:
+    by one ``decide_T``, summarized at once (``summarize``, with name(i)
+    the name of sample i).  Every pair of the key reads that summary,
+    kept for the run.  A block that is exactly c 1 (``is_scalar``, tested
+    once per block object) is read on each piece itself instead: its
+    image is c psi, and an unfolding keeps inner products, so no
+    unfolding and no product.  The key is the block object and the slots
+    that decide the operator:
 
     * bose and fermi unfold every pair to one matrix Phi, up to a fermi
       sign that value, residual and the S_N check do not see, so the key
-      is the block alone, taken from each pair's own K_ab.  Its Decision
-      is kept for the run: sector coordinates do not tell the route N,
-      so it does not count a key's pairs.
+      is the block alone, taken from each pair's own K_ab.
     * in the full sector the key is the block and its slots, sorted when
       the block equals its slot swap P B P exactly (K_ba is then K_ab),
       and dropped when the block is exactly c 1 (the same operator on
@@ -365,8 +380,7 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
       max(1, BATCH_ENTRIES // amplitudes of the largest piece) keys of
       one block (``StateBatch.unfold``), each on the slots of its first
       pair, and takes one product and one ``eigen_residuals`` per piece,
-      whose Gram matrix and trace are the piece's, repeated per key.  A
-      key's Decision is dropped once its last pair has read it.
+      whose Gram matrix and trace are the piece's, repeated per key.
 
     One S_N rule serves every sector, decided once per pair and
     generator.  U_pi transposes slot axes, so U_pi K U_pi^dagger is K's
@@ -387,10 +401,10 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
     # is c 1, whether it is swap symmetric: full sector only)
     kinds: dict[int, tuple] = {}
     keys: dict[tuple[int, int], tuple] = {}  # full: (a, b) -> its key
-    # key -> [K_ab of its first pair, which keeps the block and so its id,
-    # the number of pairs with the key, the keys passed with it]
-    classes: dict[tuple, list] = {}
-    decided: dict[tuple, list] = {}  # key -> [Decision, pairs yet to read]
+    # key -> (K_ab of its first pair, which keeps the block and so its id,
+    # the keys passed with it)
+    classes: dict[tuple, tuple] = {}
+    decided: dict[tuple, tuple] = {}  # key -> summary of its Decision
 
     def kind(k: SlotOperator) -> tuple[bool, bool]:
         """Whether k's block is c 1, and whether it is swap symmetric."""
@@ -402,9 +416,10 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
             entry = kinds[id(k.block)] = k.block, scalar, symmetric
         return entry[1:]
 
-    def decide(k: SlotOperator, *slots: tuple[int, ...]) -> list[Decision]:
-        """decide_T of k's block on every piece unfolded on each slots,
-        or, for a c 1 block (one key), as c psi on the piece itself."""
+    def decide(k: SlotOperator, *slots: tuple[int, ...]) -> list[tuple]:
+        """The summary of decide_T of k's block on every piece unfolded
+        on each slots, or, for a c 1 block (one key), as c psi on the
+        piece itself."""
         scalar, _ = kind(k)
         values, residuals = [], []
         for piece in batches:
@@ -415,9 +430,9 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
                 value, residual = block_kernel(k, piece.unfold(*slots))
             values.append(value.reshape(len(slots), -1))
             residuals.append(residual.reshape(len(slots), -1))
-        return [decide_T(value, residual, target, tol) for value, residual
-                in zip(np.concatenate(values, axis=1),
-                       np.concatenate(residuals, axis=1))]
+        return [summarize(decide_T(value, residual, target, tol), name)
+                for value, residual in zip(np.concatenate(values, axis=1),
+                                           np.concatenate(residuals, axis=1))]
 
     def plan():
         """The key of every pair, and per key its pass, in certify_relation's
@@ -436,30 +451,21 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
                 if chunk is None or len(chunk) == per_pass:
                     chunk = filling[id(k.block)] = []
                 chunk.append(key)
-                classes[key] = [k, 0, chunk]
-            classes[key][1] += 1
+                classes[key] = k, chunk
 
-    def decision(a: int, b: int, k: SlotOperator) -> Decision:
+    def decision(a: int, b: int, k: SlotOperator) -> tuple:
         if full:
             if not keys:
                 plan()
             key = keys[a, b]
         else:
             key = id(k.block), ()
-            if key not in classes:  # its pairs uncounted: never dropped
-                classes[key] = [k, math.inf, [key]]
-        entry = decided.get(key)
-        if entry is None:  # pass the key with the rest of its chunk
-            first, _, chunk = classes[key]
-            decided.update(
-                (other, [made, classes[other][1]]) for other, made in zip(
-                    chunk, decide(first, *(classes[other][0].slots
-                                           for other in chunk))))
-            entry = decided[key]
-        entry[1] -= 1
-        if not entry[1]:
-            del decided[key]
-        return entry[0]
+            classes.setdefault(key, (k, [key]))
+        if key not in decided:  # pass the key with the rest of its chunk
+            first, chunk = classes[key]
+            decided.update(zip(chunk, decide(
+                first, *(classes[other][0].slots for other in chunk))))
+        return decided[key]
 
     def commutes(piece: StateBatch, k: SlotOperator, image: np.ndarray,
                  pi: Permutation, moved: SlotOperator) -> bool:
@@ -524,20 +530,11 @@ class DiscernibilityReport:
         return self.verdict
 
 
-def _reference(obj) -> Callable[[], object]:
-    """A weak reference to obj, or, for a list, which takes none, obj
-    held."""
-    try:
-        return weakref.ref(obj)
-    except TypeError:
-        return lambda: obj
-
-
 def certify_relation(
-        report: DiscernibilityReport, name: Callable[[int], str],
+        report: DiscernibilityReport,
         operator_route: Callable[[int, int], bool],
         decide_pair: Callable[[int, int, list[Permutation]],
-                              tuple[Decision, bool]]) -> DiscernibilityReport:
+                              tuple[tuple, bool]]) -> DiscernibilityReport:
     """Check one relation for the weak-discernibility pattern; fill report.
 
     The relation is given by two callables:
@@ -546,22 +543,20 @@ def certify_relation(
       the relation on every state; for a != b, whether it proves that
       the relation fails on every state;
     * decide_pair(a, b, generators): the relation for the pair on every
-      sample, a ``Decision``, and whether K_{pi(a) pi(b)} U_pi psi =
-      U_pi (K_ab psi) holds for every pi in generators on the samples it
-      checks.  Both relations decide many pairs per kernel call, in
-      this order, and may hand several pairs one ``Decision``: T one
-      per block object in bose and fermi, C one per pair class for the
+      sample, as the ``summarize`` of its ``Decision``, and whether
+      K_{pi(a) pi(b)} U_pi psi = U_pi (K_ab psi) holds for every pi in
+      generators on the samples it checks.  Both relations decide many
+      pairs per kernel call, in this order, and may hand several pairs
+      one summary: T one per class key, C one per pair class for the
       pairs whose image is the class's.  T's check takes no product
       when K_{pi(a) pi(b)} is K_ab's block moved by pi, and C's reads
       the images it already has.  A check that reads two pairs' images
       may be reported by either pair; the verdict reads every pair's.
 
-    name(i) is the name of sample i, formed only for a witness, once per
-    ``Decision`` however many pairs share it.  A diagonal pair is
-    reflexive when both routes say the relation holds; an off-diagonal
-    pair fails when the operator route proves it and no sample satisfies
-    the relation.  Its witness is the first sample on which the relation
-    fails.
+    A diagonal pair is reflexive when both routes say the relation
+    holds; an off-diagonal pair fails when the operator route proves it
+    and no sample satisfies the relation.  Its witness is the first
+    sample on which the relation fails.
 
     Permutation invariance is checked on the two generators of S_N
     (``Permutation.generators``): the transposition (1 2) and the N-cycle
@@ -578,34 +573,16 @@ def certify_relation(
     n = report.n_particles
     generators = Permutation.generators(n)
     invariant = []
-    # per Decision, whose holds and branch many pairs may share: weak
-    # references to both, so that an entry whose Decision is gone, and
-    # whose ids may be reused, is never read, the first sample on which
-    # the relation fails (None if none does), whether it holds on any
-    # sample, and the witness of that first failure
-    reduced: dict[tuple[int, int], tuple] = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             proved = operator_route(a, b)
-            decision, pair_invariant = decide_pair(a, b, generators)
+            (every, some, witness), pair_invariant = decide_pair(
+                a, b, generators)
             invariant.append(pair_invariant)
-            holds, branch = decision
-            key = id(holds), id(branch)
-            entry = reduced.get(key)
-            if entry is None or entry[0]() is not holds \
-                    or entry[1]() is not branch:
-                fails = np.flatnonzero(~np.asarray(holds, dtype=bool))
-                first = int(fails[0]) if len(fails) else None
-                entry = reduced[key] = (
-                    _reference(holds), _reference(branch), first,
-                    len(fails) < len(holds),
-                    None if first is None
-                    else f"{name(first)}:{branch(first)}")
-            first, some, witness = entry[2:]
             pair = {"a": a, "b": b, "reflexive": None,
                     "off_diagonal_fails": None, "witness": None}
             if a == b:
-                pair["reflexive"] = bool(proved and first is None)
+                pair["reflexive"] = bool(proved and every)
             else:
                 pair["off_diagonal_fails"] = bool(proved and not some)
                 pair["witness"] = witness
@@ -697,11 +674,10 @@ def certify_T(n_particles: int, two_s: int, sector: str = "full",
     reflexive = [lam for lam, _ in single] == [exact]
     off_diagonal_fails = levels is not None and levels[-1][0] < exact
     certify_relation(
-        report,
-        lambda i: f"pure[{i}]" if i < n_pure_samples
-        else f"mixed[{i - n_pure_samples}]",
-        lambda a, b: reflexive if a == b else off_diagonal_fails,
-        sampled_route_T(lambda a, b: operators[a, b], batches, target, tol))
+        report, lambda a, b: reflexive if a == b else off_diagonal_fails,
+        sampled_route_T(lambda a, b: operators[a, b], batches, target, tol,
+                        lambda i: f"pure[{i}]" if i < n_pure_samples
+                        else f"mixed[{i - n_pure_samples}]"))
     # K_ab is K_12 (x) 1 on the other N-2 slots, up to a slot relabeling
     report.spectrum = [[lam, mult * label.dim ** (n_particles - 2)]
                        for lam, mult in levels or []]
@@ -777,21 +753,22 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
     # came first waits here, an h-owner slice and never a whole image
     waiting: dict[tuple[int, int, int], TermBatch] = {}
     # with no residual, image(a, b) is its class's image: -i psi on the
-    # diagonal, no term off it.  Its decision and sides are read once per
+    # diagonal, no term off it.  Its summary and sides are read once per
     # class, the two sides of a generator kept as one object where they
     # are equal, so that two such pairs compare by identity
-    shared = {}  # a == b -> (decision, sides)
+    shared = {}  # a == b -> (summary, sides)
 
     def read(residual, diagonal, generators):
-        """decide_C on image(a, b), and per generator pi its S_N sides:
-        U_pi of its first h owners, and its pi block."""
+        """The summary of decide_C on image(a, b), and per generator pi
+        its S_N sides: U_pi of its first h owners, and its pi block."""
         if diagonal:  # image - target is the residual
             image = target if residual.is_zero() else target.plus(residual)
         else:
             image, residual = residual, None
         head = image.head(h)
         holds, branch = decide_C(image, target, residual)
-        return (holds[:owners], branch), [
+        return summarize((holds[:owners], branch),
+                         lambda i: f"wavefunction[{i}]"), [
             (head.permute_slots(pi.mapping),
              image.owners(owners + j * h, owners + (j + 1) * h))
             for j, pi in enumerate(generators)]
@@ -805,13 +782,13 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
         residual = residuals.pop((a, b))
         plain = residual.is_zero()  # image(a, b) is its class's image
         if plain and diagonal in shared:
-            (holds, branch), sides = shared[diagonal]
+            summary, sides = shared[diagonal]
         else:
-            (holds, branch), sides = read(residual, diagonal, generators)
+            summary, sides = read(residual, diagonal, generators)
             if plain:
                 sides = [(turned, turned if turned.minus(moved).is_zero()
                           else moved) for turned, moved in sides]
-                shared[diagonal] = (holds, branch), sides
+                shared[diagonal] = summary, sides
         invariant = True
         for j, (pi, (turned, moved)) in enumerate(zip(generators, sides)):
             for key, side in (((j, pi(a), pi(b)), turned), ((j, a, b), moved)):
@@ -821,12 +798,11 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
                 else:
                     invariant = invariant and (
                         other is side or other.minus(side).is_zero())
-        return (holds, branch), invariant
+        return summary, invariant
 
     # the identity on the 1- and the 2-slot view: [P_a, Q_a] = -i and
     # [P_a, Q_b] = 0 != -i, for every pair of the class
     proved = {True: ccr_identity_on_monomials(1, max_degree, 1, 1),
               False: ccr_identity_on_monomials(2, max_degree, 1, 2)}
-    return certify_relation(
-        report, lambda i: f"wavefunction[{i}]",
-        lambda a, b: proved[a == b], decide_pair)
+    return certify_relation(report, lambda a, b: proved[a == b],
+                            decide_pair)

@@ -350,7 +350,10 @@ class TestVerifyFixedCost:
         ["--relation", "T", "--particles", "3", "--sector", "bose",
          "--pure-samples", "4", "--mixed-samples", "2"],
         ["--relation", "C", "--particles", "2", "--pure-samples", "3",
-         "--max-degree", "4"]])
+         "--max-degree", "4"],
+        # 6400 pairs: longer than one block of 65,536 encoder chunks
+        ["--relation", "T", "--particles", "80", "--sector", "bose",
+         "--pure-samples", "3", "--mixed-samples", "1"]])
     def test_report_is_the_json_of_asdict(self, tmp_path, monkeypatch,
                                           argv):
         from dataclasses import asdict
@@ -370,6 +373,32 @@ class TestVerifyFixedCost:
         data["timestamp"] = json.loads(out.read_text())["timestamp"]
         assert out.read_text() == json.dumps(data, indent=2,
                                              sort_keys=True) + "\n"
+
+
+def test_failure_while_encoding_leaves_no_file(tmp_path, capsys,
+                                              monkeypatch):
+    # a value JSON cannot encode in the last pair of a report longer than
+    # one block: blocks are written before the encoder fails
+    certify_T, atomic_write, written = cli.certify_T, cli.atomic_write, []
+
+    def broken(*args):
+        report = certify_T(*args)
+        report.pairs[-1]["witness"] = object()
+        return report
+
+    def counted(path, blocks):
+        return atomic_write(path, (written.append(len(b)) or b
+                                   for b in blocks))
+
+    monkeypatch.setattr(cli, "certify_T", broken)
+    monkeypatch.setattr(cli, "atomic_write", counted)
+    code = run(["verify", "--particles", "80", "--sector", "bose",
+                "--pure-samples", "3", "--mixed-samples", "1",
+                "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_INTERNAL
+    assert "TypeError" in capsys.readouterr().err
+    assert written and all(written)  # blocks were written
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_internal_error_exits_5_with_traceback(tmp_path, capsys, monkeypatch):

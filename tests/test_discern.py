@@ -23,6 +23,7 @@ from discernlab.discern import (
     relation_C_holds,
     relation_T_holds,
     sampled_route_T,
+    summarize,
 )
 from discernlab.errors import ArityError, ConfigError, DegenerateSpinError
 from discernlab.matrix_core import (
@@ -490,11 +491,11 @@ class TestCertify:
         import discernlab.discern as discern
         names = []
 
-        def recorded(report, name, *routes):
+        def recorded(family, batches, target, tol, name):
             names.extend(name(i) for i in range(5))
-            return certify_relation(report, name, *routes)
+            return sampled_route_T(family, batches, target, tol, name)
 
-        monkeypatch.setattr(discern, "certify_relation", recorded)
+        monkeypatch.setattr(discern, "sampled_route_T", recorded)
         certify_T(2, 1, "full", 3, 2, 2)
         assert names == ["pure[0]", "pure[1]", "pure[2]", "mixed[0]",
                          "mixed[1]"]
@@ -521,9 +522,10 @@ class TestCertify:
                 relation="control", mode="mixed_sampling", n_particles=3,
                 two_s=1, sector="full", samples={}, seed=0, tolerances={})
             return certify_relation(
-                report, lambda i: f"s[{i}]", lambda a, b: table[a, b][0],
-                lambda a, b, generators: (
-                    (holds_of(a, b), lambda i: f"b{a}{b}{i}"), True)).pairs
+                report, lambda a, b: table[a, b][0],
+                lambda a, b, generators: (summarize(
+                    (holds_of(a, b), lambda i: f"b{a}{b}{i}"),
+                    lambda i: f"s[{i}]"), True)).pairs
 
         want = [{"a": a, "b": b,
                  "reflexive": bool(proved and all(holds)) if a == b
@@ -586,8 +588,9 @@ class TestNegativeControls:
             two_s=1, sector="full", samples={}, seed=0, tolerances={})
         batch = sample_states(self.system, 5, 0)
         return certify_relation(
-            report, lambda k: f"pure[{k}]", operator_route or dense_route,
-            sampled_route_T(family, [batch], target, self.tol))
+            report, operator_route or dense_route,
+            sampled_route_T(family, [batch], target, self.tol,
+                            lambda k: f"pure[{k}]"))
 
     def shifted_T(self, shifted):
         """T with the off-diagonal value lowered by 1 on the shifted pairs."""
@@ -610,7 +613,7 @@ class TestNegativeControls:
     def generator_verdicts(self, family):
         decide_pair = sampled_route_T(
             family, [sample_states(self.system, 5, 0)],
-            float(4 * self.label.casimir_value()), self.tol)
+            float(4 * self.label.casimir_value()), self.tol, str)
         return [all(decide_pair(a, b, [g])[1]
                     for a in range(1, 4) for b in range(1, 4))
                 for g in Permutation.generators(3)]
@@ -679,11 +682,11 @@ class TestNegativeControls:
                    if p["a"] != p["b"])
         assert report.permutation_invariant
         assert report.verdict == "violated"
-        holds, branch = sampled_route_T(
+        every, some, witness = sampled_route_T(
             family, [sample_states(self.system, 5, 0)], target,
-            self.tol)(2, 2, [])[0]
-        assert not any(holds)
-        assert branch(0) == f"value={target + 1:.6g}"
+            self.tol, lambda i: f"pure[{i}]")(2, 2, [])[0]
+        assert not every and not some
+        assert witness == f"pure[0]:value={target + 1:.6g}"
 
     def test_label_dependent_relation_is_not_invariant(self):
         # T with the off-diagonal value shifted by the first label: the
@@ -1009,12 +1012,14 @@ class TestClassPass:
         system = ParticleSystem(n, label.dim, sector)
         monkeypatch.setattr(discern, "BATCH_ENTRIES", entries)
         batches = self.pieces(system, n, entries)
-        # the pass's value and residual per pair, in place of a Decision
+        # the pass's value and residual per pair, in place of a summary
         monkeypatch.setattr(discern, "decide_T",
                             lambda value, residual, target, tol:
                             (value, residual))
+        monkeypatch.setattr(discern, "summarize",
+                            lambda decision, name: decision)
         family = lambda a, b: pair_operator(label, a, b, system)  # noqa: E731
-        decide_pair = sampled_route_T(family, batches, 0.0, 1e-8)
+        decide_pair = sampled_route_T(family, batches, 0.0, 1e-8, str)
 
         def kernel(k, unfolded=False):
             """value and residual of k on every piece, one at a time: of
@@ -1133,11 +1138,12 @@ class TestClassKey:
 
     @staticmethod
     def decisions(monkeypatch, family):
-        """The Decision each pair of 3 particles reads, on 5 pure states
+        """The summary each pair of 3 particles reads, on 5 pure states
         in one piece, and the block products made."""
         calls = TestOneImagePerPair.count_block_products(monkeypatch)
         decide_pair = sampled_route_T(
-            family, [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8)
+            family, [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8,
+            str)
         generators = Permutation.generators(3)
         slots = range(1, 4)
         return {(a, b): decide_pair(a, b, generators)[0]
@@ -1200,7 +1206,7 @@ class TestClassKey:
         monkeypatch.setattr(StateBatch, "unfold", counted)
         decide_pair = sampled_route_T(
             lambda a, b: pair_operator(label, a, b, system),
-            [sample_states(system, 5, 0)], 3.0, 1e-8)
+            [sample_states(system, 5, 0)], 3.0, 1e-8, str)
         generators = Permutation.generators(3)
         for a in range(1, 4):
             decide_pair(a, a, generators)
@@ -1221,81 +1227,76 @@ class TestClassKey:
         calls = TestOneImagePerPair.count_block_products(monkeypatch)
         decide_pair = sampled_route_T(
             self.family(nudged, k12), [sample_states(system, 5, 0)],
-            float(4 * label.casimir_value()), 1e-8)
+            float(4 * label.casimir_value()), 1e-8, str)
         generators = Permutation.generators(3)
         decided = [decide_pair(a, a, generators)[0] for a in range(1, 4)]
         assert all(d is decided[0] for d in decided)
         rest = sector_dimension(system, n_particles=2)
         assert calls == [((1,), (5, rest, label.dim))]
-        assert all(decided[0][0])
+        assert decided[0] == (True, True, None)
 
-    def test_decision_is_dropped_after_its_last_pair(self):
+    def test_decision_is_freed_once_summarized(self, monkeypatch):
+        # each Decision, and the pass's value and residual it reads, is
+        # gone by the time the route returns; only summaries are kept
+        import discernlab.discern as discern
+        made = []  # per Decision, weak references to what it holds
+        decide_T = discern.decide_T
+
+        def recorded(value, residual, target, tol):
+            decision = decide_T(value, residual, target, tol)
+            made.append([weakref.ref(x) for x in (
+                *decision, value, residual, value.base, residual.base)])
+            return decision
+
+        monkeypatch.setattr(discern, "decide_T", recorded)
         single, k12 = SpinLabel(1).pair_blocks
         decide_pair = sampled_route_T(
             self.family(single, k12),
-            [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8)
+            [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8, str)
         generators = Permutation.generators(3)
-        held = {}  # pair -> a weak reference to the holds it read
         for a in range(1, 4):
             for b in range(1, 4):
-                holds = decide_pair(a, b, generators)[0][0]
-                held[a, b] = weakref.ref(holds)
-                del holds
-                if (a, b) == (1, 3):  # (2, 1) and (3, 1) yet to read them
-                    assert held[1, 2]() is not None
-                    assert held[1, 3]() is not None
-                if (a, b) == (2, 1):
-                    assert held[1, 2]() is None
-                    assert held[1, 3]() is not None
-        assert all(ref() is None for ref in held.values())
+                summary = decide_pair(a, b, generators)[0]
+                assert summary[0] == (a == b)
+                assert all(ref() is None for refs in made for ref in refs)
+        assert len(made) == 1 + 3
 
     @staticmethod
     def report(decide_pair):
         report = DiscernibilityReport(
             relation="T", mode="mixed_sampling", n_particles=3, two_s=1,
             sector="full", samples={}, seed=0, tolerances={})
-        return certify_relation(report, lambda i: f"pure[{i}]",
-                                lambda a, b: True, decide_pair)
+        return certify_relation(report, lambda a, b: True, decide_pair)
 
-    def test_certify_relation_frees_a_decision_after_its_last_pair(self):
-        # full sector: (1, 2) and (2, 1) read one Decision, (1, 3) and
-        # (3, 1) another.  certify_relation keeps none alive past the
-        # pair after its last reader
+    def test_witnesses_equal_a_run_that_keeps_every_decision(
+            self, monkeypatch):
+        # full sector: (1, 2) and (2, 1) read one summary, (1, 3) and
+        # (3, 1) another.  Keeping every Decision alive changes no pair
+        import discernlab.discern as discern
         single, k12 = SpinLabel(1).pair_blocks
-        route = sampled_route_T(
-            self.family(single, k12),
-            [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8)
-        held = {}  # pair -> weak references to its holds and branch
-        kept = []
 
-        def decide_pair(a, b, generators):
-            if (a, b) == (2, 3):  # (2, 1) read the Decision of (1, 2) last
-                assert held[1, 2][0]() is None and held[1, 2][1]() is None
-                assert held[1, 3][0]() is not None  # (3, 1) is to read it
-            if (a, b) == (3, 3):
-                assert held[1, 3][0]() is None and held[1, 3][1]() is None
-            decision, invariant = route(a, b, generators)
-            held[a, b] = tuple(map(weakref.ref, decision))
-            return decision, invariant
+        def report():
+            return self.report(sampled_route_T(
+                self.family(single, k12),
+                [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8,
+                lambda i: f"pure[{i}]"))
 
-        def keeping(a, b, generators):
-            decision, invariant = route(a, b, generators)
-            kept.append(decision)
-            return decision, invariant
-
-        freed = self.report(decide_pair)
+        freed = report()
         assert freed.verdict == "weakly_discerning"
-        route = sampled_route_T(
-            self.family(single, k12),
-            [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8)
-        assert freed.pairs == self.report(keeping).pairs
+        kept = []
+        decide_T = discern.decide_T
+        monkeypatch.setattr(discern, "decide_T", lambda *args: (
+            kept.append(decide_T(*args)) or kept[-1]))
+        assert report().pairs == freed.pairs
+        assert len(kept) == 1 + 3
 
     def test_a_reused_id_never_reads_another_decision(self):
-        # every pair gets a fresh Decision, dropped after it is read, so
+        # every pair gets a fresh Decision, dropped once summarized, so
         # later ones may reuse its ids: each witness must be its own
         def decide_pair(a, b, generators):
             holds = np.array([a == b, a == b, (a, b) == (1, 2)])
-            return (holds, lambda i: f"{a}{b}"), True
+            return summarize((holds, lambda i: f"{a}{b}"),
+                             lambda i: f"pure[{i}]"), True
 
         report = self.report(decide_pair)
         assert [p["witness"] for p in report.pairs if p["a"] != p["b"]] == [
@@ -1303,6 +1304,27 @@ class TestClassKey:
             if a != b]
         assert [p["off_diagonal_fails"] for p in report.pairs
                 if p["a"] != p["b"]] == [False] + [True] * 5
+
+    # fermi needs d = 2s + 1 > N for more than one state
+    @pytest.mark.parametrize("sector,two_s,made", [
+        ("full", 1, 1 + 3), ("bose", 1, 2), ("fermi", 3, 2)])
+    def test_each_decision_is_summarized_once(self, monkeypatch, sector,
+                                              two_s, made):
+        # one Decision per class key of a cell, pure and mixed draws
+        # alike, and each summarized exactly once
+        import discernlab.discern as discern
+        decisions, summarized = [], []
+        decide_T, summarize_ = discern.decide_T, discern.summarize
+        monkeypatch.setattr(discern, "decide_T", lambda *args: (
+            decisions.append(decide_T(*args)) or decisions[-1]))
+        monkeypatch.setattr(discern, "summarize", lambda decision, name: (
+            summarized.append(decision) or summarize_(decision, name)))
+        report = certify_T(3, two_s, sector, n_pure_samples=5,
+                           n_mixed_samples=3)
+        assert report.verdict == "weakly_discerning"
+        assert len(decisions) == made
+        assert len(summarized) == made
+        assert all(s is d for s, d in zip(summarized, decisions))
 
     def test_six_particles_make_16_decisions_per_piece(self, monkeypatch):
         import discernlab.discern as discern
@@ -1462,7 +1484,7 @@ class TestInvarianceIsNotVacuous:
             return SlotOperator(k.block, (1, 3)) if (a, b) == (1, 2) else k
 
         batch = sample_states(system, 3, 0)
-        decide_pair = sampled_route_T(family, [batch], 2.0, 1e-8)
+        decide_pair = sampled_route_T(family, [batch], 2.0, 1e-8, str)
         swap, _ = Permutation.generators(3)
         assert family(2, 1).block is family(1, 2).block
         assert not decide_pair(1, 2, [swap])[1]
@@ -1516,6 +1538,25 @@ class TestCInvarianceIsNotVacuous:
             for p in report.pairs if p["a"] != p["b"]]
         assert not report.permutation_invariant
         assert report.verdict == "violated"
+
+    @pytest.mark.parametrize("pairs,made", [
+        (set(), 2), ({(1, 2), (2, 1)}, 2 + 2), ({(1, 1)}, 2 + 1),
+        ({(a, b) for a in (1, 2, 3) for b in (1, 2, 3)}, 9)])
+    def test_each_decision_is_summarized_once(self, monkeypatch, pairs,
+                                              made):
+        # one Decision per class whose image some pair has, plus one per
+        # pair with a residual, each summarized once
+        import discernlab.discern as discern
+        self.plus_psi(monkeypatch, pairs)
+        decisions, summarized = [], []
+        decide_C, summarize_ = discern.decide_C, discern.summarize
+        monkeypatch.setattr(discern, "decide_C", lambda *args: (
+            decisions.append(decide_C(*args)) or decisions[-1]))
+        monkeypatch.setattr(discern, "summarize", lambda decision, name: (
+            summarized.append(decision) or summarize_(decision, name)))
+        certify_C(3, 1, n_samples=5, max_degree=4, seed=0)
+        assert len(decisions) == len(summarized) == made
+        assert all(s[1] is d[1] for s, d in zip(summarized, decisions))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_diagonal_pair_breaks_invariance(self, monkeypatch, n):
