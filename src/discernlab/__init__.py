@@ -7,32 +7,25 @@ Two certification routes:
   that value when a != b;
 * relation C (exact symbolic wavefunctions): [P_a, Q_b] psi equals
   -i hbar psi exactly when a == b and vanishes when a != b.
+
+The public predicates run the certifier's own kernels.  ``eigenproperty``
+and ``relation_T_holds`` take a ``StateBatch`` of the system's sector,
+as ``sample_states`` draws it (or ``ALL_STATES`` for the operator-level
+decision), and ``relation_C_holds`` spinor wavefunctions.
 """
 
-from .matrix_core import (
-    MixedState,
-    Operator,
-    PureState,
-    hermitian_eigensystem,
-    kron,
-)
 from .multiparticle import (
     ParticleSystem,
     Permutation,
-    embed_at_slot,
-    permutation_unitary,
+    SlotOperator,
+    StateBatch,
+    sample_states,
     sector_dimension,
-    symmetrizer,
 )
-from .spin import (
-    SpinLabel,
-    clebsch_gordan,
-    coupled_basis,
-    pair_total_spin_squared,
-    spin_operators,
-)
+from .spin import SpinLabel, pair_operator
 from .schwartz import SpinorWavefunction
 from .discern import (
+    ALL_STATES,
     DiscernibilityReport,
     certify_C,
     certify_T,

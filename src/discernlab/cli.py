@@ -55,7 +55,7 @@ from .errors import (
     EmptySectorError,
     RankError,
 )
-from .matrix_core import dimension_cap
+from .multiparticle import dimension_cap
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1

@@ -59,18 +59,12 @@ from .errors import (
     EmptySectorError,
     ShapeError,
 )
-from .matrix_core import (
-    MixedState,
-    Operator,
-    PureState,
-    TOL_ABS,
-    dimension_cap,
-)
 from .multiparticle import (
     ParticleSystem,
     Permutation,
     SlotOperator,
     StateBatch,
+    dimension_cap,
     fold,
     sample_states,
     sector_dimension,
@@ -90,6 +84,9 @@ from .schwartz import (
 from .spin import SpinLabel, check_pair, pair_levels, pair_operator
 
 ALL_STATES = "all"
+#: absolute tolerance, reported as tolerances.tol_abs: the default of
+#: the S_N check and of eigenproperty, and the slack of a state's weights
+TOL_ABS = 1e-10
 
 VERDICT_PASS = "weakly_discerning"
 VERDICT_FAIL = "violated"
@@ -138,17 +135,33 @@ def summarize(decision: Decision, name: Callable[[int], str]) -> tuple:
     return False, len(fails) < len(holds), f"{name(first)}:{branch(first)}"
 
 
-def state_batch(state, shape: tuple[int, ...]) -> StateBatch:
-    """A PureState, or a MixedState factored once by eigh, as a batch of one."""
-    if not isinstance(state, (PureState, MixedState)):
-        raise ShapeError(f"unsupported state type {type(state)!r}")
-    if state.dim != math.prod(shape):
-        raise ShapeError(f"dim mismatch {math.prod(shape)} vs {state.dim}")
-    if isinstance(state, PureState):
-        return StateBatch(state.amplitudes.reshape((1, 1) + shape),
-                          np.ones((1, 1)))
-    w, v = np.linalg.eigh(state.entries)
-    return StateBatch(v.T.reshape((1, -1) + shape), w[None])
+def checked_states(states, system: Optional[ParticleSystem] = None
+                   ) -> StateBatch:
+    """states, refused (``ShapeError``) unless it is a ``StateBatch`` of
+    statistical operators: real weights, none below -TOL_ABS, so that
+    each state sum_k w_k |f_k><f_k| is self-adjoint and positive, and a
+    trace within 1e-8 of 1 per state.  Given a system, its factors must
+    also have the shape of that system's sector, (d,) * N in the full
+    sector and (D,) in bose and fermi, and it is returned with that
+    sector's unfoldings."""
+    if not isinstance(states, StateBatch):
+        raise ShapeError(f"unsupported state type {type(states)!r}")
+    if system is not None:
+        shape = ((system.single_dim,) * system.n_particles
+                 if system.sector == "full" else (sector_dimension(system),))
+        if states.factors.shape[2:] != shape \
+                or states.weights.shape != states.factors.shape[:2]:
+            raise ShapeError(
+                f"factors {states.factors.shape} and weights "
+                f"{states.weights.shape} do not hold states of the "
+                f"{system.sector} sector's shape {shape}")
+        states = StateBatch(states.factors, states.weights, system.unfoldings)
+    if np.iscomplexobj(states.weights) or (states.weights < -TOL_ABS).any():
+        raise ShapeError("weights must be real and nonnegative")
+    off = np.abs(states.trace - 1.0).max(initial=0.0)
+    if off > 1e-8:
+        raise ShapeError(f"a state's trace is {off} off 1")
+    return states
 
 
 def eigen_residuals(image: np.ndarray,
@@ -179,19 +192,21 @@ def eigen_residuals(image: np.ndarray,
     return value, np.sqrt(np.maximum(square, 0.0))
 
 
-def eigenproperty(a: Operator, state, tol: float = TOL_ABS) -> Optional[complex]:
-    """The possessed value of magnitude A in the given state, if any.
+def eigenproperty(k: SlotOperator, batch: StateBatch,
+                  tol: float = TOL_ABS) -> list[Optional[complex]]:
+    """The possessed value of magnitude K in each state of a batch, if any.
 
-    A pure state possesses <A, v> iff it is an eigenstate: the candidate
-    value is the expectation and possession requires ||A psi - v psi||
-    <= tol.  Mixed states analogously with A W = v W, in the Frobenius
+    A pure state possesses <K, v> iff it is an eigenstate: the candidate
+    value is the expectation and possession requires ||K psi - v psi||
+    <= tol.  Mixed states analogously with K W = v W, in the Frobenius
     norm, which on a projector |psi><psi| equals the pure-state norm.
-    Returns None when the state is no eigenstate (no eigenstate, no
-    property).  The same kernel as relation T, on a batch of one.
+    None for a state that is no eigenstate (no eigenstate, no property).
+    batch is as ``sample_states`` draws it, in any sector, and is read
+    by the kernel of relation T, ``block_kernel``, unfolded on K's slots.
     """
-    batch = state_batch(state, (1, a.dim))  # unfolded on its one slot
-    value, residual = block_kernel(SlotOperator(a.entries, (1,)), batch)
-    return complex(value[0]) if residual[0] <= tol else None
+    batch = checked_states(batch)
+    value, residual = block_kernel(k, batch.unfold(k.slots))
+    return [complex(v) if r <= tol else None for v, r in zip(value, residual)]
 
 
 def block_kernel(k: SlotOperator, phi: StateBatch):
@@ -220,27 +235,31 @@ def decide_T(value: np.ndarray, residual: np.ndarray, target: float,
                              else "absent")
 
 
-def relation_T_holds(a: int, b: int, state, label: SpinLabel,
+def relation_T_holds(a: int, b: int, states, label: SpinLabel,
                      system: ParticleSystem, tol: float = 1e-8) -> bool:
     """The total-spin relation at the target value 4 s(s+1) hbar^2.
 
-    state may be a PureState, a MixedState, or ALL_STATES for the
-    operator-level decision (``pair_levels``, as in ``certify_T``).  A
-    state with no eigenproperty at all counts as failing (the converse
+    states is a ``StateBatch`` of the system's sector, as ``sample_states``
+    draws it (``checked_states``), on every state of which the relation
+    must hold, or ALL_STATES for the operator-level decision
+    (``pair_levels``, as in ``certify_T``).  A batch is decided as
+    ``certify_T``'s sampled route decides it: K_ab's block applied to the
+    batch unfolded on its slots (``block_kernel``), read by ``decide_T``.
+    A state with no eigenproperty at all counts as failing (the converse
     possession principle), as does a present value off the target.
     """
     if label.two_s == 0:
         raise DegenerateSpinError("relation T is undefined for spin 0")
     target = float(4 * label.casimir_value())
-    if state == ALL_STATES:
+    if states is ALL_STATES:
         # T holds on every state iff K_ab has the one level target
         check_pair(label, a, b, system)
         levels = pair_levels(label.two_s)[a != b] or []
         return [lam for lam, _ in levels] == [target]
     k = pair_operator(label, a, b, system)
-    batch = state_batch(state, (system.single_dim,) * system.n_particles)
+    batch = checked_states(states, system)
     value, residual = block_kernel(k, batch.unfold(k.slots))
-    return bool(decide_T(value, residual, target, tol)[0][0])
+    return bool(np.all(decide_T(value, residual, target, tol)[0]))
 
 
 def decide_C(image: TermBatch, target: TermBatch,

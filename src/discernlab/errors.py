@@ -13,10 +13,6 @@ class DimensionCapError(DiscernlabError):
     """A tensor-product dimension would exceed the configured cap."""
 
 
-class HermiticityError(DiscernlabError):
-    """An operator required to be self-adjoint is not."""
-
-
 class IndexRangeError(DiscernlabError):
     """A particle slot index is out of range."""
 
@@ -37,20 +33,12 @@ class DomainError(DiscernlabError):
     """Quantum numbers out of their admissible range."""
 
 
-class DiagonalizationError(DiscernlabError):
-    """Simultaneous diagonalization failed to resolve a degeneracy."""
-
-
 class DegenerateSpinError(DiscernlabError):
     """The total-spin relation is undefined for spin zero."""
 
 
 class ArityError(DiscernlabError):
     """Fewer than two particles: nothing to discern."""
-
-
-class UnitError(DiscernlabError):
-    """Operands carry different powers of hbar."""
 
 
 class ConfigError(DiscernlabError):

@@ -1,8 +1,8 @@
 """N-fold tensor-product spaces.
 
-Slot embeddings, operators that act on a few slots (``SlotOperator``),
-permutation unitaries, symmetrizers / antisymmetrizers and
-sector-constrained random state sampling.
+The particle system and its dimension cap, operators that act on a few
+slots (``SlotOperator``), the generators of S_N and sector-constrained
+random state sampling.
 
 A full-sector state is held as d^N product amplitudes, one axis per
 slot; a bose or fermi state as its D coordinates in the sector's
@@ -13,21 +13,23 @@ transposed so that one matrix product applies a block to every state
 columns are the other slots' axes in the full sector, and in bose and
 fermi the (N-k)-particle sector basis, with square-root occupation
 factors or sorting signs (``ParticleSystem.unfoldings``).  No d^N
-vector of a bose or fermi state is formed; the tests keep the d^N
-embedding of sector coordinates as the oracle of that route.
+vector of a bose or fermi state is formed, and no N-body operator: the
+d^N embedding of sector coordinates, slot embeddings, permutation
+unitaries and the N!-term (anti)symmetrizers are the tests' oracles
+(tests/oracles.py).
 
 Permutation convention: U_pi moves the content of slot k to slot pi(k),
 i.e. on product vectors U_pi (phi_1 (x) ... (x) phi_N) =
 phi_{pi^-1(1)} (x) ... (x) phi_{pi^-1(N)}.  On a vector reshaped to one
 axis per slot that is a transpose of the axes (``slot_axes``), so U_pi
-is an index permutation, with no arithmetic.  The composition law
-U_pi U_sigma = U_{pi o sigma} is tested exhaustively for S_3.
+is an index permutation, with no arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -35,16 +37,31 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionCapError,
     EmptySectorError,
-    IndexRangeError,
     RankError,
 )
-from .matrix_core import Operator, dimension_cap, identity, kron
 
+DEFAULT_DIM_CAP = 4096
 SECTORS = ("full", "bose", "fermi")
 #: symmetrizer parity of each symmetry-restricted sector
 _PARITY = {"bose": "+", "fermi": "-"}
+
+
+def dimension_cap() -> int:
+    """Configured tensor-product dimension cap (env DISCERNLAB_DIM_CAP)."""
+    raw = os.environ.get("DISCERNLAB_DIM_CAP")
+    if raw is None:
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(
+            f"DISCERNLAB_DIM_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -166,29 +183,6 @@ class Permutation:
             inv[pk - 1] = k
         return Permutation(tuple(inv))
 
-    @property
-    def sign(self) -> int:
-        """Parity from the cycle decomposition."""
-        seen = [False] * self.n
-        sign = 1
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            length = 0
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                k = self.mapping[k] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
-
-    @staticmethod
-    def all(n: int):
-        for perm in itertools.permutations(range(1, n + 1)):
-            yield Permutation(perm)
-
     @staticmethod
     def generators(n: int) -> list["Permutation"]:
         """The transposition (1 2) and the N-cycle (1 2 ... N).
@@ -211,37 +205,6 @@ def slot_axes(pi: Permutation) -> tuple[int, ...]:
     axis per slot, the content of slot k goes to slot pi(k).
     """
     return tuple(k - 1 for k in pi.inverse().mapping)
-
-
-def _check_slots(pi: Permutation, system: ParticleSystem):
-    if pi.n != system.n_particles:
-        raise IndexRangeError(f"permutation on {pi.n} slots, system has "
-                              f"{system.n_particles}")
-
-
-def embed_at_slot(a: Operator, slot: int, system: ParticleSystem) -> Operator:
-    """Lift a single-particle operator to 1 (x)...(x) A (x)...(x) 1."""
-    if a.dim != system.single_dim:
-        raise IndexRangeError(
-            f"operator dim {a.dim} != single-particle dim {system.single_dim}")
-    if not 1 <= slot <= system.n_particles:
-        raise IndexRangeError(f"slot {slot} out of range 1..{system.n_particles}")
-    out = identity(1)
-    for j in range(1, system.n_particles + 1):
-        out = kron(out, a if j == slot else identity(system.single_dim))
-    return Operator(out.entries, a.hbar_power)
-
-
-def permutation_unitary(pi: Permutation, system: ParticleSystem) -> Operator:
-    """Unitary representation of pi on the N-fold tensor space.
-
-    Column j of U_pi is basis vector j with its slot axes transposed, so
-    U_pi is the identity with its row axes transposed by slot_axes(pi).
-    """
-    _check_slots(pi, system)
-    d, n, dim = system.single_dim, system.n_particles, system.total_dim
-    rows = np.eye(dim, dtype=complex).reshape((d,) * n + (dim,))
-    return Operator(rows.transpose(slot_axes(pi) + (n,)).reshape(dim, dim))
 
 
 def unfold(tensors: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
@@ -284,18 +247,6 @@ class SlotOperator:
         """K Phi for every Phi^T in unfolded (..., rest, d^k): Phi^T K^T."""
         rows = unfolded.reshape(-1, len(self.block))
         return (rows @ self.block.T).reshape(unfolded.shape)
-
-
-def symmetrizer(system: ParticleSystem, parity: str) -> Operator:
-    """Orthogonal projector Pi+/- = (1/N!) sum_pi [sign(pi)] U_pi."""
-    if parity not in ("+", "-"):
-        raise ValueError("parity must be '+' or '-'")
-    n = system.n_particles
-    acc = np.zeros((system.total_dim, system.total_dim), dtype=complex)
-    for pi in Permutation.all(n):
-        u = permutation_unitary(pi, system).entries
-        acc += (pi.sign * u) if parity == "-" else u
-    return Operator(acc / math.factorial(n))
 
 
 def sector_dimension(system: ParticleSystem, parity: Optional[str] = None,

@@ -1,16 +1,26 @@
 """Dense reference code that only the tests run.
 
 The certifier never forms a d^N vector of a bose or fermi state, never
-contracts a block with slot axes and never multiplies two permutations,
-so the constructions that do live here, as the oracles its kernels are
-checked against:
+builds an N-body operator, never contracts a block with slot axes and
+never multiplies two permutations, so the constructions that do live
+here, on plain numpy arrays, as the oracles its kernels are checked
+against:
 
 * the d^N embedding of sector coordinates (``sector_basis``,
   ``product_amplitudes``) and the dense states drawn through it
   (``random_pure_state``, ``random_mixed_state``), the oracles of the
   sector route and of the one sampler, ``sample_states``;
 * ``slot_apply``, the tensordot contraction of a ``SlotOperator``'s block
-  with the slot axes of its states, the oracle of ``SlotOperator.image``;
+  with the slot axes of its states, the oracle of ``SlotOperator.image``,
+  and ``dense``, its N-body matrix;
+* the spin matrices (``spin_operators``), tensor products (``kron``),
+  slot embeddings (``embed_at_slot``) and the dense (S_a + S_b)^2
+  (``pair_total_spin_squared``), the oracles of ``pair_operator``, and
+  the Racah Clebsch-Gordan coefficients (``clebsch_gordan``), whose
+  columns are the pair block's eigenvectors;
+* the permutation unitaries U_pi (``permutation_unitary``), ``sign`` and
+  the N!-term (anti)symmetrizer (``symmetrizer``), the oracles of the
+  S_N check and of the sector dimensions;
 * small dense helpers: ``compose`` of two permutations, ``commutator``,
   ``is_scalar_identity`` and the spin ``casimir``;
 * the term-batch merge in plain Python (``merged_by_dict``) and
@@ -19,18 +29,24 @@ checked against:
   ``commutator_PQ``.
 """
 
+import functools
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 
-from discernlab.errors import ShapeError
-from discernlab.matrix_core import TOL_ABS, MixedState, Operator, PureState
+from discernlab.discern import TOL_ABS
+from discernlab.errors import DomainError, ShapeError
 from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
     SlotOperator,
     sample_states,
+    slot_axes,
 )
 from discernlab.schwartz import TermBatch, _exact
-from discernlab.spin import SpinLabel, spin_operators
+from discernlab.spin import SpinLabel, check_pair
 
 
 def compose(pi: Permutation, sigma: Permutation) -> Permutation:
@@ -38,15 +54,15 @@ def compose(pi: Permutation, sigma: Permutation) -> Permutation:
     return Permutation(tuple(pi(sigma(k)) for k in range(1, pi.n + 1)))
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """AB - BA."""
-    if a.dim != b.dim:
-        raise ShapeError(f"dim mismatch {a.dim} vs {b.dim}")
-    return Operator(a.entries @ b.entries - b.entries @ a.entries,
-                    a.hbar_power + b.hbar_power)
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
+    return a @ b - b @ a
 
 
-def is_scalar_identity(a: Operator, c: complex, tol: float = TOL_ABS) -> bool:
+def is_scalar_identity(a: np.ndarray, c: complex,
+                       tol: float = TOL_ABS) -> bool:
     """True iff A equals c * identity within tol in max-entry norm.
 
     This decides "A psi = c psi for every psi" exactly: the operator
@@ -54,14 +70,131 @@ def is_scalar_identity(a: Operator, c: complex, tol: float = TOL_ABS) -> bool:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    diff = a.entries - c * np.eye(a.dim)
-    return float(np.abs(diff).max()) <= tol
+    return float(np.abs(a - c * np.eye(len(a))).max()) <= tol
 
 
-def casimir(label: SpinLabel) -> Operator:
+def spin_operators(label: SpinLabel) -> tuple[np.ndarray, ...]:
+    """(Sx, Sy, Sz) on C^(2s+1), in units of hbar.
+
+    Basis ordering is m = s, s-1, ..., -s, so Sz = diag(s, ..., -s).
+    S+ takes index k to k-1 with sqrt(s(s+1) - m(m+1)), m = s - k.
+    """
+    s = label.two_s / 2
+    m = s - np.arange(label.dim)
+    sp = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1) + 0j
+    return (sp + sp.T) / 2, (sp - sp.T) / 2j, np.diag(m) + 0j
+
+
+def casimir(label: SpinLabel) -> np.ndarray:
     """Sx^2 + Sy^2 + Sz^2 = s(s+1) hbar^2 * identity."""
-    sx, sy, sz = spin_operators(label)
-    return sx @ sx + sy @ sy + sz @ sz
+    return sum(w @ w for w in spin_operators(label))
+
+
+def kron(*factors: np.ndarray) -> np.ndarray:
+    """The tensor product of the factors, in order."""
+    return functools.reduce(np.kron, factors)
+
+
+def embed_at_slot(a: np.ndarray, slot: int,
+                  system: ParticleSystem) -> np.ndarray:
+    """1 (x) ... (x) A (x) ... (x) 1, A on the given slot."""
+    d, n = system.single_dim, system.n_particles
+    return kron(np.eye(d ** (slot - 1)), a, np.eye(d ** (n - slot)))
+
+
+def pair_total_spin_squared(label: SpinLabel, a: int, b: int,
+                            system: ParticleSystem) -> np.ndarray:
+    """(S_a + S_b)^2 on the N-particle space, hbar^2 units: 4 S_a^2 for
+    a == b."""
+    check_pair(label, a, b, system)
+    comps = [embed_at_slot(w, a, system) + embed_at_slot(w, b, system)
+             for w in spin_operators(label)]
+    return sum(c @ c for c in comps)
+
+
+def clebsch_gordan(label: SpinLabel, two_S: int, two_M: int,
+                   two_m1: int, two_m2: int) -> float:
+    """<s m1; s m2 | S M> for two equal spins, Condon-Shortley phases,
+    by the Racah sum over exact factorial ratios."""
+    j = label.two_s  # every argument is doubled
+    if not 0 <= two_S <= 2 * j:
+        raise DomainError(f"2S={two_S} out of range 0..{2 * j}")
+    if abs(two_M) > two_S or (two_S - two_M) % 2:
+        raise DomainError(f"2M={two_M} invalid for 2S={two_S}")
+    for two_m in (two_m1, two_m2):
+        if abs(two_m) > j or (j - two_m) % 2:
+            raise DomainError(f"2m={two_m} invalid for 2s={j}")
+    if two_m1 + two_m2 != two_M:
+        return 0.0
+
+    def fact(*two_x):
+        return math.prod(math.factorial(x // 2) for x in two_x)
+
+    pref = Fraction((two_S + 1) * fact(two_S, two_S, 2 * j - two_S),
+                    fact(2 * j + two_S + 2)) * fact(
+        two_S + two_M, two_S - two_M, j - two_m1, j + two_m1,
+        j - two_m2, j + two_m2)
+    total = Fraction(0)
+    for k in range(j + 1):
+        args = (2 * k, 2 * j - two_S - 2 * k, j - two_m1 - 2 * k,
+                j + two_m2 - 2 * k, two_S - j - two_m2 + 2 * k,
+                two_S - j + two_m1 + 2 * k)
+        if min(args) >= 0:
+            total += Fraction((-1) ** k, fact(*args))
+    return math.sqrt(pref) * float(total)
+
+
+def clebsch_gordan_matrix(label: SpinLabel):
+    """(labels, matrix): the coupled states (2S, 2M) in ascending order,
+    and the (2s+1)^2-square matrix whose column for (S, M) holds its
+    coefficients on the product states (m1, m2), in the operator basis
+    ordering."""
+    j = label.two_s
+    labels = [(two_S, two_M) for two_S in range(0, 2 * j + 1, 2)
+              for two_M in range(-two_S, two_S + 1, 2)]
+    m = range(j, -j - 1, -2)
+    return labels, np.array([[clebsch_gordan(label, *sm, m1, m2)
+                              for sm in labels]
+                             for m1, m2 in itertools.product(m, m)])
+
+
+def sign(pi: Permutation) -> int:
+    """The parity of pi, (-1)^(number of inversions)."""
+    return (-1) ** sum(x > y for x, y in
+                       itertools.combinations(pi.mapping, 2))
+
+
+def all_permutations(n: int) -> list[Permutation]:
+    """The N! elements of S_N."""
+    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+def permutation_unitary(pi: Permutation,
+                        system: ParticleSystem) -> np.ndarray:
+    """U_pi on the N-fold tensor space: the identity with its row axes
+    transposed by slot_axes(pi), so column j is basis vector j moved."""
+    d, n, dim = system.single_dim, system.n_particles, system.total_dim
+    rows = np.eye(dim, dtype=complex).reshape((d,) * n + (dim,))
+    return rows.transpose(slot_axes(pi) + (n,)).reshape(dim, dim)
+
+
+def symmetrizer(system: ParticleSystem, parity: str) -> np.ndarray:
+    """Orthogonal projector Pi+/- = (1/N!) sum_pi [sign(pi)] U_pi."""
+    n = system.n_particles
+    return sum((sign(pi) if parity == "-" else 1)
+               * permutation_unitary(pi, system)
+               for pi in all_permutations(n)) / math.factorial(n)
+
+
+def dense(op: SlotOperator, system: ParticleSystem) -> np.ndarray:
+    """The N-body matrix of a SlotOperator, built without slot_apply: the
+    block times the identity on the other slots, with the block's slots
+    moved to op.slots by a permutation unitary."""
+    n, d, k = system.n_particles, system.single_dim, len(op.slots)
+    rest = tuple(j for j in range(1, n + 1) if j not in op.slots)
+    # sigma moves slot j to op.slots[j-1] for j <= k
+    u = permutation_unitary(Permutation(tuple(op.slots) + rest), system)
+    return u @ kron(op.block, np.eye(d ** (n - k))) @ u.conj().T
 
 
 def slot_apply(op: SlotOperator, states: np.ndarray) -> np.ndarray:
@@ -118,19 +251,18 @@ def product_amplitudes(system: ParticleSystem,
     return out
 
 
-def random_pure_state(system: ParticleSystem, seed) -> PureState:
-    """Haar-uniform ray inside the system's sector (``sample_states``)."""
+def random_pure_state(system: ParticleSystem, seed) -> np.ndarray:
+    """Haar-uniform ray inside the system's sector (``sample_states``), as
+    d^N amplitudes."""
     batch = sample_states(system, 1, seed)
-    return PureState(product_amplitudes(system, batch.flat[0, 0]))
+    return product_amplitudes(system, batch.flat[0, 0])
 
 
-def random_mixed_state(system: ParticleSystem, rank: int, seed) -> MixedState:
+def random_mixed_state(system: ParticleSystem, rank: int, seed) -> np.ndarray:
     """One rank-r ``sample_states`` draw as a dense statistical operator."""
     batch = sample_states(system, 1, seed, rank)
     f = product_amplitudes(system, batch.flat[0])
-    w = (f.T * batch.weights[0]) @ f.conj()
-    # symmetrize away float round-off before the invariant check
-    return MixedState((w + w.conj().T) / 2)
+    return (f.T * batch.weights[0]) @ f.conj()
 
 
 def merged_by_dict(batch: TermBatch) -> TermBatch:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,18 +30,11 @@ from discernlab.discern import (
     summarize,
 )
 from discernlab.errors import ArityError, ConfigError, DegenerateSpinError
-from discernlab.matrix_core import (
-    MixedState,
-    Operator,
-    PureState,
-    identity,
-)
 from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
     SlotOperator,
     StateBatch,
-    permutation_unitary,
     sample_states,
     sector_dimension,
 )
@@ -49,53 +46,56 @@ from discernlab.schwartz import (
     pack,
     stack,
 )
-from discernlab.spin import (
-    SpinLabel,
-    coupled_basis,
-    pair_operator,
-    pair_total_spin_squared,
-)
+from discernlab.spin import SpinLabel, pair_operator
 from oracles import (
+    all_permutations,
     casimir,
+    clebsch_gordan_matrix,
     commutator_by_merge,
+    dense,
     is_scalar_identity,
+    pair_total_spin_squared,
+    permutation_unitary,
     product_amplitudes,
     random_mixed_state,
     random_pure_state,
     slot_apply,
 )
 
-
-def singlet():
-    return PureState(np.array([0, 1, -1, 0]) / np.sqrt(2))
+SINGLET = np.array([0, 1, -1, 0]) / np.sqrt(2)
 
 
-def dense(op, system):
-    """The N-body matrix of a SlotOperator, built without slot_apply.
+def pure(amplitudes, n=2, d=2):
+    """One full-sector pure state, given as d^N amplitudes, as a batch."""
+    return StateBatch(np.asarray(amplitudes, complex).reshape(
+        (1, 1) + (d,) * n), np.ones((1, 1)))
 
-    The block times the identity on the remaining slots, with the
-    block's slots moved to op.slots by a dense permutation unitary.  A
-    dense Operator is its own matrix.
-    """
-    if isinstance(op, Operator):
-        return op.entries
-    n, d, k = system.n_particles, system.single_dim, len(op.slots)
-    rest = tuple(j for j in range(1, n + 1) if j not in op.slots)
-    # sigma moves slot j to op.slots[j-1] for j <= k
-    sigma = Permutation(tuple(op.slots) + rest)
-    u = permutation_unitary(sigma, system).entries
-    return u @ np.kron(op.block, np.eye(d ** (n - k))) @ u.conj().T
+
+def mixed(entries, n=2, d=2):
+    """One full-sector statistical operator, factored by eigh, as a batch."""
+    w, v = np.linalg.eigh(entries)
+    return StateBatch(v.T.reshape((1, -1) + (d,) * n), w[None])
+
+
+def k12(label=SpinLabel(1), system=ParticleSystem(2, 2)):
+    return pair_operator(label, 1, 2, system)
 
 
 def invariant_on_all_of_s_n(family, system, tol):
-    """The oracle: dense U_pi K_ab U_pi^dagger over all N! permutations."""
+    """The oracle: dense U_pi K_ab U_pi^dagger over all N! permutations.
+
+    family gives SlotOperators or dense N-body matrices."""
     n = system.n_particles
-    for pi in Permutation.all(n):
-        u = permutation_unitary(pi, system).entries
+
+    def matrix(op):
+        return dense(op, system) if isinstance(op, SlotOperator) else op
+
+    for pi in all_permutations(n):
+        u = permutation_unitary(pi, system)
         for a in range(1, n + 1):
             for b in range(1, n + 1):
-                img = u @ dense(family(a, b), system) @ u.conj().T
-                want = dense(family(pi(a), pi(b)), system)
+                img = u @ matrix(family(a, b)) @ u.conj().T
+                want = matrix(family(pi(a), pi(b)))
                 if np.abs(img - want).max() > tol:
                     return False
     return True
@@ -104,71 +104,85 @@ def invariant_on_all_of_s_n(family, system, tol):
 class TestEigenproperty:
     def test_identity_always_one(self):
         psi = random_pure_state(ParticleSystem(2, 2), seed=4)
-        assert np.isclose(eigenproperty(identity(4), psi), 1.0)
+        [value] = eigenproperty(SlotOperator(np.eye(4), (1, 2)), pure(psi))
+        assert np.isclose(value, 1.0)
 
     def test_singlet_total_spin_zero(self):
-        k = pair_total_spin_squared(SpinLabel(1), 1, 2, ParticleSystem(2, 2))
-        assert abs(eigenproperty(k, singlet(), 1e-8)) < 1e-10
+        [value] = eigenproperty(k12(), pure(SINGLET), 1e-8)
+        assert abs(value) < 1e-10
 
     def test_cross_sector_superposition_has_no_property(self):
-        vecs = coupled_basis(SpinLabel(1))
-        v00 = [v for v in vecs if (v.two_S, v.two_M) == (0, 0)][0]
-        v10 = [v for v in vecs if (v.two_S, v.two_M) == (2, 0)][0]
-        psi = PureState((v00.vector.amplitudes + v10.vector.amplitudes)
-                        / np.sqrt(2))
-        k = pair_total_spin_squared(SpinLabel(1), 1, 2, ParticleSystem(2, 2))
-        assert eigenproperty(k, psi, 1e-8) is None
+        # (|0,0> + |1,0>)/sqrt(2), from the Racah columns: |up, down>
+        labels, m = clebsch_gordan_matrix(SpinLabel(1))
+        psi = (m[:, labels.index((0, 0))] + m[:, labels.index((2, 0))]) \
+            / np.sqrt(2)
+        assert np.abs(psi - [0, 1, 0, 0]).max() <= 1e-15
+        assert eigenproperty(k12(), pure(psi), 1e-8) == [None]
 
     def test_mixed_state(self):
-        w = MixedState(np.outer(singlet().amplitudes,
-                                singlet().amplitudes.conj()))
-        k = pair_total_spin_squared(SpinLabel(1), 1, 2, ParticleSystem(2, 2))
-        assert abs(eigenproperty(k, w, 1e-8)) < 1e-10
+        [value] = eigenproperty(k12(), mixed(np.outer(SINGLET, SINGLET)),
+                                1e-8)
+        assert abs(value) < 1e-10
 
     def test_pure_state_and_its_projector_agree(self):
         # a tol between the max-entry and the Frobenius residual of the
         # projector: one norm gives one decision for both forms
-        psi = random_pure_state(ParticleSystem(2, 2), seed=4)
-        amps = psi.amplitudes
-        w = MixedState(np.outer(amps, amps.conj()))
+        amps = random_pure_state(ParticleSystem(2, 2), seed=4)
+        w = np.outer(amps, amps.conj())
         k = pair_total_spin_squared(SpinLabel(1), 1, 2, ParticleSystem(2, 2))
-        v = amps.conj() @ k.entries @ amps
-        residual = k.entries @ w.entries - v * w.entries
+        v = amps.conj() @ k @ amps
+        residual = k @ w - v * w
         max_entry = float(np.abs(residual).max())
         frobenius = float(np.linalg.norm(residual))
         assert max_entry < frobenius
         tol = (max_entry + frobenius) / 2
-        assert eigenproperty(k, psi, tol) is None
-        assert eigenproperty(k, w, tol) is None
+        assert eigenproperty(k12(), pure(amps), tol) == [None]
+        assert eigenproperty(k12(), mixed(w), tol) == [None]
         tol = 1.01 * frobenius
-        assert np.isclose(eigenproperty(k, psi, tol), v)
-        assert np.isclose(eigenproperty(k, w, tol), v)
+        assert np.isclose(eigenproperty(k12(), pure(amps), tol)[0], v)
+        assert np.isclose(eigenproperty(k12(), mixed(w), tol)[0], v)
 
     def test_single_valued(self):
         # calling twice never yields two distinct values for one pair
-        k = pair_total_spin_squared(SpinLabel(1), 1, 2, ParticleSystem(2, 2))
-        assert eigenproperty(k, singlet(), 1e-8) == \
-            eigenproperty(k, singlet(), 1e-8)
+        assert eigenproperty(k12(), pure(SINGLET), 1e-8) == \
+            eigenproperty(k12(), pure(SINGLET), 1e-8)
+
+    def test_reads_the_block_on_its_own_slots(self):
+        # |up> (x) singlet on slots 2, 3: an eigenstate of K_23 and K_11,
+        # none of K_12 or K_13
+        label, system = SpinLabel(1), ParticleSystem(3, 2)
+        batch = pure(np.kron([1, 0], SINGLET), n=3)
+        values = {(a, b): eigenproperty(pair_operator(label, a, b, system),
+                                        batch, 1e-8)[0]
+                  for a, b in ((2, 3), (1, 1), (1, 2), (1, 3))}
+        assert abs(values[2, 3]) < 1e-10 and np.isclose(values[1, 1], 3)
+        assert values[1, 2] is None and values[1, 3] is None
+
+    def test_one_value_per_state_of_a_sector_batch(self):
+        # every bose state of two spin-1/2 particles is a triplet state
+        system = ParticleSystem(2, 2, "bose")
+        batch = sample_states(system, 3, 0, rank=2)
+        values = eigenproperty(k12(system=system), batch, 1e-8)
+        assert len(values) == 3 and np.allclose(values, 2.0)
 
 
 class TestRelationT:
     def test_reflexive_all_modes(self):
         label, system = SpinLabel(1), ParticleSystem(2, 2)
         assert relation_T_holds(1, 1, ALL_STATES, label, system)
-        assert relation_T_holds(2, 2, singlet(), label, system)
-        w = MixedState(np.eye(4) / 4)
-        assert relation_T_holds(1, 1, w, label, system)
+        assert relation_T_holds(2, 2, pure(SINGLET), label, system)
+        assert relation_T_holds(1, 1, mixed(np.eye(4) / 4), label, system)
 
     def test_fails_on_singlet(self):
         label, system = SpinLabel(1), ParticleSystem(2, 2)
-        assert not relation_T_holds(1, 2, singlet(), label, system)
+        assert not relation_T_holds(1, 2, pure(SINGLET), label, system)
         assert not relation_T_holds(1, 2, ALL_STATES, label, system)
 
     def test_fails_on_sampled_mixed_states(self):
         label, system = SpinLabel(1), ParticleSystem(2, 2)
         for seed in range(5):
             w = random_mixed_state(system, rank=2, seed=seed)
-            assert not relation_T_holds(1, 2, w, label, system)
+            assert not relation_T_holds(1, 2, mixed(w), label, system)
 
     def test_spin_zero_raises(self):
         with pytest.raises(DegenerateSpinError):
@@ -187,12 +201,51 @@ class TestRelationT:
     def test_sector_independent_failure(self):
         # N=3, s=1/2: off-diagonal failure in full, bose and fermi... the
         # fermi sector is empty for d=2, so use d=2 bose/full and d=3 fermi
-        label = SpinLabel(1)
-        for sector in ("full", "bose"):
-            system = ParticleSystem(3, 2, sector)
-            psi = random_pure_state(system, seed=11)
-            assert not relation_T_holds(1, 2, psi, label, system)
-            assert not relation_T_holds(2, 3, psi, label, system)
+        for sector, two_s in (("full", 1), ("bose", 1), ("fermi", 2)):
+            label = SpinLabel(two_s)
+            system = ParticleSystem(3, label.dim, sector)
+            batch = sample_states(system, 1, 11)
+            assert relation_T_holds(3, 3, batch, label, system)
+            assert not relation_T_holds(1, 2, batch, label, system)
+            assert not relation_T_holds(2, 3, batch, label, system)
+
+    @pytest.mark.parametrize("n,two_s,sector", [
+        (2, 1, "full"), (3, 2, "full"), (2, 1, "bose"), (3, 2, "bose"),
+        (4, 1, "bose"), (2, 2, "fermi"), (3, 2, "fermi"), (3, 3, "fermi")])
+    def test_predicates_decide_as_certify_T_on_its_draws(self, n, two_s,
+                                                         sector):
+        # certify_T's draws, decided state by state by the predicates,
+        # give every pair entry of its report: reflexive, off-diagonal
+        # failure and the first witness with its branch
+        n_pure, n_mixed, seed = 4, 3, n + two_s
+        report = certify_T(n, two_s, sector, n_pure, n_mixed, 2, seed)
+        label = SpinLabel(two_s)
+        system = ParticleSystem(n, label.dim, sector)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, two_s, n]))
+        drawn = [sample_states(system, n_pure, rng),
+                 sample_states(system, n_mixed, rng,
+                               report.samples["mixed_rank"])]
+        states = [(f"{kind}[{i}]", StateBatch(batch.factors[i:i + 1],
+                                              batch.weights[i:i + 1]))
+                  for kind, batch in zip(("pure", "mixed"), drawn)
+                  for i in range(len(batch.weights))]
+        for pair in report.pairs:
+            a, b = pair["a"], pair["b"]
+            holds = [relation_T_holds(a, b, state, label, system)
+                     for _, state in states]
+            assert relation_T_holds(a, b, drawn[0], label, system) \
+                == all(holds[:n_pure])
+            if a == b:
+                assert pair["reflexive"] == all(holds)
+                continue
+            assert pair["off_diagonal_fails"] == (not any(holds))
+            name, state = states[holds.index(False)]
+            [value] = eigenproperty(pair_operator(label, a, b, system),
+                                    StateBatch(state.factors, state.weights,
+                                               system.unfoldings), 1e-8)
+            branch = "absent" if value is None else f"value={value.real:.6g}"
+            assert pair["witness"] == f"{name}:{branch}"
+        assert report.verdict == "weakly_discerning"
 
 
 class TestRelationC:
@@ -302,7 +355,7 @@ class TestPermutationInvariance:
         family = {(a, b): pair_operator(label, a, b, system)
                   for a in range(1, 4) for b in range(1, 4)}
         states = sample_states(system, 8, 0).vectors
-        for pi in Permutation.all(3):
+        for pi in all_permutations(3):
             for (a, b), k in family.items():
                 assert permutation_invariance_check(
                     family[pi(a), pi(b)], pi, states, slot_apply(k, states),
@@ -310,13 +363,12 @@ class TestPermutationInvariance:
 
     def test_three_cycle_maps_pairs(self):
         # conjugation oracle: the 3-cycle sends (S_1+S_2)^2 to (S_2+S_3)^2
-        from discernlab.multiparticle import permutation_unitary
         label = SpinLabel(1)
         system = ParticleSystem(3, 2)
         pi = Permutation((2, 3, 1))
-        u = permutation_unitary(pi, system).entries
-        k12 = pair_total_spin_squared(label, 1, 2, system).entries
-        k23 = pair_total_spin_squared(label, 2, 3, system).entries
+        u = permutation_unitary(pi, system)
+        k12 = pair_total_spin_squared(label, 1, 2, system)
+        k23 = pair_total_spin_squared(label, 2, 3, system)
         assert np.abs(u @ k12 @ u.conj().T - k23).max() < 1e-12
 
     def test_identity_permutation(self):
@@ -336,7 +388,7 @@ class TestPermutationInvariance:
         for a in range(1, 4):
             for b in range(1, 4):
                 got = dense(pair_operator(label, a, b, system), system)
-                want = pair_total_spin_squared(label, a, b, system).entries
+                want = pair_total_spin_squared(label, a, b, system)
                 assert np.abs(got - want).max() < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -579,8 +631,7 @@ class TestNegativeControls:
 
     def certify(self, family, target, operator_route=None):
         def dense_route(a, b):
-            block = Operator(family(a, b).block)
-            scalar = is_scalar_identity(block, target, self.tol)
+            scalar = is_scalar_identity(family(a, b).block, target, self.tol)
             return scalar if a == b else not scalar
 
         report = DiscernibilityReport(
@@ -620,7 +671,7 @@ class TestNegativeControls:
 
     def test_monadic_relation_holds_off_diagonal(self):
         # S_a^2 + S_b^2 = 2 s(s+1) hbar^2 for every pair, a == b or not
-        c = casimir(self.label).entries
+        c = casimir(self.label)
         eye = np.eye(self.label.dim)
 
         def family(a, b):
@@ -815,8 +866,7 @@ def dense_certify_T(n, two_s, sector, n_pure, n_mixed, rank, seed, tol=1e-8):
         return False, f"value={value.real:.6g}"
 
     pairs = []
-    for (a, b), op in ops.items():
-        k = op.entries
+    for (a, b), k in ops.items():
         outcomes = [decide(k, w, psi) for _, w, psi in states]
         scalar = np.abs(k - target * np.eye(len(k))).max() <= tol
         pair = {"a": a, "b": b, "reflexive": None,
@@ -834,7 +884,7 @@ def dense_certify_T(n, two_s, sector, n_pure, n_mixed, rank, seed, tol=1e-8):
                  in zip(states, outcomes) if not h), None)
         pairs.append(pair)
     invariant = invariant_on_all_of_s_n(lambda a, b: ops[a, b], system, tol)
-    evals = np.linalg.eigvalsh(ops[1, 2].entries)
+    evals = np.linalg.eigvalsh(ops[1, 2])
     levels = np.unique(np.round(evals, 6), return_counts=True)
     spectrum = [[float(evals[np.isclose(evals, lam, atol=1e-6)].mean()), int(c)]
                 for lam, c in zip(*levels)]
@@ -1674,10 +1724,10 @@ class TestEigenResiduals:
         statistical operator W / tr W, whose residual is tr W times less."""
         entries = sum(wk * np.outer(fk, fk.conj()) for wk, fk in zip(w, f))
         trace = np.trace(entries).real
-        state = MixedState(entries / trace)
-        kw = k @ state.entries
+        state = entries / trace
+        kw = k @ state
         value = np.trace(kw)
-        return value, trace * np.linalg.norm(kw - value * state.entries)
+        return value, trace * np.linalg.norm(kw - value * state)
 
     @pytest.mark.parametrize("weight", [1.0, 0.7, 2.5])
     def test_rank_one_equals_the_general_path_and_the_dense_oracle(
@@ -1777,26 +1827,40 @@ class TestScale:
         off = [p for p in report.pairs if p["a"] != p["b"]]
         assert len(off) == 132 and all(p["off_diagonal_fails"] for p in off)
 
-    def test_certify_T_builds_no_dense_operator(self, monkeypatch):
+    def test_certify_T_builds_no_dense_operator(self, tmp_path):
+        # in a fresh interpreter, so that no test's import counts: verify
+        # for relation T in every sector and for relation C loads no
+        # module that holds a dense d^N constructor
         import discernlab
-        from discernlab import (cli, discern, matrix_core, multiparticle,
-                                schwartz, spin)
-
-        def banned(*args, **kwargs):
-            raise AssertionError("dense N-body helper called")
-
-        for name in ("pair_total_spin_squared", "embed_at_slot", "kron",
-                     "symmetrizer"):
-            for module in (discernlab, cli, discern, matrix_core,
-                           multiparticle, schwartz, spin):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, banned)
-        monkeypatch.setattr(matrix_core.MixedState, "__post_init__", banned)
-        for n, two_s, sector in ((3, 1, "full"), (3, 1, "bose"),
-                                 (3, 2, "fermi"), (6, 1, "bose")):
-            report = certify_T(n, two_s, sector, n_pure_samples=3,
-                               n_mixed_samples=2, mixed_rank=2)
-            assert report.verdict == "weakly_discerning"
+        script = """if True:
+            import sys
+            from discernlab import cli
+            runs = [["T", "--sector", sector, "--two-s", "2",
+                     "--mixed-samples", "2"]
+                    for sector in ("full", "bose", "fermi")]
+            runs.append(["C", "--two-s", "1", "--max-degree", "4"])
+            for i, run in enumerate(runs):
+                code = cli.main(["verify", "--relation", *run,
+                                 "--particles", "3", "--pure-samples", "5",
+                                 "--out", f"run{i}.json"])
+                assert code == cli.EXIT_OK, (run, code)
+            assert "discernlab.matrix_core" not in sys.modules
+            dense = ("Operator", "PureState", "MixedState", "kron",
+                     "hermitian_eigensystem", "eigenvalue_levels",
+                     "embed_at_slot", "permutation_unitary", "symmetrizer",
+                     "spin_operators", "pair_total_spin_squared", "total_sz",
+                     "coupled_basis", "clebsch_gordan")
+            found = [f"{name}.{attr}" for name, module in sys.modules.items()
+                     if name.split(".")[0] == "discernlab"
+                     for attr in dense if hasattr(module, attr)]
+            assert not found, found
+        """
+        src = str(Path(discernlab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
     def test_certify_T_never_embeds_sector_states(self, monkeypatch):
         import oracles

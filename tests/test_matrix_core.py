@@ -1,21 +1,20 @@
+"""The dense matrix oracles of tests/oracles.py, and the state invariants
+that the public predicates enforce on a ``StateBatch``: a statistical
+operator is self-adjoint, positive and of unit trace, and its factors
+hold states of the system's sector."""
+
 import numpy as np
 import pytest
 
-from discernlab.errors import HermiticityError, ShapeError, UnitError
-from discernlab.matrix_core import (
-    MixedState,
-    Operator,
-    PureState,
-    eigenvalue_levels,
-    hermitian_eigensystem,
-    identity,
-    kron,
-)
-from oracles import commutator, is_scalar_identity
+from discernlab.discern import ALL_STATES, eigenproperty, relation_T_holds
+from discernlab.errors import ShapeError
+from discernlab.multiparticle import ParticleSystem, StateBatch, sample_states
+from discernlab.spin import SpinLabel, pair_operator
+from oracles import commutator, is_scalar_identity, kron
 
-SIGMA_X = Operator([[0, 1], [1, 0]])
-SIGMA_Y = Operator([[0, -1j], [1j, 0]])
-SIGMA_Z = Operator([[1, 0], [0, -1]])
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def naive_matmul(a, b):
@@ -29,24 +28,27 @@ def naive_matmul(a, b):
 
 
 class TestKron:
+    """The tensor product of tests/oracles.py, from which its slot
+    embeddings and N-body operators are built."""
+
     def test_identity_times_identity(self):
-        assert np.array_equal(kron(identity(2), identity(2)).entries,
-                              np.eye(4))
+        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_sigma_z_squared_tensor(self):
-        got = kron(SIGMA_Z, SIGMA_Z).entries
-        assert np.array_equal(got, np.diag([1, -1, -1, 1]).astype(complex))
+        assert np.array_equal(kron(SIGMA_Z, SIGMA_Z),
+                              np.diag([1, -1, -1, 1]).astype(complex))
 
     def test_dimension_arithmetic(self):
-        a = Operator(np.arange(4).reshape(2, 2))
-        b = Operator(np.arange(9).reshape(3, 3))
-        assert kron(a, b).dim == 6
+        a = np.arange(4).reshape(2, 2)
+        b = np.arange(9).reshape(3, 3)
+        assert kron(a, b).shape == (6, 6)
+        assert kron(a, b, a).shape == (12, 12)
 
     def test_entry_formula(self):
         rng = np.random.default_rng(7)
-        a = Operator(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        b = Operator(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        got = kron(a, b).entries
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        got = kron(a, b)
         for i in range(2):
             for j in range(2):
                 for k in range(3):
@@ -54,17 +56,17 @@ class TestKron:
                         # 1-ulp slack: np.kron associates the complex
                         # multiply differently from the scalar product
                         assert abs(got[i * 3 + k, j * 3 + l]
-                                   - a.entries[i, j] * b.entries[k, l]) < 1e-14
+                                   - a[i, j] * b[k, l]) < 1e-14
 
     def test_associative_up_to_reshaping(self):
         # integer entries so float multiplication is exact and order-free
         rng = np.random.default_rng(11)
-        mats = [Operator(rng.integers(-9, 10, (d, d)).astype(float)
-                         + 1j * rng.integers(-9, 10, (d, d)))
-                for d in (2, 3, 2)]
-        left = kron(kron(mats[0], mats[1]), mats[2]).entries
-        right = kron(mats[0], kron(mats[1], mats[2])).entries
+        mats = [rng.integers(-9, 10, (d, d)).astype(float)
+                + 1j * rng.integers(-9, 10, (d, d)) for d in (2, 3, 2)]
+        left = kron(kron(mats[0], mats[1]), mats[2])
+        right = kron(mats[0], kron(mats[1], mats[2]))
         assert np.array_equal(left, right)
+        assert np.array_equal(kron(*mats), left)
 
 
 class TestCommutator:
@@ -72,84 +74,30 @@ class TestCommutator:
     symmetrizer tests rely on."""
 
     def test_self_commutation_vanishes(self):
-        a = Operator(np.arange(9).reshape(3, 3))
-        assert commutator(a, a).max_norm() == 0
+        a = np.arange(9).reshape(3, 3)
+        assert np.abs(commutator(a, a)).max() == 0
 
     def test_pauli_xy(self):
         # oracle: naive 2x2 multiplication of sigma_x sigma_y - sigma_y sigma_x
-        expected = naive_matmul(SIGMA_X.entries, SIGMA_Y.entries) \
-            - naive_matmul(SIGMA_Y.entries, SIGMA_X.entries)
-        assert np.array_equal(expected, 2j * SIGMA_Z.entries)
-        assert np.array_equal(commutator(SIGMA_X, SIGMA_Y).entries, expected)
+        expected = naive_matmul(SIGMA_X, SIGMA_Y) - naive_matmul(SIGMA_Y,
+                                                                 SIGMA_X)
+        assert np.array_equal(expected, 2j * SIGMA_Z)
+        assert np.array_equal(commutator(SIGMA_X, SIGMA_Y), expected)
 
     def test_disjoint_slots_commute(self):
-        sz1 = kron(SIGMA_Z, identity(2))
-        sz2 = kron(identity(2), SIGMA_Z)
-        assert commutator(sz1, sz2).max_norm() == 0
+        sz1 = kron(SIGMA_Z, np.eye(2))
+        sz2 = kron(np.eye(2), SIGMA_Z)
+        assert np.abs(commutator(sz1, sz2)).max() == 0
 
     def test_antisymmetric(self):
         rng = np.random.default_rng(3)
-        a = Operator(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        b = Operator(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        assert np.array_equal(commutator(a, b).entries,
-                              -commutator(b, a).entries)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert np.array_equal(commutator(a, b), -commutator(b, a))
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            commutator(identity(2), identity(3))
-
-
-class TestHermitianEigensystem:
-    def test_diagonal_input(self):
-        pairs = hermitian_eigensystem(Operator(np.diag([3.0, 1.0, 2.0])))
-        assert [lam for lam, _ in pairs] == [1.0, 2.0, 3.0]
-        for lam, vec in pairs:
-            col = np.abs(vec.amplitudes)
-            assert np.isclose(col.max(), 1.0)
-
-    def test_sigma_x(self):
-        # characteristic polynomial lambda^2 - 1 = 0: eigenvalues -1, +1
-        pairs = hermitian_eigensystem(SIGMA_X)
-        assert np.allclose([lam for lam, _ in pairs], [-1.0, 1.0])
-        minus, plus = pairs[0][1].amplitudes, pairs[1][1].amplitudes
-        s = 1 / np.sqrt(2)
-        assert np.allclose(np.abs(minus), [s, s])
-        assert np.isclose(minus[0] * minus[1].conjugate(), -0.5)
-        assert np.isclose(plus[0] * plus[1].conjugate(), 0.5)
-
-    def test_pair_casimir_spectrum(self):
-        # 4x4 oracle: (S_1 + S_2)^2 for two spin-1/2 via explicit Paulis
-        half = 0.5
-        ops = [SIGMA_X.entries * half, SIGMA_Y.entries * half,
-               SIGMA_Z.entries * half]
-        total = np.zeros((4, 4), dtype=complex)
-        for w in ops:
-            comp = np.kron(w, np.eye(2)) + np.kron(np.eye(2), w)
-            total += comp @ comp
-        pairs = hermitian_eigensystem(Operator(total))
-        assert np.allclose([lam for lam, _ in pairs], [0.0, 2.0, 2.0, 2.0])
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(5)
-        for dim in (3, 17, 64):
-            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            a = Operator((m + m.conj().T) / 2)
-            pairs = hermitian_eigensystem(a)
-            v = np.column_stack([vec.amplitudes for _, vec in pairs])
-            lam = np.diag([l for l, _ in pairs])
-            recon = v @ lam @ v.conj().T
-            assert np.abs(a.entries - recon).max() <= 1e-9 * a.max_norm()
-            assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            hermitian_eigensystem(Operator([[0, 1], [0, 0]]))
-
-
-class TestEigenvalueLevels:
-    def test_multiplicities(self):
-        levels = eigenvalue_levels(Operator(np.diag([2.0, 0.0, 2.0, 2.0])))
-        assert levels == [(0.0, 1), (2.0, 3)]
+            commutator(np.eye(2), np.eye(3))
 
 
 class TestIsScalarIdentity:
@@ -157,45 +105,72 @@ class TestIsScalarIdentity:
     tests and the negative controls rely on."""
 
     def test_scalar_matrix(self):
-        assert is_scalar_identity(Operator(2.5j * np.eye(3)), 2.5j, 1e-12)
+        assert is_scalar_identity(2.5j * np.eye(3), 2.5j, 1e-12)
 
     def test_sigma_z_is_not_scalar(self):
         assert not is_scalar_identity(SIGMA_Z, 1.0, 1e-6)
 
     def test_implies_eigen_equation_on_random_states(self):
-        a = Operator(np.eye(5) * (1 + 2j))
+        a = np.eye(5) * (1 + 2j)
         assert is_scalar_identity(a, 1 + 2j, 1e-10)
         rng = np.random.default_rng(13)
         for _ in range(100):
             v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             v /= np.linalg.norm(v)
-            assert np.linalg.norm(a.entries @ v - (1 + 2j) * v) <= 1e-9
+            assert np.linalg.norm(a @ v - (1 + 2j) * v) <= 1e-9
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
-            is_scalar_identity(identity(2), 1.0, 0.0)
+            is_scalar_identity(np.eye(2), 1.0, 0.0)
 
 
 class TestStateInvariants:
+    """Each refusal of a batch, by both predicates where they apply."""
+
+    label, system = SpinLabel(1), ParticleSystem(2, 2)
+
+    def refused(self, batch):
+        for predicate in (
+                lambda: relation_T_holds(1, 2, batch, self.label, self.system),
+                lambda: eigenproperty(
+                    pair_operator(self.label, 1, 2, self.system), batch)):
+            with pytest.raises(ShapeError):
+                predicate()
+
     def test_pure_state_rejects_unnormalized(self):
-        with pytest.raises(ShapeError):
-            PureState([1, 1])
+        # trace 2: a vector of norm sqrt(2)
+        self.refused(StateBatch(np.array([1, 1, 0, 0], complex).reshape(
+            1, 1, 2, 2), np.ones((1, 1))))
 
     def test_mixed_state_rejects_negative(self):
-        with pytest.raises(ShapeError):
-            MixedState(np.diag([1.5, -0.5]))
+        # diag(1.5, -0.5, 0, 0): unit trace, not positive
+        self.refused(StateBatch(np.eye(4, dtype=complex)[:2].reshape(
+            1, 2, 2, 2), np.array([[1.5, -0.5]])))
 
     def test_mixed_state_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            MixedState([[0.5, 1], [0, 0.5]])
+        # diag(0.5 + 0.5i, 0.5 - 0.5i, 0, 0): unit trace, not self-adjoint
+        self.refused(StateBatch(np.eye(4, dtype=complex)[:2].reshape(
+            1, 2, 2, 2), np.array([[0.5 + 0.5j, 0.5 - 0.5j]])))
 
+    def test_relation_rejects_factors_of_another_shape(self):
+        bose = ParticleSystem(2, 2, "bose")
+        three = sample_states(ParticleSystem(3, 2), 2, 0)
+        for batch, system in (
+                (sample_states(self.system, 2, 0), bose),  # d^N, not D
+                (sample_states(bose, 2, 0), self.system),  # D, not d^N
+                (three, self.system),  # three particles, not two
+                # two weights per state for one factor each
+                (StateBatch(three.factors, np.ones((2, 2)) / 2),
+                 ParticleSystem(3, 2))):
+            with pytest.raises(ShapeError):
+                relation_T_holds(1, 2, batch, self.label, system)
 
-class TestUnits:
-    def test_sum_needs_equal_hbar_power(self):
-        s = Operator(SIGMA_Z.entries, hbar_power=1)
-        assert (s + s).hbar_power == 1
-        assert (s @ s).hbar_power == 2
-        with pytest.raises(UnitError):
-            s + s @ s
+    def test_relation_rejects_a_plain_array(self):
+        # compared with ALL_STATES by identity, never as an array
+        psi = np.array([0, 1, 0, 0.])
+        for states in (psi, psi.reshape(1, 1, 2, 2), "all states"):
+            with pytest.raises(ShapeError):
+                relation_T_holds(1, 2, states, self.label, self.system)
         with pytest.raises(ShapeError):
-            s + identity(3)
+            eigenproperty(pair_operator(self.label, 1, 2, self.system), psi)
+        assert not relation_T_holds(1, 2, ALL_STATES, self.label, self.system)

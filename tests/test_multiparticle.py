@@ -9,36 +9,38 @@ from discernlab.errors import (
     IndexRangeError,
     RankError,
 )
-from discernlab.matrix_core import Operator, identity
 from discernlab.multiparticle import (
     ParticleSystem,
     Permutation,
     SlotOperator,
-    embed_at_slot,
     fold,
-    permutation_unitary,
     sample_states,
     sector_dimension,
-    symmetrizer,
     unfold,
 )
+from discernlab.spin import SpinLabel, pair_operator
 from oracles import (
+    all_permutations,
     commutator,
     compose,
+    embed_at_slot,
+    permutation_unitary,
     product_amplitudes,
     random_mixed_state,
     random_pure_state,
     sector_basis,
+    sign,
     slot_apply,
+    symmetrizer,
 )
 
-SIGMA_Z = Operator([[1, 0], [0, -1]])
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Operator((m + m.conj().T) / 2)
+    return (m + m.conj().T) / 2
 
 
 class TestPermutation:
@@ -47,10 +49,10 @@ class TestPermutation:
             Permutation((1, 1, 3))
 
     def test_sign_of_transposition(self):
-        assert Permutation((2, 1)).sign == -1
-        assert Permutation((1, 2, 3)).sign == 1
-        assert Permutation((2, 3, 1)).sign == 1
-        assert Permutation((2, 1, 3)).sign == -1
+        assert sign(Permutation((2, 1))) == -1
+        assert sign(Permutation((1, 2, 3))) == 1
+        assert sign(Permutation((2, 3, 1))) == 1
+        assert sign(Permutation((2, 1, 3))) == -1
 
     def test_inverse(self):
         pi = Permutation((3, 1, 2))
@@ -78,43 +80,44 @@ class TestPermutation:
 class TestEmbed:
     def test_slot_one_is_left_factor(self):
         system = ParticleSystem(2, 2)
-        got = embed_at_slot(SIGMA_Z, 1, system).entries
-        assert np.array_equal(got, np.kron(SIGMA_Z.entries, np.eye(2)))
+        got = embed_at_slot(SIGMA_Z, 1, system)
+        assert np.array_equal(got, np.kron(SIGMA_Z, np.eye(2)))
 
     def test_disjoint_slots_commute(self):
         system = ParticleSystem(2, 2)
         a = embed_at_slot(random_hermitian(2, 1), 1, system)
         b = embed_at_slot(random_hermitian(2, 2), 2, system)
-        assert commutator(a, b).max_norm() < 1e-14
+        assert np.abs(commutator(a, b)).max() < 1e-14
 
     def test_identity_embeds_to_identity(self):
         system = ParticleSystem(3, 2)
         for slot in (1, 2, 3):
-            got = embed_at_slot(identity(2), slot, system).entries
+            got = embed_at_slot(np.eye(2), slot, system)
             assert np.array_equal(got, np.eye(8))
 
     def test_slot_out_of_range(self):
+        # the certifier places a block on slots by pair_operator
         with pytest.raises(IndexRangeError):
-            embed_at_slot(SIGMA_Z, 3, ParticleSystem(2, 2))
+            pair_operator(SpinLabel(1), 3, 1, ParticleSystem(2, 2))
 
 
 class TestPermutationUnitary:
     def test_identity_permutation(self):
         system = ParticleSystem(2, 3)
-        got = permutation_unitary(Permutation((1, 2)), system).entries
+        got = permutation_unitary(Permutation((1, 2)), system)
         assert np.array_equal(got, np.eye(9))
 
     def test_swap_on_product_vector(self):
         system = ParticleSystem(2, 2)
-        u = permutation_unitary(Permutation((2, 1)), system).entries
+        u = permutation_unitary(Permutation((2, 1)), system)
         phi = np.array([1, 2], dtype=complex)
         chi = np.array([3, 5], dtype=complex)
         assert np.array_equal(u @ np.kron(phi, chi), np.kron(chi, phi))
 
     def test_composition_law_s3_exhaustive(self):
         system = ParticleSystem(3, 2)
-        perms = list(Permutation.all(3))
-        mats = {p.mapping: permutation_unitary(p, system).entries for p in perms}
+        perms = list(all_permutations(3))
+        mats = {p.mapping: permutation_unitary(p, system) for p in perms}
         for pi in perms:
             for sigma in perms:
                 prod = mats[pi.mapping] @ mats[sigma.mapping]
@@ -122,19 +125,19 @@ class TestPermutationUnitary:
 
     def test_unitary(self):
         system = ParticleSystem(3, 3)
-        for pi in Permutation.all(3):
-            u = permutation_unitary(pi, system).entries
+        for pi in all_permutations(3):
+            u = permutation_unitary(pi, system)
             assert np.array_equal(u @ u.conj().T, np.eye(27))
 
     def test_conjugation_moves_slots(self):
         # U_pi embed(A, j) U_pi^dagger = embed(A, pi(j))
         system = ParticleSystem(3, 2)
         a = random_hermitian(2, 9)
-        for pi in Permutation.all(3):
-            u = permutation_unitary(pi, system).entries
+        for pi in all_permutations(3):
+            u = permutation_unitary(pi, system)
             for j in (1, 2, 3):
-                lhs = u @ embed_at_slot(a, j, system).entries @ u.conj().T
-                rhs = embed_at_slot(a, pi(j), system).entries
+                lhs = u @ embed_at_slot(a, j, system) @ u.conj().T
+                rhs = embed_at_slot(a, pi(j), system)
                 assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -142,26 +145,23 @@ class TestSymmetrizer:
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 4)])
     @pytest.mark.parametrize("parity", ["+", "-"])
     def test_projector_properties(self, n, d, parity):
-        proj = symmetrizer(ParticleSystem(n, d), parity)
-        p = proj.entries
+        p = symmetrizer(ParticleSystem(n, d), parity)
         assert np.abs(p @ p - p).max() <= 1e-10
         assert np.abs(p - p.conj().T).max() <= 1e-10
 
     def test_two_particle_closed_form(self):
         system = ParticleSystem(2, 3)
-        swap = permutation_unitary(Permutation((2, 1)), system).entries
-        assert np.allclose(symmetrizer(system, "+").entries,
-                           (np.eye(9) + swap) / 2)
-        assert np.allclose(symmetrizer(system, "-").entries,
-                           (np.eye(9) - swap) / 2)
+        swap = permutation_unitary(Permutation((2, 1)), system)
+        assert np.allclose(symmetrizer(system, "+"), (np.eye(9) + swap) / 2)
+        assert np.allclose(symmetrizer(system, "-"), (np.eye(9) - swap) / 2)
 
     def test_plus_minus_complete_only_for_two(self):
         for d in (2, 3):
             sys2 = ParticleSystem(2, d)
-            total = symmetrizer(sys2, "+").entries + symmetrizer(sys2, "-").entries
+            total = symmetrizer(sys2, "+") + symmetrizer(sys2, "-")
             assert np.abs(total - np.eye(d * d)).max() <= 1e-12
         sys3 = ParticleSystem(3, 2)
-        total = symmetrizer(sys3, "+").entries + symmetrizer(sys3, "-").entries
+        total = symmetrizer(sys3, "+") + symmetrizer(sys3, "-")
         assert np.abs(total - np.eye(8)).max() > 0.1
 
     def test_fermi_rank_vanishes_when_overfilled(self):
@@ -172,12 +172,10 @@ class TestSymmetrizer:
         for n, d in [(2, 2), (3, 2), (3, 3)]:
             system = ParticleSystem(n, d)
             a = random_hermitian(d, 100 + n * d)
-            total = embed_at_slot(a, 1, system)
-            for j in range(2, n + 1):
-                total = total + embed_at_slot(a, j, system)
+            total = sum(embed_at_slot(a, j, system) for j in range(1, n + 1))
             for parity in ("+", "-"):
                 proj = symmetrizer(system, parity)
-                assert commutator(proj, total).max_norm() <= 1e-12
+                assert np.abs(commutator(proj, total)).max() <= 1e-12
 
 
 class TestSectorDimension:
@@ -189,7 +187,7 @@ class TestSectorDimension:
         got = sector_dimension(ParticleSystem(n, d), parity)
         assert got == expected
         # the trace of the N!-term symmetrizer is the oracle
-        proj = symmetrizer(ParticleSystem(n, d), parity).entries
+        proj = symmetrizer(ParticleSystem(n, d), parity)
         assert got == round(np.trace(proj).real)
         sector = "bose" if parity == "+" else "fermi"
         assert sector_dimension(ParticleSystem(n, d, sector)) == expected
@@ -199,21 +197,21 @@ class TestRandomStates:
     def test_fermi_pair_is_singlet_ray(self):
         psi = random_pure_state(ParticleSystem(2, 2, "fermi"), seed=42)
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
-        overlap = abs(singlet.conj() @ psi.amplitudes)
+        overlap = abs(singlet.conj() @ psi)
         assert abs(overlap - 1.0) < 1e-12
 
     def test_unit_norm_and_determinism(self):
         system = ParticleSystem(3, 2, "bose")
         a = random_pure_state(system, seed=7)
         b = random_pure_state(system, seed=7)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-        assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
+        assert np.array_equal(a, b)
+        assert abs(np.linalg.norm(a) - 1.0) < 1e-12
 
     def test_state_lies_in_sector(self):
         system = ParticleSystem(3, 3, "fermi")
         psi = random_pure_state(system, seed=5)
-        proj = symmetrizer(system, "-").entries
-        assert np.linalg.norm(proj @ psi.amplitudes - psi.amplitudes) <= 1e-10
+        proj = symmetrizer(system, "-")
+        assert np.linalg.norm(proj @ psi - psi) <= 1e-10
 
     def test_empty_sector_raises(self):
         with pytest.raises(EmptySectorError):
@@ -221,12 +219,13 @@ class TestRandomStates:
 
     def test_mixed_rank_one_is_projector(self):
         w = random_mixed_state(ParticleSystem(2, 2), rank=1, seed=3)
-        assert np.abs(w.entries @ w.entries - w.entries).max() < 1e-10
+        assert np.abs(w @ w - w).max() < 1e-10
 
     def test_mixed_state_invariants(self):
         w = random_mixed_state(ParticleSystem(2, 3, "bose"), rank=3, seed=9)
-        assert abs(np.trace(w.entries).real - 1.0) < 1e-10
-        assert np.linalg.eigvalsh(w.entries).min() >= -1e-12
+        assert abs(np.trace(w).real - 1.0) < 1e-10
+        assert np.abs(w - w.conj().T).max() <= 1e-15
+        assert np.linalg.eigvalsh(w).min() >= -1e-12
 
     def test_mixed_rank_error(self):
         with pytest.raises(RankError):
@@ -238,9 +237,9 @@ class TestRandomStates:
         rng = np.random.default_rng(4)
         weights = rng.random(2) + 1e-6
         weights /= weights.sum()
-        psis = [random_pure_state(system, rng).amplitudes for _ in range(2)]
+        psis = [random_pure_state(system, rng) for _ in range(2)]
         want = sum(wk * np.outer(p, p.conj()) for wk, p in zip(weights, psis))
-        assert np.abs(w.entries - want).max() <= 1e-15
+        assert np.abs(w - want).max() <= 1e-15
 
 
 SECTOR_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3),
@@ -268,7 +267,7 @@ class TestSectorBasis:
         basis = self.matrix(system)
         assert np.abs(basis.T @ basis - np.eye(sdim)).max(initial=0) <= 1e-12
         # its span is the range of the N!-term symmetrizer
-        proj = symmetrizer(ParticleSystem(n, d), parity).entries
+        proj = symmetrizer(ParticleSystem(n, d), parity)
         assert np.abs(basis @ basis.T - proj).max() <= 1e-12
 
     def test_fermi_pair_basis_is_the_singlet(self):
@@ -286,10 +285,10 @@ class TestSectorBasis:
             states = product_amplitudes(system, batch.flat).reshape(
                 -1, system.total_dim)
             for g in Permutation.generators(n):
-                u = permutation_unitary(g, ParticleSystem(n, d)).entries
-                sign = g.sign if sector == "fermi" else 1
+                u = permutation_unitary(g, ParticleSystem(n, d))
+                parity = sign(g) if sector == "fermi" else 1
                 moved = states @ u.T  # U_pi psi for each row psi
-                assert np.abs(moved - sign * states).max() <= 1e-12
+                assert np.abs(moved - parity * states).max() <= 1e-12
 
 
 class TestSampler:
@@ -358,7 +357,7 @@ class TestSlotOperator:
             + 1j * rng.standard_normal((d ** k, d ** k))
         # dense oracle: block (x) 1 moved onto the slots by U_sigma
         rest = tuple(j for j in range(1, n + 1) if j not in slots)
-        u = permutation_unitary(Permutation(slots + rest), system).entries
+        u = permutation_unitary(Permutation(slots + rest), system)
         want = u @ np.kron(block, np.eye(d ** (n - k))) @ u.conj().T
         states = rng.standard_normal((3,) + (d,) * n) + 0j
         got = slot_apply(SlotOperator(block, slots), states).reshape(3, -1)

@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discernlab.discern import decide_C, eigen_residuals, eigenproperty
-from discernlab.matrix_core import MixedState, Operator, hermitian_eigensystem
 from discernlab.multiparticle import ParticleSystem, StateBatch
 from discernlab.schwartz import SpinorWavefunction, draw_wavefunctions, pack
-from discernlab.spin import SpinLabel, pair_operator, pair_total_spin_squared
-from oracles import commutator, slot_apply
+from discernlab.spin import SpinLabel, pair_operator
+from oracles import commutator, pair_total_spin_squared, slot_apply
 
 complex_entries = st.integers(-8, 8)
 
@@ -22,8 +21,7 @@ def square_matrices(draw, dim=3):
     data = draw(st.lists(
         st.tuples(complex_entries, complex_entries),
         min_size=dim * dim, max_size=dim * dim))
-    m = np.array([complex(r, i) for r, i in data]).reshape(dim, dim)
-    return Operator(m)
+    return np.array([complex(r, i) for r, i in data]).reshape(dim, dim)
 
 
 # Rational oracle: wavefunctions as {term: (re, im)} with Fraction parts,
@@ -146,18 +144,7 @@ def rational_polys(draw, n_particles=2, max_degree=6):
 @given(square_matrices(), square_matrices())
 @settings(max_examples=50, deadline=None)
 def test_commutator_antisymmetric(a, b):
-    assert np.array_equal(commutator(a, b).entries, -commutator(b, a).entries)
-
-
-@given(square_matrices())
-@settings(max_examples=50, deadline=None)
-def test_eigensystem_reconstructs_hermitian_part(a):
-    h = Operator((a.entries + a.entries.conj().T) / 2)
-    pairs = hermitian_eigensystem(h)
-    v = np.column_stack([vec.amplitudes for _, vec in pairs])
-    lam = np.diag([l for l, _ in pairs])
-    assert np.abs(h.entries - v @ lam @ v.conj().T).max() \
-        <= 1e-9 * max(h.max_norm(), 1.0)
+    assert np.array_equal(commutator(a, b), -commutator(b, a))
 
 
 @given(rational_polys())
@@ -255,7 +242,7 @@ def test_factor_kernel_matches_dense_mixed_state(seed, rank, eigen):
     """
     rng = np.random.default_rng(seed)
     label, system = SpinLabel(2), ParticleSystem(2, 3)
-    k = pair_total_spin_squared(label, 1, 2, system).entries
+    k = pair_total_spin_squared(label, 1, 2, system)
     coords = rng.standard_normal((rank, 9)) + 1j * rng.standard_normal((rank, 9))
     if eigen:
         _, vecs = np.linalg.eigh(k)
@@ -267,14 +254,14 @@ def test_factor_kernel_matches_dense_mixed_state(seed, rank, eigen):
     image = slot_apply(pair_operator(label, 1, 2, system), batch.vectors)
     value, residual = eigen_residuals(image, batch)
 
-    dense = MixedState(sum(wk * np.outer(fk, fk.conj()) for wk, fk in zip(w, f)))
-    kw = k @ dense.entries
-    want_value = np.trace(kw) / np.trace(dense.entries)
-    want_residual = np.linalg.norm(kw - want_value * dense.entries)
+    dense = sum(wk * np.outer(fk, fk.conj()) for wk, fk in zip(w, f))
+    kw = k @ dense
+    want_value = np.trace(kw) / np.trace(dense)
+    want_residual = np.linalg.norm(kw - want_value * dense)
     assert abs(value[0] - want_value) <= 1e-12
     assert abs(residual[0] - want_residual) <= 1e-12
-    # the MixedState route factors W by eigh and runs the same kernel
-    got = eigenproperty(Operator(k), dense, tol=1e-8)
+    # the public predicate runs the same kernel on the batch
+    [got] = eigenproperty(pair_operator(label, 1, 2, system), batch, tol=1e-8)
     if eigen:
         assert residual[0] <= 1e-12 and abs(value[0] - 6) <= 1e-12
         assert abs(got - 6) <= 1e-12

@@ -9,11 +9,7 @@ import pytest
 from discernlab import schwartz
 from discernlab.discern import certify_C
 from discernlab.errors import DegreeCapError, IndexRangeError, ShapeError
-from discernlab.multiparticle import (
-    ParticleSystem,
-    Permutation,
-    permutation_unitary,
-)
+from discernlab.multiparticle import ParticleSystem, Permutation
 from discernlab.schwartz import (
     _INT64_SAFE,
     DEGREE_CAP,
@@ -25,7 +21,13 @@ from discernlab.schwartz import (
     stack,
     symmetric_product_state,
 )
-from oracles import commutator_by_merge, compose, merged_by_dict
+from oracles import (
+    all_permutations,
+    commutator_by_merge,
+    compose,
+    merged_by_dict,
+    permutation_unitary,
+)
 
 
 def qc(re, im=0):
@@ -291,7 +293,7 @@ class TestPermuteSlots:
     @pytest.mark.parametrize("sigma", list(itertools.permutations((1, 2, 3))))
     def test_composition_law(self, sigma):
         batch = drawn(3, 4, 1, 11)
-        for pi in Permutation.all(3):
+        for pi in all_permutations(3):
             pi_sigma = compose(pi, Permutation(sigma)).mapping
             assert one(batch.permute_slots(sigma).permute_slots(pi.mapping)) \
                 == one(batch.permute_slots(pi_sigma))
@@ -315,7 +317,7 @@ class TestPermuteSlots:
                              for c in configs])
 
         for mapping in itertools.permutations(range(1, n + 1)):
-            u = permutation_unitary(Permutation(mapping), system).entries
+            u = permutation_unitary(Permutation(mapping), system)
             assert np.array_equal(vector(one(batch.permute_slots(mapping))),
                                   (u @ vector(one(batch))).real)
 

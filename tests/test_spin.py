@@ -1,57 +1,62 @@
 import numpy as np
 import pytest
 
+from discernlab.discern import TOL_ABS
 from discernlab.errors import DomainError
-from discernlab.matrix_core import Operator, TOL_ABS, eigenvalue_levels
 from discernlab.multiparticle import ParticleSystem
-from discernlab.spin import (
-    SpinLabel,
+from discernlab.spin import SpinLabel, pair_bands, pair_levels, pair_operator
+from oracles import (
+    casimir,
     clebsch_gordan,
     clebsch_gordan_matrix,
-    coupled_basis,
-    pair_bands,
-    pair_levels,
-    pair_operator,
+    commutator,
+    embed_at_slot,
+    is_scalar_identity,
     pair_total_spin_squared,
     spin_operators,
-    total_sz,
 )
-from oracles import casimir, commutator, is_scalar_identity
 
 SQRT2 = np.sqrt(2)
+
+
+def total_sz(label, system):
+    """Sum of z-components over all slots."""
+    sz = spin_operators(label)[2]
+    return sum(embed_at_slot(sz, j, system)
+               for j in range(1, system.n_particles + 1))
+
+
+def coupled_basis(two_s):
+    """The Racah columns |s; S, M>, keyed by (2S, 2M)."""
+    labels, m = clebsch_gordan_matrix(SpinLabel(two_s))
+    return dict(zip(labels, m.T))
 
 
 class TestSpinOperators:
     def test_half_spin_is_half_pauli(self):
         sx, sy, sz = spin_operators(SpinLabel(1))
-        assert np.allclose(sx.entries, [[0, 0.5], [0.5, 0]])
-        assert np.allclose(sy.entries, [[0, -0.5j], [0.5j, 0]])
-        assert np.allclose(sz.entries, [[0.5, 0], [0, -0.5]])
+        assert np.allclose(sx, [[0, 0.5], [0.5, 0]])
+        assert np.allclose(sy, [[0, -0.5j], [0.5j, 0]])
+        assert np.allclose(sz, [[0.5, 0], [0, -0.5]])
 
     @pytest.mark.parametrize("two_s", [1, 2, 3])
     def test_su2_algebra(self, two_s):
         # oracle: direct matrix multiplication of the commutators
         sx, sy, sz = spin_operators(SpinLabel(two_s))
-        assert np.abs(commutator(sx, sy).entries - 1j * sz.entries).max() < 1e-12
-        assert np.abs(commutator(sy, sz).entries - 1j * sx.entries).max() < 1e-12
-        assert np.abs(commutator(sz, sx).entries - 1j * sy.entries).max() < 1e-12
+        assert np.abs(commutator(sx, sy) - 1j * sz).max() < 1e-12
+        assert np.abs(commutator(sy, sz) - 1j * sx).max() < 1e-12
+        assert np.abs(commutator(sz, sx) - 1j * sy).max() < 1e-12
 
     @pytest.mark.parametrize("two_s", [1, 2, 3, 4])
     def test_sz_eigenvalues(self, two_s):
         _, _, sz = spin_operators(SpinLabel(two_s))
         s = two_s / 2
         expected = [s - k for k in range(two_s + 1)]
-        assert np.allclose(np.diag(sz.entries).real, expected)
+        assert np.allclose(np.diag(sz).real, expected)
 
     def test_self_adjoint(self):
-        for op in spin_operators(SpinLabel(3)):
-            m = op.entries
+        for m in spin_operators(SpinLabel(3)):
             assert np.abs(m - m.conj().T).max() <= TOL_ABS
-
-    def test_hbar_unit_exponent(self):
-        sx, _, _ = spin_operators(SpinLabel(1))
-        assert sx.hbar_power == 1
-        assert casimir(SpinLabel(1)).hbar_power == 2
 
 
 class TestCasimir:
@@ -60,13 +65,13 @@ class TestCasimir:
         assert is_scalar_identity(casimir(SpinLabel(two_s)), value, 1e-10)
 
     def test_spinless_case(self):
-        assert casimir(SpinLabel(0)).max_norm() == 0
+        assert np.abs(casimir(SpinLabel(0))).max() == 0
 
     @pytest.mark.parametrize("two_s", [1, 2, 3, 4, 5])
     def test_commutes_with_components(self, two_s):
         c = casimir(SpinLabel(two_s))
         for w in spin_operators(SpinLabel(two_s)):
-            assert commutator(c, w).max_norm() <= 1e-10
+            assert np.abs(commutator(c, w)).max() <= 1e-10
 
 
 class TestPairTotalSpin:
@@ -81,13 +86,13 @@ class TestPairTotalSpin:
         # frozen from the 4x4 eigendecomposition oracle: {0, 2, 2, 2}
         label = SpinLabel(1)
         k = pair_total_spin_squared(label, 1, 2, ParticleSystem(2, 2))
-        assert np.allclose(np.linalg.eigvalsh(k.entries), [0.0, 2.0, 2.0, 2.0])
+        assert np.allclose(np.linalg.eigvalsh(k), [0.0, 2.0, 2.0, 2.0])
 
     @pytest.mark.parametrize("two_s", [1, 2, 3, 4, 5])
     def test_max_eigenvalue_strictly_below_diagonal_value(self, two_s):
         label = SpinLabel(two_s)
         k = pair_total_spin_squared(label, 1, 2, ParticleSystem(2, label.dim))
-        top = np.linalg.eigvalsh(k.entries).max()
+        top = np.linalg.eigvalsh(k).max()
         assert abs(top - two_s * (two_s + 1)) < 1e-8
         # gap 4s(s+1) - 2s(2s+1) = 2s > 0, exact on the doubled integer
         assert two_s * (two_s + 2) - two_s * (two_s + 1) == two_s
@@ -106,7 +111,7 @@ class TestPairTotalSpin:
             ]
             for i in range(len(ops)):
                 for j in range(i + 1, len(ops)):
-                    assert commutator(ops[i], ops[j]).max_norm() <= 1e-10
+                    assert np.abs(commutator(ops[i], ops[j])).max() <= 1e-10
 
 
 class TestPairCertificate:
@@ -121,10 +126,8 @@ class TestPairCertificate:
         label = SpinLabel(two_s)
         system = ParticleSystem(2, label.dim)
         single, levels = pair_levels(two_s)
-        want = eigenvalue_levels(pair_total_spin_squared(label, 1, 2, system))
-        assert [m for _, m in levels] == [m for _, m in want]
-        for (lam, _), (lam_e, _) in zip(levels, want):
-            assert abs(lam - lam_e) <= 1e-8
+        want = np.linalg.eigvalsh(pair_total_spin_squared(label, 1, 2, system))
+        assert np.abs(np.repeat(*zip(*levels)) - want).max() <= 1e-8
         assert levels == [(S * (S + 1), 2 * S + 1) for S in range(two_s + 1)]
         assert single == [(two_s * (two_s + 2), label.dim)]
         assert all(type(x) is int for level in single + levels for x in level)
@@ -135,7 +138,7 @@ class TestPairCertificate:
         one, two = ParticleSystem(1, label.dim), ParticleSystem(2, label.dim)
         for (a, b), system in (((1, 1), one), ((1, 2), two)):
             got = pair_operator(label, a, b, system).block
-            want = pair_total_spin_squared(label, a, b, system).entries
+            want = pair_total_spin_squared(label, a, b, system)
             assert np.abs(got - want).max() <= 1e-12
 
     def test_band_products_are_the_squared_ladder_entries(self):
@@ -189,36 +192,35 @@ class TestPairCertificate:
 
 
 class TestCoupledBasis:
+    """The coupled basis, as the Racah oracle's columns, against the
+    certifier's pair block and its integer certificate."""
+
     def test_singlet_for_half_spin(self):
-        vecs = coupled_basis(SpinLabel(1))
-        singlet = [v for v in vecs if v.two_S == 0][0]
         expected = np.array([0, 1, -1, 0]) / SQRT2
-        assert np.allclose(singlet.vector.amplitudes, expected)
+        assert np.allclose(coupled_basis(1)[0, 0], expected)
 
     @pytest.mark.parametrize("two_s", [1, 2, 3, 4])
     def test_counting(self, two_s):
-        vecs = coupled_basis(SpinLabel(two_s))
+        vecs = coupled_basis(two_s)
         assert len(vecs) == (two_s + 1) ** 2
-        for two_S in range(0, 2 * two_s + 1, 2):
-            members = [v for v in vecs if v.two_S == two_S]
-            assert len(members) == two_S + 1
+        # 2S + 1 states per S, the multiplicities of pair_levels
+        counts = [sum(S == two_S for two_S, _ in vecs)
+                  for S in range(0, 2 * two_s + 1, 2)]
+        assert counts == [m for _, m in pair_levels(two_s)[1]]
 
     @pytest.mark.parametrize("two_s", [1, 2, 3])
     def test_simultaneous_eigenvectors(self, two_s):
         label = SpinLabel(two_s)
-        system = ParticleSystem(2, label.dim)
-        s2 = pair_total_spin_squared(label, 1, 2, system).entries
-        sz = total_sz(label, system).entries
-        for v in coupled_basis(label):
-            vec = v.vector.amplitudes
-            S = v.two_S / 2
-            assert np.linalg.norm(s2 @ vec - S * (S + 1) * vec) < 1e-9
-            assert np.linalg.norm(sz @ vec - (v.two_M / 2) * vec) < 1e-9
+        k12 = label.pair_blocks[1]
+        sz = total_sz(label, ParticleSystem(2, label.dim))
+        for (two_S, two_M), vec in coupled_basis(two_s).items():
+            S = two_S / 2
+            assert np.linalg.norm(k12 @ vec - S * (S + 1) * vec) < 1e-9
+            assert np.linalg.norm(sz @ vec - (two_M / 2) * vec) < 1e-9
 
     def test_orthonormal(self):
-        vecs = coupled_basis(SpinLabel(3))
-        mat = np.column_stack([v.vector.amplitudes for v in vecs])
-        assert np.abs(mat.conj().T @ mat - np.eye(16)).max() < 1e-10
+        _, mat = clebsch_gordan_matrix(SpinLabel(3))
+        assert np.abs(mat.T @ mat - np.eye(16)).max() < 1e-10
 
 
 class TestClebschGordan:
@@ -242,17 +244,24 @@ class TestClebschGordan:
 
     @pytest.mark.parametrize("two_s", [1, 2, 3])
     def test_matches_coupled_basis_oracle(self, two_s):
+        # Condon-Shortley phases: each top state M = S is positive at
+        # (m1, m2) = (s, S - s), and the total lowering operator takes
+        # |S, M> to sqrt(S(S+1) - M(M-1)) |S, M-1>
         label = SpinLabel(two_s)
-        d = label.dim
-        for v in coupled_basis(label):
-            for i1 in range(d):
-                for i2 in range(d):
-                    proj = v.vector.amplitudes[i1 * d + i2]
-                    got = clebsch_gordan(label, v.two_S, v.two_M,
-                                         two_s - 2 * i1, two_s - 2 * i2)
-                    assert abs(proj - got) < 1e-8
+        system = ParticleSystem(2, label.dim)
+        sx, sy, _ = spin_operators(label)
+        lowering = sum(embed_at_slot(sx - 1j * sy, j, system) for j in (1, 2))
+        vecs = coupled_basis(two_s)
+        for (two_S, two_M), vec in vecs.items():
+            S, M = two_S / 2, two_M / 2
+            if two_M == two_S:
+                assert vec[two_s - two_S // 2] > 1e-8
+            if two_M > -two_S:
+                want = np.sqrt(S * (S + 1) - M * (M - 1)) \
+                    * vecs[two_S, two_M - 2]
+                assert np.abs(lowering @ vec - want).max() < 1e-8
 
     @pytest.mark.parametrize("two_s", [1, 2, 3])
     def test_coefficient_matrix_orthogonal(self, two_s):
-        m = clebsch_gordan_matrix(SpinLabel(two_s))
+        _, m = clebsch_gordan_matrix(SpinLabel(two_s))
         assert np.abs(m @ m.T - np.eye(m.shape[0])).max() < 1e-9
