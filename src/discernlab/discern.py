@@ -12,41 +12,36 @@ relation.  Each universally quantified relation is decided two ways:
 exactly, on the defining operator (an integer spectral certificate for
 T, monomial basis check for C), and empirically, by seeded state
 sampling that produces witness states.  Reports record both routes.
-The decisions ``decide_T`` (from the eigen-residuals of many states)
-and ``decide_C`` (from the commutator image of a batch of wavefunctions)
-are the ones the public predicates ``relation_T_holds`` and
-``relation_C_holds`` run, and the S_N check reads the same image of each
-pair operator.  The route that makes a decision reduces it at once
-(``summarize``), and every pair that shares it reads that summary.
+The engine lists the N^2 pairs once and calls the sampled route once,
+route(pairs, generators) -> (summaries, invariant).  Both routes plan
+their kernel calls with one planner, ``passes``: relation T's class
+keys grouped by block, relation C's pairs grouped by a == b.  The
+decisions ``decide_T`` and ``decide_C`` are the ones the public
+predicates ``relation_T_holds`` and ``relation_C_holds`` run; the route
+that makes a decision reduces it at once (``summarize``), and every
+pair that shares it reads that summary.
 Relation T never forms an N-body operator: K_ab is one two-slot block
 placed on slots (a, b) (``pair_operator``).  One kernel
 (``block_kernel``) serves every sector: the samples are unfolded on the
 block's slots into d^k x rest matrices Phi, one matrix product gives
 K Phi for all of them, and value and residual are read off Phi and
-K Phi.  Relation T is decided once per class key, which names a pair's
-N-body operator.  Bose and fermi samples stay in sector coordinates;
-their unfolding is one matrix for every pair, so the key is the block,
-and one image and one decision per block serve all pairs.  In the full
-sector the key is the block and its slots, unordered when the block is
-swap symmetric and none when it is scalar, so the certifier's own
-family makes 1 + N(N-1)/2 decisions, and the unfoldings of many keys of
-one block are stacked, so one product serves them all.  A scalar block,
-c 1, takes no product: it is read as c psi on the samples themselves.
+K Phi, once per class key, which names a pair's N-body operator
+(``sampled_route_T``).
 Relation C applies [P_a, Q_b] to all sampled wavefunctions together, as
 one ``TermBatch`` that also carries U_pi psi of the first few, so that
 one image per pair serves both the relation and the S_N check.  Each
-image comes from a slot-local pass (``TermBatch.ccr_residuals``): one
-commutator call on the slots a and b of every term serves many pairs,
-and only the terms that break the relation are lifted back to full
-terms.  The monomial proof runs once per pair class, on that local
-operator.
+pass is one slot-local commutator call (``TermBatch.ccr_residuals``)
+for all its pairs, and only the terms that break the relation are
+lifted back to full terms.  The monomial proof runs once per pair
+class, on that local operator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +78,16 @@ from .schwartz import (
 )
 from .spin import SpinLabel, check_pair, pair_levels, pair_operator
 
-ALL_STATES = "all"
+
+class _AllStates:
+    """``relation_T_holds``'s operator-level request: a sentinel, tested
+    by identity, so that no string or array stands for it."""
+
+    def __repr__(self) -> str:
+        return "ALL_STATES"
+
+
+ALL_STATES = _AllStates()
 #: absolute tolerance, reported as tolerances.tol_abs: the default of
 #: the S_N check and of eigenproperty, and the slack of a state's weights
 TOL_ABS = 1e-10
@@ -203,8 +207,25 @@ def eigenproperty(k: SlotOperator, batch: StateBatch,
     None for a state that is no eigenstate (no eigenstate, no property).
     batch is as ``sample_states`` draws it, in any sector, and is read
     by the kernel of relation T, ``block_kernel``, unfolded on K's slots.
+    It is refused (``ShapeError``) unless K's slots, distinct, fit it: a
+    full-sector batch needs an axis per slot of K, whose sizes multiply
+    to K's dimension, d^k for k slots; a bose or fermi batch, whose
+    unfolding is one matrix for any k slots, needs one on k slots that
+    is d^k wide.  A sector batch that lacks its unfoldings is read as
+    full, one axis of D coordinates, and so is refused.
     """
     batch = checked_states(batch)
+    if batch.unfoldings:
+        fits = (len(k.slots) <= len(batch.unfoldings) and
+                batch.unfoldings[len(k.slots) - 1][0].shape[1] == len(k.block))
+    else:
+        axes = batch.factors.shape[2:]
+        fits = (all(1 <= s <= len(axes) for s in k.slots)
+                and math.prod(axes[s - 1] for s in k.slots) == len(k.block))
+    if not fits or len(set(k.slots)) != len(k.slots):
+        raise ShapeError(
+            f"a {len(k.block)}-dimensional block on slots {k.slots} does "
+            f"not fit states of shape {batch.factors.shape[2:]}")
     value, residual = block_kernel(k, batch.unfold(k.slots))
     return [complex(v) if r <= tol else None for v, r in zip(value, residual)]
 
@@ -241,10 +262,11 @@ def relation_T_holds(a: int, b: int, states, label: SpinLabel,
 
     states is a ``StateBatch`` of the system's sector, as ``sample_states``
     draws it (``checked_states``), on every state of which the relation
-    must hold, or ALL_STATES for the operator-level decision
-    (``pair_levels``, as in ``certify_T``).  A batch is decided as
-    ``certify_T``'s sampled route decides it: K_ab's block applied to the
-    batch unfolded on its slots (``block_kernel``), read by ``decide_T``.
+    must hold, or the sentinel ALL_STATES (no string stands for it) for
+    the operator-level decision (``pair_levels``, as in ``certify_T``).
+    A batch is decided as ``certify_T``'s sampled route decides it: K_ab's
+    block applied to the batch unfolded on its slots (``block_kernel``),
+    read by ``decide_T``.
     A state with no eigenproperty at all counts as failing (the converse
     possession principle), as does a present value off the target.
     """
@@ -368,123 +390,72 @@ def is_swap_symmetric(block: np.ndarray) -> bool:
                for i in range(d))
 
 
+def passes(keys: Iterable, group: Callable, per_pass: int) -> list[list]:
+    """keys, distinct, in their order as passes: a pass holds up to
+    per_pass keys of one group(key), and a new pass starts at the first
+    key that its group's last pass has no room for.
+
+    Each route reads a pass as soon as it has run it, before the next
+    one runs.  Measured with ``getrusage`` on N = 3 c-exact cells (2
+    cores, numpy 2.4): running every relation C pass before the first
+    read takes 44 to 50 minor page faults on a fresh process's first
+    cell and 3 to 8 per cell in repeated passes, against 3 and 0.
+    """
+    planned, last = [], {}  # group -> its last pass
+    for key in keys:
+        chunk = last.get(group(key))
+        if chunk is None or len(chunk) == per_pass:
+            chunk = last[group(key)] = []
+            planned.append(chunk)
+        chunk.append(key)
+    return planned
+
+
 def sampled_route_T(family: Callable[[int, int], SlotOperator],
                     batches: list[StateBatch], target: float, tol: float,
                     name: Callable[[int], str]):
-    """Relation T's decide_pair for ``certify_relation``.
+    """Relation T's sampled route for ``certify_relation``.
 
-    Every pair gets a class key that names its N-body operator K_ab =
-    family(a, b), and relation T is decided once per key: K_ab is applied
-    to the batch pieces unfolded on its slots (``block_kernel``) and read
-    by one ``decide_T``, summarized at once (``summarize``, with name(i)
-    the name of sample i).  Every pair of the key reads that summary,
-    kept for the run.  A block that is exactly c 1 (``is_scalar``, tested
-    once per block object) is read on each piece itself instead: its
-    image is c psi, and an unfolding keeps inner products, so no
-    unfolding and no product.  The key is the block object and the slots
-    that decide the operator:
+    route(pairs, generators) gives every pair a class key that names its
+    N-body operator K_ab = family(a, b), and decides relation T once per
+    key: K_ab applied to the batch pieces unfolded on its slots
+    (``block_kernel``), read by one ``decide_T`` and summarized at once
+    (``summarize``, name(i) the name of sample i) for every pair of the
+    key.  A block that is exactly c 1 (``is_scalar``, tested once per
+    block object) is read on each piece itself: its image is c psi, and
+    an unfolding keeps inner products.  The key is the block object and
+    the slots that decide the operator:
 
     * bose and fermi unfold every pair to one matrix Phi, up to a fermi
       sign that value, residual and the S_N check do not see, so the key
-      is the block alone, taken from each pair's own K_ab.
+      is the block alone.
     * in the full sector the key is the block and its slots, sorted when
       the block equals its slot swap P B P exactly (K_ba is then K_ab),
-      and dropped when the block is exactly c 1 (the same operator on
-      any slots), both tested in place (``is_swap_symmetric``,
-      ``is_scalar``).  The certifier's own family has one key for the
-      N pairs (a, a), whose block 4 S^2 is scalar, and one per unordered
-      pair {a, b}, as K_12 is swap symmetric: 1 + N(N-1)/2 decisions,
-      not N^2.  The keys are planned on the first call, over all pairs
-      in certify_relation's order.  A pass stacks the unfoldings of up to
-      max(1, BATCH_ENTRIES // amplitudes of the largest piece) keys of
-      one block (``StateBatch.unfold``), each on the slots of its first
-      pair, and takes one product and one ``eigen_residuals`` per piece,
-      whose Gram matrix and trace are the piece's, repeated per key.
+      and dropped when it is c 1, both tested in place
+      (``is_swap_symmetric``, ``is_scalar``).  The certifier's own
+      family has one key for the N pairs (a, a), as 4 S^2 is scalar, and
+      one per unordered pair, as K_12 is swap symmetric: 1 + N(N-1)/2
+      decisions, not N^2.
 
-    One S_N rule serves every sector, decided once per pair and
-    generator.  U_pi transposes slot axes, so U_pi K U_pi^dagger is K's
-    block on the slots pi(s), s in K's slots: when K_{pi(a) pi(b)} is
-    that block object on those slots, the check holds with no product,
-    which leaves the certifier's own family no product for it.  Any other
-    block is applied on every piece: the full sector compares states
-    (``permutation_invariance_check``) against K_ab's image, formed again;
-    bose and fermi, where U_pi psi = +-psi, compare K_{pi(a) pi(b)} Phi
-    with K_ab Phi on (pi(a), pi(b)) in K_ab's slot order, with
-    (P K_ab P) Phi on them reversed (P the slot swap), and fail on any
-    other slots.  The class decision does not depend on the generators
-    passed.
+    ``passes`` plans the keys, grouped by block, up to max(1,
+    BATCH_ENTRIES // amplitudes of the largest piece) per pass.  A pass
+    stacks the unfoldings of its keys, each on the slots of its first
+    pair (``StateBatch.unfold``), and takes one product and one
+    ``eigen_residuals`` per piece.
+
+    One S_N rule serves every sector, decided per pair and generator
+    until one fails.  U_pi transposes slot axes, so U_pi K U_pi^dagger
+    is K's block on the slots pi(s), s in K's slots: when
+    K_{pi(a) pi(b)} is that block object on those slots, the check holds
+    with no product.  Any other block is applied on every piece: the
+    full sector compares states (``permutation_invariance_check``)
+    against K_ab's image, formed again; bose and fermi, where U_pi psi =
+    +-psi, compare K_{pi(a) pi(b)} Phi with K_ab Phi on (pi(a), pi(b)) in
+    K_ab's slot order, with (P K_ab P) Phi on them reversed (P the slot
+    swap), and fail on any other slots.
     """
     full = not batches[0].unfoldings
     per_pass = max(1, BATCH_ENTRIES // max(p.vectors.size for p in batches))
-    # id(block) -> (block, kept so that its id is not reused, whether it
-    # is c 1, whether it is swap symmetric: full sector only)
-    kinds: dict[int, tuple] = {}
-    keys: dict[tuple[int, int], tuple] = {}  # full: (a, b) -> its key
-    # key -> (K_ab of its first pair, which keeps the block and so its id,
-    # the keys passed with it)
-    classes: dict[tuple, tuple] = {}
-    decided: dict[tuple, tuple] = {}  # key -> summary of its Decision
-
-    def kind(k: SlotOperator) -> tuple[bool, bool]:
-        """Whether k's block is c 1, and whether it is swap symmetric."""
-        entry = kinds.get(id(k.block))
-        if entry is None:
-            scalar = is_scalar(k.block)
-            symmetric = (full and not scalar and len(k.slots) == 2
-                         and is_swap_symmetric(k.block))
-            entry = kinds[id(k.block)] = k.block, scalar, symmetric
-        return entry[1:]
-
-    def decide(k: SlotOperator, *slots: tuple[int, ...]) -> list[tuple]:
-        """The summary of decide_T of k's block on every piece unfolded
-        on each slots, or, for a c 1 block (one key), as c psi on the
-        piece itself."""
-        scalar, _ = kind(k)
-        values, residuals = [], []
-        for piece in batches:
-            if scalar:
-                value, residual = eigen_residuals(k.block[0, 0] * piece.flat,
-                                                  piece)
-            else:
-                value, residual = block_kernel(k, piece.unfold(*slots))
-            values.append(value.reshape(len(slots), -1))
-            residuals.append(residual.reshape(len(slots), -1))
-        return [summarize(decide_T(value, residual, target, tol), name)
-                for value, residual in zip(np.concatenate(values, axis=1),
-                                           np.concatenate(residuals, axis=1))]
-
-    def plan():
-        """The key of every pair, and per key its pass, in certify_relation's
-        order: a block's keys are passed per_pass at a time."""
-        n = batches[0].vectors.ndim - 1
-        filling = {}  # id(block) -> the pass its next new key joins
-        for pair in ((a, b) for a in range(1, n + 1)
-                     for b in range(1, n + 1)):
-            k = family(*pair)
-            scalar, symmetric = kind(k)
-            slots = (() if scalar else tuple(sorted(k.slots)) if symmetric
-                     else k.slots)
-            key = keys[pair] = id(k.block), slots
-            if key not in classes:
-                chunk = filling.get(id(k.block))
-                if chunk is None or len(chunk) == per_pass:
-                    chunk = filling[id(k.block)] = []
-                chunk.append(key)
-                classes[key] = k, chunk
-
-    def decision(a: int, b: int, k: SlotOperator) -> tuple:
-        if full:
-            if not keys:
-                plan()
-            key = keys[a, b]
-        else:
-            key = id(k.block), ()
-            classes.setdefault(key, (k, [key]))
-        if key not in decided:  # pass the key with the rest of its chunk
-            first, chunk = classes[key]
-            decided.update(zip(chunk, decide(
-                first, *(classes[other][0].slots for other in chunk))))
-        return decided[key]
 
     def commutes(piece: StateBatch, k: SlotOperator, image: np.ndarray,
                  pi: Permutation, moved: SlotOperator) -> bool:
@@ -502,23 +473,57 @@ def sampled_route_T(family: Callable[[int, int], SlotOperator],
         diff = moved.image(piece.unfold(moved.slots).vectors) - image
         return float(np.abs(diff).max(initial=0.0)) <= tol
 
-    def decide_pair(a: int, b: int, generators: list[Permutation]):
-        k = family(a, b)
-        failing = []  # (pi, K_{pi(a) pi(b)}) that the rule does not settle
-        for pi in generators:
-            moved = family(pi(a), pi(b))
-            if moved.block is not k.block \
-                    or moved.slots != tuple(pi(s) for s in k.slots):
-                failing.append((pi, moved))
-        invariant = True
-        for piece in batches if failing else ():
-            image = k.image(piece.unfold(k.slots).vectors)
-            if not all(commutes(piece, k, image, pi, moved)
-                       for pi, moved in failing):
-                invariant = False
-                break
-        return decision(a, b, k), invariant
-    return decide_pair
+    def route(pairs: list[tuple[int, int]], generators: list[Permutation]):
+        kinds = {}  # id(block) -> (whether it is c 1, swap symmetric)
+        # key -> K of its first pair, which keeps the block and so its id
+        first = {}
+        firsts = []  # per pair, K of its key's first pair: a shared reference
+        for a, b in pairs:
+            k = family(a, b)
+            if id(k.block) not in kinds:
+                scalar = is_scalar(k.block)
+                kinds[id(k.block)] = scalar, (
+                    full and not scalar and len(k.slots) == 2
+                    and is_swap_symmetric(k.block))
+            scalar, symmetric = kinds[id(k.block)]
+            slots = (() if scalar or not full else tuple(sorted(k.slots))
+                     if symmetric else k.slots)
+            firsts.append(first.setdefault((id(k.block), slots), k))
+        decided = {}  # id(K of a key's first pair) -> summary of its Decision
+        for chunk in passes(first, lambda key: key[0], per_pass):
+            k, (scalar, _) = first[chunk[0]], kinds[chunk[0][0]]
+            slots = [first[key].slots for key in chunk]
+            values, residuals = [], []
+            for piece in batches:
+                if scalar:  # one key, read as c psi on the piece itself
+                    value, residual = eigen_residuals(
+                        k.block[0, 0] * piece.flat, piece)
+                else:
+                    value, residual = block_kernel(k, piece.unfold(*slots))
+                values.append(value.reshape(len(slots), -1))
+                residuals.append(residual.reshape(len(slots), -1))
+            decided.update(zip((id(first[key]) for key in chunk), (
+                summarize(decide_T(value, residual, target, tol), name)
+                for value, residual in zip(np.concatenate(values, axis=1),
+                                           np.concatenate(residuals, axis=1)))))
+
+        def invariant(a: int, b: int) -> bool:
+            k = family(a, b)
+            failing = []  # (pi, K_{pi(a) pi(b)}) that the rule does not settle
+            for pi in generators:
+                moved = family(pi(a), pi(b))
+                if moved.block is not k.block \
+                        or moved.slots != tuple(map(pi, k.slots)):
+                    failing.append((pi, moved))
+            for piece in batches if failing else ():
+                image = k.image(piece.unfold(k.slots).vectors)
+                if not all(commutes(piece, k, image, pi, moved)
+                           for pi, moved in failing):
+                    return False
+            return True
+        return ([decided[id(k)] for k in firsts],
+                all(invariant(a, b) for a, b in pairs))
+    return route
 
 
 @dataclass
@@ -552,8 +557,8 @@ class DiscernibilityReport:
 def certify_relation(
         report: DiscernibilityReport,
         operator_route: Callable[[int, int], bool],
-        decide_pair: Callable[[int, int, list[Permutation]],
-                              tuple[tuple, bool]]) -> DiscernibilityReport:
+        route: Callable[[list[tuple[int, int]], list[Permutation]],
+                        tuple[list[tuple], bool]]) -> DiscernibilityReport:
     """Check one relation for the weak-discernibility pattern; fill report.
 
     The relation is given by two callables:
@@ -561,16 +566,16 @@ def certify_relation(
     * operator_route(a, b): for a == b, whether the operator route proves
       the relation on every state; for a != b, whether it proves that
       the relation fails on every state;
-    * decide_pair(a, b, generators): the relation for the pair on every
+    * route(pairs, generators), the sampled route, called once with all
+      N^2 pairs (a, b) in row order: per pair, the relation on every
       sample, as the ``summarize`` of its ``Decision``, and whether
-      K_{pi(a) pi(b)} U_pi psi = U_pi (K_ab psi) holds for every pi in
-      generators on the samples it checks.  Both relations decide many
-      pairs per kernel call, in this order, and may hand several pairs
-      one summary: T one per class key, C one per pair class for the
-      pairs whose image is the class's.  T's check takes no product
-      when K_{pi(a) pi(b)} is K_ab's block moved by pi, and C's reads
-      the images it already has.  A check that reads two pairs' images
-      may be reported by either pair; the verdict reads every pair's.
+      K_{pi(a) pi(b)} U_pi psi = U_pi (K_ab psi) holds for every pair and
+      every pi in generators on the samples it checks.  Both routes plan
+      their kernel calls over all pairs at once (``passes``) and may hand
+      several pairs one summary: T one per class key, C one per pair
+      class for the pairs whose image is the class's.  T's check takes
+      no product when K_{pi(a) pi(b)} is K_ab's block moved by pi, and
+      C's reads the images it already has.
 
     A diagonal pair is reflexive when both routes say the relation
     holds; an off-diagonal pair fails when the operator route proves it
@@ -590,23 +595,23 @@ def certify_relation(
     once they span the sector), C on a few wavefunctions.
     """
     n = report.n_particles
-    generators = Permutation.generators(n)
-    invariant = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            proved = operator_route(a, b)
-            (every, some, witness), pair_invariant = decide_pair(
-                a, b, generators)
-            invariant.append(pair_invariant)
-            pair = {"a": a, "b": b, "reflexive": None,
-                    "off_diagonal_fails": None, "witness": None}
-            if a == b:
-                pair["reflexive"] = bool(proved and every)
-            else:
-                pair["off_diagonal_fails"] = bool(proved and not some)
-                pair["witness"] = witness
-            report.pairs.append(pair)
-    report.permutation_invariant = all(invariant)
+    slots = range(1, n + 1)
+    # the list of pairs is dropped once the route returns, before the
+    # report's entries are built: at N = 400 it holds about 11 MB
+    summaries, invariant = route([(a, b) for a in slots for b in slots],
+                                 Permutation.generators(n))
+    for (a, b), (every, some, witness) in zip(
+            itertools.product(slots, repeat=2), summaries):
+        proved = operator_route(a, b)
+        pair = {"a": a, "b": b, "reflexive": None,
+                "off_diagonal_fails": None, "witness": None}
+        if a == b:
+            pair["reflexive"] = bool(proved and every)
+        else:
+            pair["off_diagonal_fails"] = bool(proved and not some)
+            pair["witness"] = witness
+        report.pairs.append(pair)
+    report.permutation_invariant = bool(invariant)
     report.compute_verdict()
     return report
 
@@ -712,16 +717,17 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
     block of h owners per generator pi.  image(a, b) = [P_a, Q_b] on the
     whole batch is read once per pair: the drawn owners decide the
     relation, and the S_N check compares U_pi applied to the first h
-    owners of image(a, b) with the pi block of image(pi(a), pi(b)).
+    owners of image(a, b) with the pi block of image(pi(a), pi(b)), once
+    every pair's sides are read.
 
-    The images come from slot-local passes (``TermBatch.ccr_residuals``),
-    each on as many pairs of one class, diagonal or off-diagonal, as fit
-    BATCH_TERMS source terms: one commutator call per pass.  image(a, b)
-    is -i psi (a == b) or zero (a != b), plus the pair's lifted residual,
-    exactly.  A pair with no residual has its class's image, so its
-    decision and S_N sides are read once per class, and two such pairs'
-    sides compare by identity.  The monomial proof runs once per class,
-    on the local operator of the passes: 2 proofs per cell, not N^2.
+    ``passes`` plans the pairs, grouped by a == b, as many per pass as
+    fit BATCH_TERMS source terms, and each pass is one slot-local
+    commutator call (``TermBatch.ccr_residuals``) whose pairs are read
+    right after it.  image(a, b) is -i psi (a == b) or zero (a != b),
+    plus the pair's lifted residual, exactly.  A pair with no residual
+    has its class's image, so its decision and S_N sides are read once
+    per class, and two such pairs' sides compare by identity.  The
+    monomial proof runs once per class: 2 proofs per cell, not N^2.
 
     The product state at 2s = 0 is a nonzero wavefunction checked on
     every pair like a drawn one, so it alone is a sample to decide on:
@@ -761,16 +767,8 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
                              for pi in Permutation.generators(n_particles)])
     # -i psi once per batch, not once per pair
     target = batch.mul_minus_i()
-    # pairs not yet passed, per class (a == b), in certify_relation's order
-    slots = range(1, n_particles + 1)
-    todo = {diagonal: [(a, b) for a in slots for b in slots
-                       if (a == b) == diagonal] for diagonal in (True, False)}
     per_pass = max(1, BATCH_TERMS // batch.rows.shape[1])
-    residuals: dict[tuple[int, int], TermBatch] = {}  # passed, not decided
-    # U_pi [P_a, Q_b] psi = [P_c, Q_d] U_pi psi with (c, d) = (pi(a), pi(b))
-    # reads the images of two pairs; per (generator, c, d), the side that
-    # came first waits here, an h-owner slice and never a whole image
-    waiting: dict[tuple[int, int, int], TermBatch] = {}
+
     # with no residual, image(a, b) is its class's image: -i psi on the
     # diagonal, no term off it.  Its summary and sides are read once per
     # class, the two sides of a generator kept as one object where they
@@ -780,48 +778,44 @@ def certify_C(n_particles: int, two_s: int = 0, n_samples: int = 200,
     def read(residual, diagonal, generators):
         """The summary of decide_C on image(a, b), and per generator pi
         its S_N sides: U_pi of its first h owners, and its pi block."""
+        plain = residual.is_zero()
+        if plain and diagonal in shared:
+            return shared[diagonal]
         if diagonal:  # image - target is the residual
-            image = target if residual.is_zero() else target.plus(residual)
+            image = target if plain else target.plus(residual)
         else:
             image, residual = residual, None
         head = image.head(h)
         holds, branch = decide_C(image, target, residual)
-        return summarize((holds[:owners], branch),
-                         lambda i: f"wavefunction[{i}]"), [
-            (head.permute_slots(pi.mapping),
-             image.owners(owners + j * h, owners + (j + 1) * h))
-            for j, pi in enumerate(generators)]
+        summary = summarize((holds[:owners], branch),
+                            lambda i: f"wavefunction[{i}]")
+        sides = [(head.permute_slots(pi.mapping),
+                  image.owners(owners + j * h, owners + (j + 1) * h))
+                 for j, pi in enumerate(generators)]
+        if plain:
+            sides = [(turned, turned if turned.minus(moved).is_zero()
+                      else moved) for turned, moved in sides]
+            shared[diagonal] = summary, sides
+        return summary, sides
 
-    def decide_pair(a: int, b: int, generators: list[Permutation]):
-        diagonal = a == b
-        while (a, b) not in residuals:
-            pending = todo[diagonal]
-            chunk, pending[:per_pass] = pending[:per_pass], []
-            residuals.update(zip(chunk, batch.ccr_residuals(chunk)))
-        residual = residuals.pop((a, b))
-        plain = residual.is_zero()  # image(a, b) is its class's image
-        if plain and diagonal in shared:
-            summary, sides = shared[diagonal]
-        else:
-            summary, sides = read(residual, diagonal, generators)
-            if plain:
-                sides = [(turned, turned if turned.minus(moved).is_zero()
-                          else moved) for turned, moved in sides]
-                shared[diagonal] = summary, sides
-        invariant = True
-        for j, (pi, (turned, moved)) in enumerate(zip(generators, sides)):
-            for key, side in (((j, pi(a), pi(b)), turned), ((j, a, b), moved)):
-                other = waiting.pop(key, None)
-                if other is None:
-                    waiting[key] = side
-                else:
-                    invariant = invariant and (
-                        other is side or other.minus(side).is_zero())
-        return summary, invariant
+    def route(pairs: list[tuple[int, int]], generators: list[Permutation]):
+        summaries, sides = {}, {}  # per pair
+        for chunk in passes(pairs, lambda pair: pair[0] == pair[1],
+                            per_pass):
+            for pair, residual in zip(chunk, batch.ccr_residuals(chunk)):
+                summaries[pair], sides[pair] = read(
+                    residual, pair[0] == pair[1], generators)
+        # U_pi [P_a, Q_b] psi = [P_c, Q_d] U_pi psi, (c, d) = (pi(a), pi(b)):
+        # U_pi of image(a, b)'s first h owners against image(c, d)'s pi block
+        invariant = all(
+            turned is moved or turned.minus(moved).is_zero()
+            for j, pi in enumerate(generators) for a, b in pairs
+            for turned, moved in [(sides[a, b][j][0],
+                                   sides[pi(a), pi(b)][j][1])])
+        return [summaries[pair] for pair in pairs], invariant
 
     # the identity on the 1- and the 2-slot view: [P_a, Q_a] = -i and
     # [P_a, Q_b] = 0 != -i, for every pair of the class
     proved = {True: ccr_identity_on_monomials(1, max_degree, 1, 1),
               False: ccr_identity_on_monomials(2, max_degree, 1, 2)}
-    return certify_relation(report, lambda a, b: proved[a == b],
-                            decide_pair)
+    return certify_relation(report, lambda a, b: proved[a == b], route)

@@ -23,6 +23,7 @@ from discernlab.discern import (
     eigenproperty,
     is_scalar,
     is_swap_symmetric,
+    passes,
     permutation_invariance_check,
     relation_C_holds,
     relation_T_holds,
@@ -575,9 +576,9 @@ class TestCertify:
                 two_s=1, sector="full", samples={}, seed=0, tolerances={})
             return certify_relation(
                 report, lambda a, b: table[a, b][0],
-                lambda a, b, generators: (summarize(
+                lambda pairs, generators: ([summarize(
                     (holds_of(a, b), lambda i: f"b{a}{b}{i}"),
-                    lambda i: f"s[{i}]"), True)).pairs
+                    lambda i: f"s[{i}]") for a, b in pairs], True)).pairs
 
         want = [{"a": a, "b": b,
                  "reflexive": bool(proved and all(holds)) if a == b
@@ -662,12 +663,11 @@ class TestNegativeControls:
         assert not invariant_on_all_of_s_n(family, self.system, self.tol)
 
     def generator_verdicts(self, family):
-        decide_pair = sampled_route_T(
+        route = sampled_route_T(
             family, [sample_states(self.system, 5, 0)],
             float(4 * self.label.casimir_value()), self.tol, str)
-        return [all(decide_pair(a, b, [g])[1]
-                    for a in range(1, 4) for b in range(1, 4))
-                for g in Permutation.generators(3)]
+        pairs = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+        return [route(pairs, [g])[1] for g in Permutation.generators(3)]
 
     def test_monadic_relation_holds_off_diagonal(self):
         # S_a^2 + S_b^2 = 2 s(s+1) hbar^2 for every pair, a == b or not
@@ -733,9 +733,9 @@ class TestNegativeControls:
                    if p["a"] != p["b"])
         assert report.permutation_invariant
         assert report.verdict == "violated"
-        every, some, witness = sampled_route_T(
+        [(every, some, witness)], _ = sampled_route_T(
             family, [sample_states(self.system, 5, 0)], target,
-            self.tol, lambda i: f"pure[{i}]")(2, 2, [])[0]
+            self.tol, lambda i: f"pure[{i}]")([(2, 2)], [])
         assert not every and not some
         assert witness == f"pure[0]:value={target + 1:.6g}"
 
@@ -1037,6 +1037,85 @@ class TestOneImagePerPair:
                                         + [(2, k) for k in off])
         assert len(calls) == len(passes) + 2
 
+    # the c-exact cell of 3 particles (about 2000 terms, one pair per
+    # pass), the n-scale C cell (all pairs of a class in one pass), and
+    # that cell at 5 pairs per pass, whose off-diagonal passes interleave
+    # with the diagonal one
+    @pytest.mark.parametrize("n,samples,degree,pairs_per_pass,sizes", [
+        (3, 200, 8, None, [1] * 9), (4, 10, 4, None, [4, 12]),
+        (4, 10, 4, 5, [4, 5, 5, 2])])
+    def test_C_reads_each_pass_before_the_next(
+            self, monkeypatch, n, samples, degree, pairs_per_pass, sizes):
+        import discernlab.discern as discern
+        # ("pass", its pairs, ids of its residuals) or ("read", an id)
+        events, held, terms = [], [], []
+        ccr_residuals, is_zero = TermBatch.ccr_residuals, TermBatch.is_zero
+
+        def recorded(self, pairs):
+            residuals = ccr_residuals(self, pairs)
+            if self.two_s:  # the monomial proofs are spin 0
+                terms.append(self.rows.shape[1])
+                held.extend(residuals)  # so that no id is reused
+                events.append(("pass", list(pairs),
+                               {id(r) for r in residuals}))
+            return residuals
+
+        def read(self):
+            events.append(("read", id(self), None))
+            return is_zero(self)
+
+        monkeypatch.setattr(TermBatch, "ccr_residuals", recorded)
+        monkeypatch.setattr(TermBatch, "is_zero", read)
+        if pairs_per_pass:
+            batch = draw_wavefunctions(n, degree, 1, samples, 3)
+            size = batch.rows.shape[1] + 2 * batch.head(3).rows.shape[1]
+            monkeypatch.setattr(discern, "BATCH_TERMS",
+                                pairs_per_pass * size)
+        report = certify_C(n, 1, samples, degree, 3)
+        assert report.verdict == "weakly_discerning"
+        per_pass = max(1, discern.BATCH_TERMS // terms[0])
+        chunks = [pairs for kind, pairs, _ in events if kind == "pass"]
+        slots = range(1, n + 1)
+        for diagonal in (True, False):
+            mine = [c for c in chunks if (c[0][0] == c[0][1]) == diagonal]
+            # pair order within the class, per_pass pairs a pass
+            assert [pair for c in mine for pair in c] == [
+                (a, b) for a in slots for b in slots if (a == b) == diagonal]
+            assert all(len(c) == per_pass for c in mine[:-1])
+            assert 1 <= len(mine[-1]) <= per_pass
+        # passes in the order of their first pairs
+        assert [c[0] for c in chunks] == sorted(c[0] for c in chunks)
+        # every residual of a pass is read before the next pass runs, and
+        # none of an earlier pass after it
+        ran, unread = set(), set()
+        for kind, what, residuals in events:
+            if kind == "pass":
+                assert not unread
+                ran |= residuals
+                unread, current = set(residuals), residuals
+            elif what in ran:
+                assert what in current
+                unread.discard(what)
+        assert not unread
+        assert [len(c) for c in chunks] == sizes
+
+
+class TestPasses:
+    """The one pass planner of both routes."""
+
+    def test_groups_fill_in_key_order(self):
+        keys = ["a1", "b1", "a2", "a3", "b2", "a4", "b3"]
+        assert passes(keys, lambda key: key[0], 2) == [
+            ["a1", "a2"], ["b1", "b2"], ["a3", "a4"], ["b3"]]
+
+    def test_one_key_per_pass_keeps_key_order(self):
+        keys = [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert passes(keys, lambda pair: pair[0] == pair[1], 1) == [
+            [(1, 1)], [(1, 2)], [(2, 1)], [(2, 2)]]
+
+    def test_no_keys_no_passes(self):
+        assert passes([], len, 4) == []
+
 
 class TestClassPass:
     """Relation T decided per class key, many keys of a block per pass."""
@@ -1069,7 +1148,7 @@ class TestClassPass:
         monkeypatch.setattr(discern, "summarize",
                             lambda decision, name: decision)
         family = lambda a, b: pair_operator(label, a, b, system)  # noqa: E731
-        decide_pair = sampled_route_T(family, batches, 0.0, 1e-8, str)
+        route = sampled_route_T(family, batches, 0.0, 1e-8, str)
 
         def kernel(k, unfolded=False):
             """value and residual of k on every piece, one at a time: of
@@ -1081,25 +1160,23 @@ class TestClassPass:
             return (np.concatenate([v for v, _ in want]),
                     np.concatenate([r for _, r in want]))
 
-        slots = range(1, n + 1)
-        for a in slots:
-            for b in slots:
-                (value, residual), invariant = decide_pair(
-                    a, b, Permutation.generators(n))
-                assert invariant
-                # the full sector reads its key's first pair: (1, 1) for
-                # the scalar 4 S^2, (min, max) for the swap-symmetric
-                # K_12.  A bose or fermi pair's unfolding is every pair's.
-                # 4 S^2 is read as c psi on the samples in every sector
-                first = family(*((1, 1) if a == b else sorted((a, b)))) \
-                    if sector == "full" else family(a, b)
-                want_value, want_residual = kernel(first)
-                assert np.array_equal(value, want_value)
-                assert np.array_equal(residual, want_residual)
-                own_value, own_residual = kernel(family(a, b), True)
-                scale = 1e-12 * np.maximum(1.0, np.abs(own_value))
-                assert np.all(np.abs(value - own_value) <= scale)
-                assert np.all(np.abs(residual - own_residual) <= scale)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+        decided, invariant = route(pairs, Permutation.generators(n))
+        assert invariant
+        for (a, b), (value, residual) in zip(pairs, decided, strict=True):
+            # the full sector reads its key's first pair: (1, 1) for the
+            # scalar 4 S^2, (min, max) for the swap-symmetric K_12.  A
+            # bose or fermi pair's unfolding is every pair's.  4 S^2 is
+            # read as c psi on the samples in every sector
+            first = family(*((1, 1) if a == b else sorted((a, b)))) \
+                if sector == "full" else family(a, b)
+            want_value, want_residual = kernel(first)
+            assert np.array_equal(value, want_value)
+            assert np.array_equal(residual, want_residual)
+            own_value, own_residual = kernel(family(a, b), True)
+            scale = 1e-12 * np.maximum(1.0, np.abs(own_value))
+            assert np.all(np.abs(value - own_value) <= scale)
+            assert np.all(np.abs(residual - own_residual) <= scale)
 
     @pytest.mark.parametrize("n,two_s,sector", [
         (2, 1, "full"), (3, 1, "full"), (4, 2, "full"), (6, 1, "full"),
@@ -1120,10 +1197,10 @@ class TestClassPass:
 
     # 5 pure states of 3 spin-1/2 particles: 40 amplitudes, one piece
     # (all keys of a block in one pass: TestOneImagePerPair).  A block's
-    # next chunk of keys is passed when the first of its pairs is asked
-    # for, in certify_relation's order: (1, 2) passes the keys {1, 2}
-    # and {1, 3}, which (2, 1) and (3, 1) read, and (2, 3) the key
-    # {2, 3}.  The one key of the diagonal pairs, passed at (1, 1), is
+    # keys are passed in the order of their first pairs, in
+    # certify_relation's order: the first pass holds the keys {1, 2}
+    # and {1, 3}, which (2, 1) and (3, 1) read too, and the next the key
+    # {2, 3}.  The one key of the diagonal pairs, first at (1, 1), is
     # scalar and takes no product
     @pytest.mark.parametrize("entries, passes", [
         (40, [(2, 1)] * 3),
@@ -1191,13 +1268,12 @@ class TestClassKey:
         """The summary each pair of 3 particles reads, on 5 pure states
         in one piece, and the block products made."""
         calls = TestOneImagePerPair.count_block_products(monkeypatch)
-        decide_pair = sampled_route_T(
+        route = sampled_route_T(
             family, [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8,
             str)
-        generators = Permutation.generators(3)
-        slots = range(1, 4)
-        return {(a, b): decide_pair(a, b, generators)[0]
-                for a in slots for b in slots}, calls
+        pairs = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+        decided, _ = route(pairs, Permutation.generators(3))
+        return dict(zip(pairs, decided, strict=True)), calls
 
     @staticmethod
     def family(single, k12):
@@ -1254,14 +1330,13 @@ class TestClassKey:
             return unfold(self, *slots)
 
         monkeypatch.setattr(StateBatch, "unfold", counted)
-        decide_pair = sampled_route_T(
+        route = sampled_route_T(
             lambda a, b: pair_operator(label, a, b, system),
             [sample_states(system, 5, 0)], 3.0, 1e-8, str)
         generators = Permutation.generators(3)
-        for a in range(1, 4):
-            decide_pair(a, a, generators)
+        route([(a, a) for a in range(1, 4)], generators)
         assert calls == []
-        decide_pair(1, 2, generators)  # K_12 is unfolded and applied
+        route([(1, 2)], generators)  # K_12 is unfolded and applied
         assert [len(call) for call in calls] == [2, 2]
 
     @pytest.mark.parametrize("sector,two_s", [("bose", 1), ("fermi", 3)])
@@ -1275,24 +1350,26 @@ class TestClassKey:
         nudged = single.copy()
         nudged[1, 1] = np.nextafter(nudged[1, 1].real, np.inf)
         calls = TestOneImagePerPair.count_block_products(monkeypatch)
-        decide_pair = sampled_route_T(
+        route = sampled_route_T(
             self.family(nudged, k12), [sample_states(system, 5, 0)],
             float(4 * label.casimir_value()), 1e-8, str)
-        generators = Permutation.generators(3)
-        decided = [decide_pair(a, a, generators)[0] for a in range(1, 4)]
+        decided, _ = route([(a, a) for a in range(1, 4)],
+                           Permutation.generators(3))
         assert all(d is decided[0] for d in decided)
         rest = sector_dimension(system, n_particles=2)
         assert calls == [((1,), (5, rest, label.dim))]
         assert decided[0] == (True, True, None)
 
     def test_decision_is_freed_once_summarized(self, monkeypatch):
-        # each Decision, and the pass's value and residual it reads, is
-        # gone by the time the route returns; only summaries are kept
+        # each Decision, with the value and residual it reads, is gone
+        # before the next one is made, and the pass's arrays they view by
+        # the time the route returns; only summaries are kept
         import discernlab.discern as discern
         made = []  # per Decision, weak references to what it holds
         decide_T = discern.decide_T
 
         def recorded(value, residual, target, tol):
+            assert all(ref() is None for refs in made for ref in refs[:4])
             decision = decide_T(value, residual, target, tol)
             made.append([weakref.ref(x) for x in (
                 *decision, value, residual, value.base, residual.base)])
@@ -1300,23 +1377,22 @@ class TestClassKey:
 
         monkeypatch.setattr(discern, "decide_T", recorded)
         single, k12 = SpinLabel(1).pair_blocks
-        decide_pair = sampled_route_T(
+        route = sampled_route_T(
             self.family(single, k12),
             [sample_states(ParticleSystem(3, 2), 5, 0)], 3.0, 1e-8, str)
-        generators = Permutation.generators(3)
-        for a in range(1, 4):
-            for b in range(1, 4):
-                summary = decide_pair(a, b, generators)[0]
-                assert summary[0] == (a == b)
-                assert all(ref() is None for refs in made for ref in refs)
+        pairs = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+        summaries, _ = route(pairs, Permutation.generators(3))
+        assert [summary[0] for summary in summaries] == [
+            a == b for a, b in pairs]
+        assert all(ref() is None for refs in made for ref in refs)
         assert len(made) == 1 + 3
 
     @staticmethod
-    def report(decide_pair):
+    def report(route):
         report = DiscernibilityReport(
             relation="T", mode="mixed_sampling", n_particles=3, two_s=1,
             sector="full", samples={}, seed=0, tolerances={})
-        return certify_relation(report, lambda a, b: True, decide_pair)
+        return certify_relation(report, lambda a, b: True, route)
 
     def test_witnesses_equal_a_run_that_keeps_every_decision(
             self, monkeypatch):
@@ -1343,12 +1419,13 @@ class TestClassKey:
     def test_a_reused_id_never_reads_another_decision(self):
         # every pair gets a fresh Decision, dropped once summarized, so
         # later ones may reuse its ids: each witness must be its own
-        def decide_pair(a, b, generators):
+        def decide(a, b):
             holds = np.array([a == b, a == b, (a, b) == (1, 2)])
             return summarize((holds, lambda i: f"{a}{b}"),
-                             lambda i: f"pure[{i}]"), True
+                             lambda i: f"pure[{i}]")
 
-        report = self.report(decide_pair)
+        report = self.report(lambda pairs, generators: (
+            [decide(a, b) for a, b in pairs], True))
         assert [p["witness"] for p in report.pairs if p["a"] != p["b"]] == [
             f"pure[0]:{a}{b}" for a in range(1, 4) for b in range(1, 4)
             if a != b]
@@ -1534,10 +1611,10 @@ class TestInvarianceIsNotVacuous:
             return SlotOperator(k.block, (1, 3)) if (a, b) == (1, 2) else k
 
         batch = sample_states(system, 3, 0)
-        decide_pair = sampled_route_T(family, [batch], 2.0, 1e-8, str)
+        route = sampled_route_T(family, [batch], 2.0, 1e-8, str)
         swap, _ = Permutation.generators(3)
         assert family(2, 1).block is family(1, 2).block
-        assert not decide_pair(1, 2, [swap])[1]
+        assert not route([(1, 2)], [swap])[1]
 
 
 class TestCInvarianceIsNotVacuous:

@@ -1,14 +1,20 @@
 """The dense matrix oracles of tests/oracles.py, and the state invariants
 that the public predicates enforce on a ``StateBatch``: a statistical
-operator is self-adjoint, positive and of unit trace, and its factors
-hold states of the system's sector."""
+operator is self-adjoint, positive and of unit trace, its factors hold
+states of the system's sector, and they have the slot axes the operator
+is placed on."""
 
 import numpy as np
 import pytest
 
 from discernlab.discern import ALL_STATES, eigenproperty, relation_T_holds
 from discernlab.errors import ShapeError
-from discernlab.multiparticle import ParticleSystem, StateBatch, sample_states
+from discernlab.multiparticle import (
+    ParticleSystem,
+    SlotOperator,
+    StateBatch,
+    sample_states,
+)
 from discernlab.spin import SpinLabel, pair_operator
 from oracles import commutator, is_scalar_identity, kron
 
@@ -174,3 +180,55 @@ class TestStateInvariants:
         with pytest.raises(ShapeError):
             eigenproperty(pair_operator(self.label, 1, 2, self.system), psi)
         assert not relation_T_holds(1, 2, ALL_STATES, self.label, self.system)
+
+    def test_relation_rejects_the_string_all_literal(self):
+        # ALL_STATES is a sentinel object, no longer the string "all"
+        with pytest.raises(ShapeError):
+            relation_T_holds(1, 2, "all", self.label, self.system)
+
+    def test_relation_rejects_the_string_all_built_at_run_time(self):
+        # equal to "all" but not the interned constant: refused the same way
+        with pytest.raises(ShapeError):
+            relation_T_holds(1, 2, "".join(["al", "l"]), self.label,
+                             self.system)
+
+    # a bose batch of 3 spin-1/2 particles without its unfoldings reads
+    # as one axis of D = 4 coordinates
+    def bare_bose_batch(self):
+        bose = ParticleSystem(3, 2, "bose")
+        batch = sample_states(bose, 2, 0)
+        return bose, StateBatch(batch.factors, batch.weights)
+
+    def test_eigenproperty_rejects_a_pair_block_on_one_axis(self):
+        # K_12 needs two slot axes; numpy raised "axes don't match array"
+        bose, bare = self.bare_bose_batch()
+        with pytest.raises(ShapeError):
+            eigenproperty(pair_operator(self.label, 1, 2, bose), bare)
+
+    def test_eigenproperty_rejects_a_block_of_another_dimension(self):
+        # 4 S^2 is 2 x 2 on slot 1, whose axis holds 4 coordinates: read
+        # as two spin-1/2 rows it gave [3, 3]
+        bose, bare = self.bare_bose_batch()
+        with pytest.raises(ShapeError):
+            eigenproperty(pair_operator(self.label, 1, 1, bose), bare)
+
+    def test_eigenproperty_rejects_a_slot_past_the_batch(self):
+        k13 = pair_operator(self.label, 1, 3, ParticleSystem(3, 2))
+        with pytest.raises(ShapeError):
+            eigenproperty(k13, sample_states(self.system, 2, 0))
+        # the same block on slots the batch has is read
+        assert len(eigenproperty(SlotOperator(k13.block, (2, 1)),
+                                 sample_states(self.system, 2, 0))) == 2
+
+    def test_eigenproperty_rejects_a_repeated_slot(self):
+        # slots (1, 1) of a 4-dimensional block multiply to 4 as well;
+        # numpy raised "repeated axis in transpose"
+        with pytest.raises(ShapeError):
+            eigenproperty(SlotOperator(np.eye(4), (1, 1)),
+                          sample_states(self.system, 1, 0))
+
+    def test_relation_gives_a_bare_sector_batch_its_unfoldings(self):
+        # relation_T_holds knows the system, so the batch fits K_ab
+        bose, bare = self.bare_bose_batch()
+        assert relation_T_holds(1, 1, bare, self.label, bose)
+        assert not relation_T_holds(1, 2, bare, self.label, bose)
